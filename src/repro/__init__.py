@@ -4,10 +4,10 @@ GATSPI is a GPU-accelerated, delay-aware, glitch-enabled gate-level
 re-simulator for power estimation.  This package re-implements the complete
 system in pure Python: the array waveform format, truth-table and conditional
 delay-table lookups, the per-gate/per-window simulation kernel, the levelized
-two-pass engine with a device-memory pool model, SDF and structural-Verilog
-front ends, SAIF/VCD back ends, an event-driven reference simulator standing
-in for the commercial baseline, analytic GPU performance models, and the
-glitch-power optimization flow.
+count → allocate → store engine with a device-memory pool model, SDF and
+structural-Verilog front ends, SAIF/VCD back ends, an event-driven reference
+simulator standing in for the commercial baseline, analytic GPU performance
+models, and the glitch-power optimization flow.
 
 All simulation engines are served through one unified entry point, the
 :mod:`repro.api` backend registry::

@@ -4,7 +4,8 @@
 Name               Engine
 =================  ==================================================
 ``gatspi``         :class:`~repro.core.engine.GatspiEngine` — levelized
-                   two-pass GPU-style re-simulator (the paper's system)
+                   count → allocate → store re-simulator, one kernel
+                   execution per level (the paper's system)
 ``event``          :class:`~repro.reference.event_sim.EventDrivenSimulator`
                    — the commercial-simulator stand-in / oracle
 ``zero-delay``     :class:`~repro.reference.zero_delay.ZeroDelaySimulator`
@@ -179,7 +180,10 @@ class GatspiBackend(SimBackend):
         glitch_accurate=True,
         waveforms=True,
         phase_timings=True,
-        description="Levelized two-pass GPU-style re-simulator (the paper's engine)",
+        description=(
+            "Levelized count → allocate → store GPU-style re-simulator, one "
+            "kernel execution per level (the paper's engine)"
+        ),
     )
 
     def _prepare(

@@ -43,13 +43,6 @@ class SimConfig:
     full_sdf:
         When false, conditional SDF delays collapse to per-pin averages — the
         paper's "No Full SDF" ablation in Table 7.
-    two_pass:
-        Run the kernel twice per level (count pass then store pass) exactly
-        as the paper does.  ``False`` fuses the passes: the count pass's
-        outputs are kept and stored directly after allocation, halving
-        kernel invocations per level.  Both settings are bit-identical and
-        covered by the differential suite; ``two_pass=True`` remains the
-        default because it mirrors the paper's GPU memory protocol.
     kernel:
         Which kernel implementation executes Algorithm 1.  ``"vector"``
         (default) runs the level-batched struct-of-arrays kernel
@@ -57,7 +50,10 @@ class SimConfig:
         windows in lock-step numpy operations, the software analogue of the
         paper's one-thread-per-(gate, window) GPU grid.  ``"scalar"`` runs
         the per-gate Python reference kernel (:mod:`repro.core.kernel`);
-        both produce bit-identical waveforms.
+        both produce bit-identical waveforms.  Either way a level is
+        count → allocate → store with one kernel execution: the outputs the
+        count produces are the ones stored (there is no second, store-pass
+        execution and no knob for one).
     restructure:
         Which implementation runs the non-kernel phases (testbench
         restructuring, pool loading, readback/stitching).  ``"vector"``
@@ -105,7 +101,6 @@ class SimConfig:
     pathpulse_percent: float = 100.0
     enable_net_delay_filtering: bool = True
     full_sdf: bool = True
-    two_pass: bool = True
     kernel: str = "vector"
     restructure: str = "vector"
     device: str = field(default_factory=default_device)

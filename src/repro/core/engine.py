@@ -13,9 +13,11 @@ This is the paper's simulation flow (Fig. 5) end to end:
    and sequential-element outputs) into ``cycle_parallelism`` independent
    windows.
 3. *Load* the windows into the pre-allocated device-memory waveform pool.
-4. For every logic level, launch the per-gate/per-window kernel twice: the
-   count pass sizes the output waveforms so their start addresses can be laid
-   out in the pool, the store pass writes them (Algorithm 1).
+4. For every logic level, count → allocate → store with one kernel
+   execution: the launch sizes and produces the output waveforms, their
+   start addresses are laid out in the pool, and the counted waveforms are
+   written there (Algorithm 1; the paper's GPU re-runs the kernel to store
+   only because a thread cannot allocate).
 5. *Read back* toggle counts and waveforms for SAIF generation.
 
 On a non-numpy device the vector pipeline crosses the host/device boundary
@@ -161,7 +163,7 @@ class _ReadbackAccumulator:
 
 
 class GatspiEngine:
-    """GPU-style levelized two-pass gate re-simulator.
+    """GPU-style levelized gate re-simulator.
 
     Registered as the ``"gatspi"`` backend in :mod:`repro.api`; new code
     should reach it via ``get_backend("gatspi").prepare(...)`` rather than
@@ -1278,7 +1280,7 @@ class GatspiEngine:
             pool.store_waveform(net, window_index, wave)
         timings.host_to_device += time.perf_counter() - start
 
-        # Level-by-level two-pass simulation through the configured kernel.
+        # Level-by-level simulation through the configured kernel.
         if config.kernel == "vector":
             self._run_levels_vector(pool, windows, timings, stats, plan)
         else:
@@ -1440,55 +1442,39 @@ class GatspiEngine:
             ]
             timings.scheduling += time.perf_counter() - schedule_start
 
+            # Count: one kernel execution per task sizes (and produces) its
+            # output waveform.
             kernel_start = time.perf_counter()
-            first_pass: Dict[Tuple[str, int], GateKernelResult] = {}
+            results: List[GateKernelResult] = []
             for gate, window in tasks:
                 pointers = [
                     pool.pointer(net, window.index) for net in gate.input_nets
                 ]
-                result = simulate_gate_window(
-                    pool.data,
-                    pointers,
-                    self._gate_inputs[gate.name],
-                    pathpulse_fraction=config.pathpulse_fraction,
-                    net_delay_filtering=config.enable_net_delay_filtering,
-                )
-                first_pass[(gate.name, window.index)] = result
-                stats.kernel_invocations += 1
-            timings.kernel += time.perf_counter() - kernel_start
-
-            # Lay out output waveform addresses from the count pass.
-            schedule_start = time.perf_counter()
-            addresses: Dict[Tuple[str, int], int] = {}
-            for gate, window in tasks:
-                size = first_pass[(gate.name, window.index)].storage_words
-                addresses[(gate.output_net, window.index)] = pool.allocate(size)
-            timings.scheduling += time.perf_counter() - schedule_start
-
-            # Store pass: re-run the kernel (as the paper does) and write the
-            # output waveforms at their assigned addresses.
-            kernel_start = time.perf_counter()
-            for gate, window in tasks:
-                key = (gate.name, window.index)
-                if config.two_pass:
-                    result = simulate_gate_window(
+                results.append(
+                    simulate_gate_window(
                         pool.data,
-                        [pool.pointer(net, window.index) for net in gate.input_nets],
+                        pointers,
                         self._gate_inputs[gate.name],
                         pathpulse_fraction=config.pathpulse_fraction,
                         net_delay_filtering=config.enable_net_delay_filtering,
                     )
-                    stats.kernel_invocations += 1
-                else:
-                    result = first_pass[key]
+                )
+                stats.kernel_invocations += 1
+            timings.kernel += time.perf_counter() - kernel_start
+
+            # Allocate, then store the counted waveforms at their addresses.
+            schedule_start = time.perf_counter()
+            for (gate, window), result in zip(tasks, results):
                 pool.store_kernel_output(
                     gate.output_net,
                     window.index,
-                    addresses[(gate.output_net, window.index)],
+                    pool.allocate(result.storage_words),
                     result.initial_value,
                     result.toggle_times,
                 )
-            timings.kernel += time.perf_counter() - kernel_start
+            timings.scheduling += time.perf_counter() - schedule_start
+            stats.level_batches += 1
+            stats.max_batch_tasks = max(stats.max_batch_tasks, len(tasks))
 
     # ------------------------------------------------------------------
     # Level execution: level-batched vector kernel
@@ -1501,16 +1487,17 @@ class GatspiEngine:
         stats: SimulationStats,
         plan: ExecutionPlan,
     ) -> None:
-        """Struct-of-arrays execution: one batched launch per level per pass.
+        """Struct-of-arrays execution: one batched launch per level.
 
-        For each level the count pass sizes every output waveform, the
-        addresses come from one prefix-sum allocation, and the store pass
-        writes all outputs with vectorized scatters — the software analogue
-        of the paper's per-level GPU grid launches.  Input pointers and
-        toggle capacities come from the level's compile-time gather index
-        tensors resolved against the pool's registration tables
-        (:meth:`WaveformPool.gather_level_inputs`) — no per-batch Python
-        pointer lookups.
+        For each level the launch sizes (and produces) every output
+        waveform, the addresses come from one prefix-sum allocation, and
+        the counted outputs are written with vectorized scatters — count →
+        allocate → store, the paper's per-level protocol without its
+        second kernel execution (a GPU thread cannot allocate; the host
+        can).  Input pointers and toggle capacities come from the level's
+        compile-time gather index tensors resolved against the pool's
+        registration tables (:meth:`WaveformPool.gather_level_inputs`) —
+        no per-batch Python pointer lookups.
         """
         config = self.config
         xp = self._xp
@@ -1523,8 +1510,7 @@ class GatspiEngine:
         timings.scheduling += time.perf_counter() - schedule_start
 
         for level in packed.levels:
-            G = level.gate_count
-            T = G * W
+            T = level.gate_count * W
 
             # Gather input pointers and toggle capacities per task from the
             # registration tables via the precomputed net-id tensors; each
@@ -1534,11 +1520,8 @@ class GatspiEngine:
             pointers, capacities = pool.gather_level_inputs(level.input_net_ids)
             timings.scheduling += time.perf_counter() - schedule_start
 
-            # Count pass: one batched launch sizes every output waveform.
-            # The tiled per-task tensors are shared with the store pass.
             kernel_start = time.perf_counter()
-            tiled = tile_level(level, W, xp)
-            first_pass = simulate_level(
+            result = simulate_level(
                 pool.data,
                 pointers,
                 packed,
@@ -1547,7 +1530,7 @@ class GatspiEngine:
                 capacities,
                 pathpulse_fraction=config.pathpulse_fraction,
                 net_delay_filtering=config.enable_net_delay_filtering,
-                tiled=tiled,
+                tiled=tile_level(level, W, xp),
                 xp=xp,
             )
             stats.kernel_invocations += T
@@ -1555,34 +1538,10 @@ class GatspiEngine:
             stats.max_batch_tasks = max(stats.max_batch_tasks, T)
             timings.kernel += time.perf_counter() - kernel_start
 
-            # Prefix-sum layout of all output addresses of the level.
+            # Prefix-sum layout of all output addresses of the level, then
+            # one scatter of the counted waveforms to those addresses.
             schedule_start = time.perf_counter()
-            addresses = pool.allocate_batch(first_pass.storage_words)
-            timings.scheduling += time.perf_counter() - schedule_start
-
-            # Store pass: re-run the batched kernel (as the paper does) and
-            # scatter the output waveforms to their assigned addresses.
-            kernel_start = time.perf_counter()
-            if config.two_pass:
-                result = simulate_level(
-                    pool.data,
-                    pointers,
-                    packed,
-                    level,
-                    W,
-                    capacities,
-                    pathpulse_fraction=config.pathpulse_fraction,
-                    net_delay_filtering=config.enable_net_delay_filtering,
-                    tiled=tiled,
-                    xp=xp,
-                )
-                stats.kernel_invocations += T
-                stats.level_batches += 1
-            else:
-                result = first_pass
-            timings.kernel += time.perf_counter() - kernel_start
-
-            schedule_start = time.perf_counter()
+            addresses = pool.allocate_batch(result.storage_words)
             pool.store_level_outputs(
                 level.output_nets,
                 window_indices,

@@ -16,11 +16,12 @@ structure as the CUDA kernel:
 * apply gate-output inertial pulse filtering controlled by
   ``PATHPULSEPERCENT`` (lines 19-25).
 
-The kernel is run twice per logic level: a *count* pass that only sizes the
-output waveforms (so their start addresses in the pre-allocated device memory
-pool can be laid out) and a *store* pass that writes them (paper Fig. 5).
-Both passes execute the identical routine; the pass only differs in whether
-the produced transitions are written back to the pool by the caller.
+On the GPU the kernel runs twice per logic level — a *count* pass that only
+sizes the output waveforms (so their start addresses in the pre-allocated
+device memory pool can be laid out) and a *store* pass that writes them
+(paper Fig. 5) — because a thread cannot allocate memory.  The host engine
+runs it once per task: the caller allocates from the returned size and
+stores the returned transitions.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def simulate_gate_window(
     ``pool`` is the flat waveform memory array; ``input_pointers`` gives the
     start address of each input pin's waveform inside the pool.  The output
     waveform is returned as an initial value plus toggle times (window-local);
-    the caller stores it back into the pool in the store pass.
+    the caller allocates its pool address and stores it there.
     """
     num_pins = gate.num_pins
     if len(input_pointers) != num_pins:

@@ -20,10 +20,13 @@ register nets and windows lazily, growing the tables on demand; the
 name-keyed accessors (``pointer``/``toggle_count``/``read_waveform``) work
 identically in both modes.
 
-The two-pass kernel scheme exists precisely to make this layout possible: the
-count pass reports each output waveform's storage size, the allocator assigns
-start addresses (:meth:`WaveformPool.allocate_batch` lays out a whole level
-in one prefix-sum), and the store pass writes into them.
+The per-level protocol is count → allocate → store, one kernel execution:
+the launch reports each output waveform's storage size along with its
+toggles, the allocator assigns start addresses
+(:meth:`WaveformPool.allocate_batch` lays out a whole level in one
+prefix-sum), and :meth:`WaveformPool.store_level_outputs` writes the counted
+waveforms into them.  (The paper re-runs the kernel for the store because a
+GPU thread cannot allocate; the host can.)
 
 Pool dtype
 ----------
@@ -262,7 +265,7 @@ class WaveformPool:
 
         Produces exactly the addresses a loop of :meth:`allocate` calls would
         (each waveform even-aligned, laid out back-to-back), but in O(1)
-        array work per level — this is how the store pass of the vector
+        array work per level — this is how the store step of the vector
         kernel gets every output address of a level at once.
         """
         xp = self._xp
@@ -399,7 +402,7 @@ class WaveformPool:
         initial_value: int,
         toggle_times: List[int],
     ) -> None:
-        """Write a kernel result at a pre-assigned address (store pass)."""
+        """Write a kernel result at a pre-assigned address (the store step)."""
         if toggle_times and toggle_times[-1] >= EOW:
             raise TimestampOverflowError(
                 f"toggle time {toggle_times[-1]} on net {net!r} reached the "
@@ -430,7 +433,7 @@ class WaveformPool:
         toggle_counts,
         net_ids=None,
     ) -> None:
-        """Vectorized store pass for one level of the vector kernel.
+        """Vectorized store step for one level of the vector kernel.
 
         Tasks are gate-major over ``window_indices`` (``task = gate * W +
         window``), matching :func:`repro.core.vector_kernel.simulate_level`.

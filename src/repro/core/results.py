@@ -74,7 +74,7 @@ class SimulationStats:
     restructure_mode: str = ""
     #: Which array backend the data plane ran on ("numpy", "torch", "cupy").
     device: str = ""
-    #: Level-batched kernel launches (vector kernel; counts every pass).
+    #: Kernel launches: one per level per segment, on either kernel.
     level_batches: int = 0
     #: Largest single batch, in (gate, window) tasks.
     max_batch_tasks: int = 0

@@ -283,9 +283,8 @@ def pack_design(
 class TiledLevel:
     """Per-gate level tensors tiled across windows (one row per task).
 
-    Built once per (level, window-count) and shared by the count and store
-    passes — the tiling is pure repetition, so recomputing it per pass would
-    double the batch set-up cost for identical results.
+    Built once per launch; the event loop compacts these rows as tasks
+    retire.
     """
 
     weights: "object"  # (T, P) int64
@@ -321,7 +320,7 @@ class LevelKernelResult:
     """Output of one level-batched kernel launch (all tasks of a level).
 
     Toggle times live in one flat buffer with per-task start offsets — the
-    same struct-of-arrays shape the store pass writes to the waveform pool.
+    same struct-of-arrays shape ``store_level_outputs`` writes to the pool.
     All arrays live on the backend that executed the launch.
     """
 
@@ -362,9 +361,15 @@ def simulate_level(
     waveform (``[0, EOW]``); ``toggle_capacity`` is a per-task upper bound on
     produced toggles (the task's total input-toggle count is always safe:
     every event-loop iteration consumes at least one input transition).
-    ``tiled`` optionally supplies the :func:`tile_level` result so the count
-    and store passes share one tiling.  ``pool`` and both per-task tensors
-    must live on ``xp``; the result stays on ``xp``.
+    ``tiled`` optionally supplies the :func:`tile_level` result.  ``pool``
+    and both per-task tensors must live on ``xp``; the result stays on
+    ``xp``.
+
+    The event loop carries a *compacted active set*: the pointer matrix,
+    current outputs and tiled per-task constants hold one row per task that
+    still has input events, in ``task`` order, and are re-compacted only on
+    the iterations where tasks retire.  Only the output-side state (toggle
+    buffer, counts, last output time) stays indexed by global task id.
     """
     G = level.gate_count
     T = G * windows
@@ -374,6 +379,12 @@ def simulate_level(
             f"input pointers must have shape {(T, P)}, got "
             f"{tuple(input_pointers.shape)}"
         )
+
+    # The loop below issues a few dozen tiny array operations per iteration,
+    # so the backend's attribute lookup is bound once per launch.
+    where, minimum, maximum, astype = xp.where, xp.minimum, xp.maximum, xp.astype
+    amin, asum, any_, all_, isfinite = xp.min, xp.sum, xp.any, xp.all, xp.isfinite
+    int64, inf = xp.int64, xp.inf
 
     tt_flat = design.tt_flat
     delay_flat = design.delay_flat
@@ -385,136 +396,130 @@ def simulate_level(
     wire_rise = tiled.wire_rise
     wire_fall = tiled.wire_fall
     tt_off = tiled.tt_offsets
+    pin_mask = tiled.pin_mask
     delay_off = tiled.delay_offsets
     ncols = tiled.num_columns
-    pin_mask = tiled.pin_mask
 
     # Lines 3-6: skip initial-one markers, resolve the initial column/output.
-    ptr = xp.copy(xp.ascontiguousarray(input_pointers, xp.int64))
+    ptr = xp.copy(xp.ascontiguousarray(input_pointers, int64))
     if P:
-        ptr += xp.astype(
-            pool[xp.minimum(ptr, limit)] == INITIAL_ONE_MARKER, xp.int64
-        )
-        col = xp.sum(weights * (ptr & 1), axis=1)
+        ptr += astype(pool[minimum(ptr, limit)] == INITIAL_ONE_MARKER, int64)
+        col = asum(weights * (ptr & 1), axis=1)
     else:
-        col = xp.zeros(T, dtype=xp.int64)
-    out = xp.astype(tt_flat[tt_off + col], xp.int64)
-    initial_values = xp.copy(out)
+        col = xp.zeros(T, dtype=int64)
+    out = astype(tt_flat[tt_off + col], int64)
+    initial_values = out
 
-    caps = xp.ascontiguousarray(toggle_capacity, xp.int64)
+    caps = xp.ascontiguousarray(toggle_capacity, int64)
     if tuple(caps.shape) != (T,):
         raise ValueError(
             f"toggle capacity must have shape {(T,)}, got {tuple(caps.shape)}"
         )
-    toggle_starts = xp.zeros(T, dtype=xp.int64)
+    toggle_starts = xp.zeros(T, dtype=int64)
     toggle_starts[1:] = xp.cumsum(caps[:-1])
-    toggle_buffer = xp.zeros(int(xp.sum(caps)), dtype=xp.int64)
-    toggle_counts = xp.zeros(T, dtype=xp.int64)
-    last_time = xp.zeros(T, dtype=xp.int64)
+    toggle_buffer = xp.zeros(int(asum(caps)), dtype=int64)
+    toggle_counts = xp.zeros(T, dtype=int64)
+    last_time = xp.zeros(T, dtype=int64)
 
-    idx = xp.arange(T, dtype=xp.int64)
-    if P == 0:
-        idx = idx[:0]
+    task = xp.arange(T, dtype=int64)
+    active = T if P else 0
 
     # Main lock-step event loop (Algorithm 1 lines 7-25, all tasks at once).
-    while xp.size(idx):
-        p = ptr[idx]
-        pm = pin_mask[idx]
-        wr = wire_rise[idx]
-        wf = wire_fall[idx]
-
+    while active:
         # Interconnect inertial filtering (lines 10-12): drop input pulses
-        # narrower than the wire delay of their leading edge.
-        if net_delay_filtering:
-            while True:
-                first = pool[xp.minimum(p + 1, limit)]
-                second = pool[xp.minimum(p + 2, limit)]
-                nd = xp.where(p & 1, wf, wr)
-                drop = (
-                    pm
-                    & (first != EOW)
-                    & (second != EOW)
-                    & (second - nd - first < 0)
-                )
-                if not xp.any(drop):
-                    break
-                p = p + (xp.astype(drop, xp.int64) << 1)
-            ptr[idx] = p
-
-        upcoming = pool[xp.minimum(p + 1, limit)]
-        nd = xp.where(p & 1, wf, wr)
-        arrival = xp.where(pm & (upcoming != EOW), upcoming + nd, xp.inf)
-        next_time = xp.min(arrival, axis=1)
-
-        alive = next_time < EOW
-        if not xp.all(alive):
-            idx = idx[alive]
-            if not xp.size(idx):
+        # narrower than the wire delay of their leading edge.  The last
+        # ``first``/``nd`` read are those of the settled pointers.
+        while True:
+            first = pool[minimum(ptr + 1, limit)]
+            nd = where(ptr & 1, wire_fall, wire_rise)
+            live = pin_mask & (first != EOW)
+            if not net_delay_filtering:
                 break
-            p = p[alive]
+            second = pool[minimum(ptr + 2, limit)]
+            drop = live & (second != EOW) & (second - nd - first < 0)
+            if not any_(drop):
+                break
+            ptr += astype(drop, int64) << 1
+
+        arrival = where(live, first + nd, inf)
+        next_time = amin(arrival, axis=1)
+
+        # Retire tasks whose inputs are exhausted; compact what is carried.
+        alive = next_time < EOW
+        if not all_(alive):
+            task = task[alive]
+            active = xp.size(task)
+            if not active:
+                break
+            ptr = ptr[alive]
+            out = out[alive]
+            weights = weights[alive]
+            wire_rise = wire_rise[alive]
+            wire_fall = wire_fall[alive]
+            tt_off = tt_off[alive]
+            pin_mask = pin_mask[alive]
             arrival = arrival[alive]
             next_time = next_time[alive]
 
-        # MSI resolution (lines 14-18): advance every pin arriving now.
+        # MSI resolution (lines 14-18): advance every pin arriving now and
+        # re-derive the column index from the new pin values.
         arriving = arrival == next_time[:, None]
-        p = p + xp.astype(arriving, xp.int64)
-        ptr[idx] = p
-        w = weights[idx]
-        new_pin_value = p & 1
-        col[idx] += xp.sum(
-            xp.where(arriving, xp.where(new_pin_value == 1, w, -w), 0), axis=1
-        )
-
-        c = col[idx]
-        new_out = xp.astype(tt_flat[tt_off[idx] + c], xp.int64)
-        changed = new_out != out[idx]
-        if not xp.any(changed):
+        ptr += astype(arriving, int64)
+        col = asum(weights * (ptr & 1), axis=1)
+        new_out = astype(tt_flat[tt_off + col], int64)
+        changed = new_out != out
+        out = new_out
+        if not any_(changed):
             continue
 
         # Output evaluation and inertial filtering (lines 19-25).
-        ci = idx[changed]
-        cc = c[changed]
+        ci = task[changed]
         arr_c = arriving[changed]
-        input_edge = 1 - (p[changed] & 1)  # RISE=0 for a pin that just rose
+        input_edge = 1 - (ptr[changed] & 1)  # RISE=0 for a pin that just rose
         output_edge = 1 - new_out[changed]  # RISE=0 when the output rises
         Cc = ncols[ci]
-        doff = delay_off[ci]
-        base = doff + (output_edge * Cc)[:, None] + cc[:, None]
-        exact_idx = base + input_edge * (2 * Cc[:, None])
-        d_exact = xp.where(
-            arr_c, delay_flat[xp.where(arr_c, exact_idx, 0)], xp.inf
-        )
-        best = xp.min(d_exact, axis=1)
-        opp_idx = base + (1 - input_edge) * (2 * Cc[:, None])
-        d_opp = xp.where(arr_c, delay_flat[xp.where(arr_c, opp_idx, 0)], xp.inf)
-        best_opp = xp.min(d_opp, axis=1)
-        gate_delay = xp.where(
-            xp.isfinite(best),
-            best,
-            xp.where(xp.isfinite(best_opp), best_opp, 0.0),
-        )
+        span = 2 * Cc[:, None]
+        # Every index is in range without a guard: a real pin stays inside
+        # its own 4*C table, and a padded pin (offset 0) inside the first
+        # 4*C words, which the changed gate's real pin guarantees exist.
+        # Non-arriving pins are masked to inf after the gather.
+        base = delay_off[ci] + (output_edge * Cc + col[changed])[:, None]
+        exact = delay_flat[base + input_edge * span]
+        best = amin(where(arr_c, exact, inf), axis=1)
+        finite = isfinite(best)
+        if all_(finite):
+            gate_delay = best
+        else:
+            # Arcs undefined for the exact input edge fall back to the
+            # opposite edge, and finally to zero.
+            opposite = delay_flat[base + (1 - input_edge) * span]
+            best_opp = amin(where(arr_c, opposite, inf), axis=1)
+            gate_delay = where(
+                finite, best, where(isfinite(best_opp), best_opp, 0.0)
+            )
 
-        output_time = xp.astype(next_time[changed] + gate_delay, xp.int64)
-        min_pulse = gate_delay * pathpulse_fraction
+        output_time = astype(next_time[changed] + gate_delay, int64)
+        count = toggle_counts[ci]
         last_c = last_time[ci]
-        reject = (toggle_counts[ci] > 0) & (
-            (output_time - last_c < min_pulse) | (output_time <= last_c)
+        reject = (count > 0) & (
+            (output_time - last_c < gate_delay * pathpulse_fraction)
+            | (output_time <= last_c)
         )
-
-        # Reject: cancel the previous output pulse, do not record this one.
-        rej = ci[reject]
-        toggle_counts[rej] -= 1
-        prev = toggle_starts[rej] + toggle_counts[rej] - 1
-        last_time[rej] = xp.where(
-            toggle_counts[rej] > 0, toggle_buffer[xp.maximum(prev, 0)], 0
-        )
+        if any_(reject):
+            # Reject: cancel the previous output pulse, do not record this one.
+            rej = ci[reject]
+            left = count[reject] - 1
+            toggle_counts[rej] = left
+            prev = toggle_starts[rej] + left - 1
+            last_time[rej] = where(left > 0, toggle_buffer[maximum(prev, 0)], 0)
+            accept = ~reject
+            ci = ci[accept]
+            count = count[accept]
+            output_time = output_time[accept]
         # Accept: record the transition.
-        acc = ci[~reject]
-        acc_times = output_time[~reject]
-        toggle_buffer[toggle_starts[acc] + toggle_counts[acc]] = acc_times
-        toggle_counts[acc] += 1
-        last_time[acc] = acc_times
-        out[ci] = new_out[changed]
+        toggle_buffer[toggle_starts[ci] + count] = output_time
+        toggle_counts[ci] = count + 1
+        last_time[ci] = output_time
 
     return LevelKernelResult(
         initial_values=initial_values,

@@ -78,7 +78,9 @@ class KernelWorkload:
 #: Average bytes moved per simulation event.  Each processed transition reads
 #: the next timestamps of every input pin (3 words each from uncoalesced
 #: 32-byte sectors), one truth-table and one delay-table lookup, and writes
-#: the output entry twice (count pass + store pass).
+#: the output entry twice (count pass + store pass).  This keeps modelling the
+#: paper's two-pass *GPU* protocol: it does not read ``kernel_invocations``,
+#: which counts the host engine's single kernel execution per level.
 BYTES_PER_EVENT = 96.0
 
 #: Device cycles of memory latency a dependent (pointer-chasing) access costs.

@@ -118,6 +118,13 @@ class SimulationServer:
         if self._closed.is_set():
             return
         self._closed.set()
+        # On Linux close() alone leaves a thread parked in accept() asleep;
+        # shutdown() wakes it (platforms that refuse to shut down a
+        # listening socket raise, and there close() is the wake-up).
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:  # pragma: no cover - already closed

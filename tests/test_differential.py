@@ -161,25 +161,24 @@ def test_gatspi_variants_bit_identical_random_designs(seed, device):
 
 @pytest.mark.parametrize("device", DEVICES)
 @pytest.mark.parametrize("seed", range(3))
-def test_single_pass_kernel_bit_identical(seed, device):
-    """``two_pass=False`` (fused count/store schedule) is on-spec.
+def test_launch_count_contract(seed, device):
+    """Count → allocate → store costs one kernel execution per level.
 
-    The single-pass kernel must match the scalar+python oracle — which
-    always runs the default two-pass schedule on numpy — bit-for-bit,
-    at half the kernel invocations of the two-pass default.
+    The vector kernel on ``device`` and the scalar+python oracle agree
+    bit-for-bit, and both report one launch per level and one invocation
+    per (gate, window) task of the unsegmented run — no second (store) pass.
     """
     netlist, annotation = _prepare_design(seed, num_gates=30)
     stimulus = build_random_stimulus(netlist, DURATION, seed=seed + 31)
-    single = _run(
-        "gatspi", netlist, annotation, stimulus,
-        config=SimConfig(two_pass=False), device=device,
-    )
-    reference = _run(
+    vector = _run("gatspi", netlist, annotation, stimulus, device=device)
+    scalar = _run(
         "gatspi:kernel=scalar,restructure=python", netlist, annotation, stimulus
     )
-    _assert_bit_identical(reference, single, f"two_pass=False seed={seed}")
-    default = _run("gatspi", netlist, annotation, stimulus, device=device)
-    assert default.stats.kernel_invocations == 2 * single.stats.kernel_invocations
+    _assert_bit_identical(scalar, vector, f"launch contract seed={seed}")
+    for stats in (vector.stats, scalar.stats):
+        assert stats.segments == 1
+        assert stats.level_batches == stats.levels
+        assert stats.kernel_invocations == stats.gate_count * stats.windows
 
 
 @pytest.mark.parametrize("device", DEVICES)

@@ -206,20 +206,24 @@ class TestEngine:
         assert result.stats.windows == 2
         assert result.kernel_runtime > 0
 
-    def test_two_pass_and_single_pass_agree(self, random_netlist, random_annotation):
+    @pytest.mark.parametrize("kernel", ["vector", "scalar"])
+    def test_one_kernel_execution_per_task(
+        self, random_netlist, random_annotation, kernel
+    ):
+        """Count → allocate → store executes the kernel once: one launch per
+        level and one invocation per (gate, window) task (unsegmented run)."""
         stimulus = self.build_stimulus(random_netlist, duration=6000)
-        base = SimConfig(cycle_parallelism=4, clock_period=1000)
-        two_pass = GatspiEngine(
-            random_netlist, annotation=random_annotation, config=base
-        ).simulate(stimulus, cycles=6)
-        single_pass = GatspiEngine(
-            random_netlist,
-            annotation=random_annotation,
-            config=base.with_updates(two_pass=False),
-        ).simulate(stimulus, cycles=6)
-        assert two_pass.toggle_counts == single_pass.toggle_counts
-        # The store pass doubles the kernel invocations.
-        assert two_pass.stats.kernel_invocations == 2 * single_pass.stats.kernel_invocations
+        config = SimConfig(cycle_parallelism=4, clock_period=1000, kernel=kernel)
+        stats = GatspiEngine(
+            random_netlist, annotation=random_annotation, config=config
+        ).simulate(stimulus, cycles=6).stats
+        assert stats.segments == 1
+        assert stats.level_batches == stats.levels
+        assert stats.kernel_invocations == stats.gate_count * stats.windows
+
+    def test_two_pass_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            SimConfig(two_pass=False)
 
     def test_memory_segmentation_preserves_results(self, random_netlist, random_annotation):
         stimulus = self.build_stimulus(random_netlist, duration=6000)

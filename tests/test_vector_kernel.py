@@ -95,7 +95,7 @@ class TestScalarVectorEquivalence:
             {"pathpulse_percent": 50.0},
             {"pathpulse_percent": 0.0},
             {"enable_net_delay_filtering": False},
-            {"two_pass": False},
+            {"pathpulse_percent": 0.0, "enable_net_delay_filtering": False},
             {"full_sdf": False},
         ],
     )
@@ -169,10 +169,13 @@ class TestScalarVectorEquivalence:
         scalar, vector = run_both_kernels(netlist, annotation, stimulus)
         assert scalar.stats.kernel_mode == "scalar"
         assert vector.stats.kernel_mode == "vector"
-        assert vector.stats.level_batches > 0
         assert vector.stats.max_batch_tasks > 0
-        # Both kernels count one logical invocation per (gate, window) task.
-        assert vector.stats.kernel_invocations == scalar.stats.kernel_invocations
+        # Both kernels count one launch per level and one invocation per
+        # (gate, window) task: the count pass's outputs are the stored ones.
+        for stats in (scalar.stats, vector.stats):
+            assert stats.segments == 1
+            assert stats.level_batches == stats.levels
+            assert stats.kernel_invocations == stats.gate_count * stats.windows
         assert vector.stats.mean_batch_tasks() > 0
 
 

@@ -281,6 +281,28 @@ class TestWireRobustness:
             server.close()
             service.close()
 
+    def test_close_wakes_the_idle_accept_thread(self):
+        """Regression: ``close()`` on an idle started server returns at once.
+
+        Closing the listening socket does not wake a thread parked in
+        ``accept()`` on Linux, so ``close()`` used to sit out its 10 s join
+        timeout and leave the accept thread alive behind it.
+        """
+        import time
+
+        service = SimulationService(max_workers=1, queue_size=4)
+        server = SimulationServer(service, host="127.0.0.1", port=0).start()
+        try:
+            accept_thread = server._accept_thread
+            assert accept_thread is not None and accept_thread.is_alive()
+            start = time.perf_counter()
+            server.close()
+            assert time.perf_counter() - start < 1.0
+            assert not accept_thread.is_alive()
+        finally:
+            server.close()
+            service.close()
+
     def test_oversized_send_rejected_client_side(self, served):
         _, host, port = served
         with WireClient(host, port, max_frame_bytes=1024) as client:
