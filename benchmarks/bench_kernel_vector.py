@@ -1,10 +1,13 @@
 """Microbenchmark: scalar vs level-batched vector kernel throughput.
 
 Runs the Table-2 speedup workload (same designs and testbenches as
-``bench_table2_speedup.py``) through the ``gatspi`` backend twice — once per
-kernel — and writes ``BENCH_kernel.json`` at the repository root with
-gate-evaluations-per-second for both, so the performance trajectory of the
-hot path is tracked as data, not anecdotes.
+``bench_table2_speedup.py``) through the ``gatspi`` backend (level-batched
+vector kernel) and its reference ``gatspi-oracle`` (scalar kernel, one
+Python call per task) and writes ``BENCH_kernel.json`` at the repository
+root with gate-evaluations-per-second for both, so the performance
+trajectory of the hot path is tracked as data, not anecdotes.  Only the
+kernel phase of ``timings`` is read, so the oracle's per-object boundary
+phases do not enter the comparison.
 
 Set ``REPRO_BENCH_KERNEL_SMOKE=1`` to run only the smallest design with a
 shortened testbench (the CI smoke configuration).
@@ -23,12 +26,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.api import resolve_backend  # noqa: E402
+from repro.api import get_backend  # noqa: E402
 from repro.bench import table2_cases  # noqa: E402
 from repro.bench.runner import prepare_case  # noqa: E402
 from repro.core import SimConfig  # noqa: E402
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_kernel.json"
+
+#: The backend that runs each kernel.
+BACKENDS = {"scalar": "gatspi-oracle", "vector": "gatspi"}
 
 #: Required aggregate advantage of the vector kernel over the scalar one.
 #: The smoke configuration only sanity-checks that the vector kernel is not
@@ -52,10 +58,9 @@ def _cases():
 
 def _measure(case, kernel: str):
     netlist, annotation, stimulus = prepare_case(case)
-    config = SimConfig(clock_period=case.clock_period, kernel=kernel)
-    backend, options = resolve_backend("gatspi")
-    session = backend.prepare(
-        netlist, annotation=annotation, config=config, **options
+    config = SimConfig(clock_period=case.clock_period)
+    session = get_backend(BACKENDS[kernel]).prepare(
+        netlist, annotation=annotation, config=config
     )
     start = time.perf_counter()
     result = session.run(stimulus, cycles=case.cycles)

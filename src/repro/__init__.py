@@ -33,7 +33,6 @@ from .core import (
     SimulationResult,
     StimulusError,
     Waveform,
-    simulate,
     simulate_multi_gpu,
 )
 from .netlist import Netlist, NetlistBuilder, parse_verilog, read_verilog
@@ -63,7 +62,6 @@ __all__ = [
     "SimulationResult",
     "StimulusError",
     "Waveform",
-    "simulate",
     "simulate_multi_gpu",
     "Netlist",
     "NetlistBuilder",

@@ -1,4 +1,4 @@
-"""Adapters registering the four concrete simulators as named backends.
+"""Adapters registering the concrete simulators as named backends.
 
 =================  ==================================================
 Name               Engine
@@ -6,6 +6,10 @@ Name               Engine
 ``gatspi``         :class:`~repro.core.engine.GatspiEngine` — levelized
                    count → allocate → store re-simulator, one kernel
                    execution per level (the paper's system)
+``gatspi-oracle``  :class:`~repro.reference.oracle_engine.OracleEngine`
+                   — the same plans run per object in Python (Waveform
+                   slicing, one scalar kernel call per task); the
+                   differential suites' reference for ``gatspi``
 ``event``          :class:`~repro.reference.event_sim.EventDrivenSimulator`
                    — the commercial-simulator stand-in / oracle
 ``zero-delay``     :class:`~repro.reference.zero_delay.ZeroDelaySimulator`
@@ -36,6 +40,7 @@ from ..core.results import (
 from ..core.waveform import Waveform
 from ..netlist import Netlist
 from ..reference.event_sim import EventDrivenSimulator
+from ..reference.oracle_engine import OracleEngine
 from ..reference.threaded import PartitionedCpuSimulator, PartitionedRunReport
 from ..reference.zero_delay import ZeroDelaySimulator
 from ..sdf.annotate import DelayAnnotation
@@ -109,10 +114,10 @@ def _check_edit_analysis(
 
 
 class GatspiSession(Session):
-    """Session over a compiled :class:`GatspiEngine`."""
+    """Session over a compiled :class:`GatspiEngine` (or its oracle)."""
 
-    def __init__(self, engine: GatspiEngine):
-        super().__init__("gatspi", engine.netlist, engine.config)
+    def __init__(self, engine: GatspiEngine, backend_name: str = "gatspi"):
+        super().__init__(backend_name, engine.netlist, engine.config)
         self.engine = engine
         self._last_edit_receipt: Optional[EditReceipt] = None
 
@@ -185,6 +190,7 @@ class GatspiBackend(SimBackend):
             "kernel execution per level (the paper's engine)"
         ),
     )
+    engine_class = GatspiEngine
 
     def _prepare(
         self,
@@ -192,40 +198,41 @@ class GatspiBackend(SimBackend):
         annotation: Optional[DelayAnnotation] = None,
         config: Optional[SimConfig] = None,
         *,
-        kernel: Optional[str] = None,
-        restructure: Optional[str] = None,
         device: Optional[str] = None,
         **options: Any,
     ) -> GatspiSession:
-        """Compile the design; ``kernel``/``restructure``/``device`` pick the
-        executors.
+        """Compile the design; ``device`` picks the array backend.
 
-        ``kernel="vector"`` (default) runs the level-batched struct-of-arrays
-        kernel; ``kernel="scalar"`` runs the per-gate Python reference
-        kernel.  ``restructure="vector"`` (default) runs the bulk-array
-        restructure/load/readback pipeline; ``restructure="python"`` runs
-        the per-(net, window) reference pipeline.  ``device`` selects the
-        array backend (:mod:`repro.core.xp`) the vector data plane runs on
-        (``"numpy"`` default, ``"torch"``/``"cupy"`` when installed; the
-        oracle executors always run on numpy).  All combinations are
-        bit-identical; the options override the config fields so
-        equivalence harnesses can flip executors without rebuilding
-        configs (e.g. the specs ``"gatspi:kernel=scalar"``,
-        ``"gatspi:restructure=python"``, and ``"gatspi:device=torch"``).
+        ``device`` selects the array backend (:mod:`repro.core.xp`) the
+        data plane runs on (``"numpy"`` default, ``"torch"``/``"cupy"``
+        when installed) and overrides the config field, so equivalence
+        harnesses can flip devices without rebuilding configs (e.g. the
+        spec ``"gatspi:device=torch"``).  Every device is bit-identical.
         """
         _reject_unknown_options(self.name, options)
-        overrides = {}
-        if kernel is not None:
-            overrides["kernel"] = kernel
-        if restructure is not None:
-            overrides["restructure"] = restructure
         if device is not None:
-            overrides["device"] = device
-        if overrides:
-            config = (config or SimConfig()).with_updates(**overrides)
-        engine = GatspiEngine(netlist, annotation=annotation, config=config)
+            config = (config or SimConfig()).with_updates(device=device)
+        engine = self.engine_class(netlist, annotation=annotation, config=config)
         engine.compile()
-        return GatspiSession(engine)
+        return GatspiSession(engine, self.name)
+
+
+@register_backend("gatspi-oracle")
+class GatspiOracleBackend(GatspiBackend):
+    """``gatspi`` with the per-object reference executors (numpy only)."""
+
+    name = "gatspi-oracle"
+    capabilities = BackendCapabilities(
+        delay_aware=True,
+        glitch_accurate=True,
+        waveforms=True,
+        phase_timings=True,
+        description=(
+            "Reference executors for gatspi: the same plans run per "
+            "(gate, window) in Python; no streaming"
+        ),
+    )
+    engine_class = OracleEngine
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ class.  New engines (sharded, cached, remote) plug in with
 
 Backend *specs* extend plain names with prepare-time options so flow
 configuration (benchmark CLIs, multi-device runs) can select engine variants
-without code changes: ``"gatspi:kernel=scalar"`` resolves to the ``gatspi``
-backend with ``prepare(..., kernel="scalar")``.
+without code changes: ``"gatspi:device=torch"`` resolves to the ``gatspi``
+backend with ``prepare(..., device="torch")``.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def parse_backend_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
 
     A bare name parses to ``(name, {})``.  Values are coerced to
     ``bool``/``int``/``float`` when they look like one, otherwise kept as
-    strings — e.g. ``"gatspi:kernel=scalar"`` or
+    strings — e.g. ``"gatspi:device=torch"`` or
     ``"threaded-cpu:num_workers=8"``.
     """
     if not spec or not isinstance(spec, str):
@@ -146,8 +146,8 @@ def parse_backend_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
 def resolve_backend(spec: str) -> Tuple[SimBackend, Dict[str, Any]]:
     """Look up a backend from a spec string, returning prepare options too.
 
-    ``resolve_backend("gatspi:kernel=scalar")`` returns the ``gatspi``
-    backend plus ``{"kernel": "scalar"}`` to splat into ``prepare``.
+    ``resolve_backend("gatspi:device=torch")`` returns the ``gatspi``
+    backend plus ``{"device": "torch"}`` to splat into ``prepare``.
     """
     name, options = parse_backend_spec(spec)
     return get_backend(name), options

@@ -84,7 +84,7 @@ from ..core.contract import (
     validate_stimulus,
 )
 from ..core.edits import Edit, EditReceipt
-from ..core.engine import RETAINED_RUN_CAPACITY, _RetainedRun, _reorder_span
+from ..core.engine import RETAINED_RUN_CAPACITY, _RetainedRun
 from ..core.restructure import (
     SourceEvents,
     StreamingSourceEvents,
@@ -239,7 +239,7 @@ class ShardedGatspiSession(Session):
             raise ValueError(
                 f"worker_mode must be 'thread' or 'process', got {worker_mode!r}"
             )
-        if worker_mode == "process" and config.effective_device() != "numpy":
+        if worker_mode == "process" and config.device != "numpy":
             raise ValueError(
                 "workers='process' requires the numpy device: the design "
                 "tensors are shared between processes via host shared "
@@ -591,58 +591,25 @@ class ShardedGatspiSession(Session):
         requires; each worker derives its own window geometry from the
         chunk span, exact under the shared critical-path settle margin.
         """
-        engine0 = self._inner_sessions[0].engine
-        engine0._check_streamable()
-        plan0 = engine0._full_plan()
-        perm = engine0._source_permutation(source, plan0)
-        if duration < 1:
-            raise ValueError("duration must be positive")
-        config = self._config
-        if chunk_cycles is None:
-            chunk_cycles = config.stream_chunk_cycles
-        if chunk_cycles is None:
-            chunk_cycles = 32 * config.cycle_parallelism
-        if chunk_cycles < 1:
-            raise ValueError("chunk_cycles must be at least 1")
-        chunk_duration = chunk_cycles * config.clock_period
+        # The parent pulls spans through the first inner engine's geometry
+        # (every inner engine shares the compiled design and settle margin).
+        pulled_spans = self._inner_sessions[0].engine.pull_spans(
+            source, duration, chunk_cycles, timings
+        )
         stats.streamed = True
         stats.segments = 0
         stats.shards = self._workers
-        lookback = max(self._overlap, 1)
-
-        def pulled_spans() -> Iterator[Tuple[int, int, int, SourceEvents]]:
-            chunk_start = 0
-            chunk_index = 0
-            while chunk_start < duration:
-                chunk_end = min(chunk_start + chunk_duration, duration)
-                extended_lo = max(0, chunk_start - lookback)
-                start = time.perf_counter()
-                span = source.span_events(
-                    extended_lo, chunk_end, retire_before=extended_lo
-                )
-                if perm is not None:
-                    span = _reorder_span(span, perm)
-                timings.restructure += time.perf_counter() - start
-                yield chunk_index, chunk_start, chunk_end, span
-                chunk_start = chunk_end
-                chunk_index += 1
 
         def run_chunk_inline(
-            job: Tuple[int, int, int, SourceEvents]
+            job: Tuple[SourceEvents, int, int, int]
         ) -> Tuple[StreamBatch, SimulationStats, PhaseTimings]:
-            chunk_index, chunk_start, chunk_end, span = job
+            chunk_index = job[1]
             inner = self._inner_sessions[chunk_index % len(self._inner_sessions)]
             chunk_timings = PhaseTimings()
             chunk_stats = SimulationStats(segments=0)
             with inner._run_lock:
                 batch = inner.engine.run_stream_chunk(
-                    span,
-                    chunk_index,
-                    chunk_start,
-                    chunk_end,
-                    duration,
-                    timings=chunk_timings,
-                    stats=chunk_stats,
+                    *job, duration, timings=chunk_timings, stats=chunk_stats
                 )
             return batch, chunk_stats, chunk_timings
 
@@ -651,7 +618,7 @@ class ShardedGatspiSession(Session):
         if width > 1 and self._worker_mode == "process":
             pool = self._ensure_process_pool()
             submit = lambda job: pool.submit(  # noqa: E731
-                _process_run_stream_chunk, job[3], job[0], job[1], job[2], duration
+                _process_run_stream_chunk, *job, duration
             )
         elif width > 1:
             if self._pool is None:
@@ -671,11 +638,11 @@ class ShardedGatspiSession(Session):
             return batch
 
         if submit is None:
-            for job in pulled_spans():
+            for job in pulled_spans:
                 yield fold(run_chunk_inline(job))
             return
         pending: "deque" = deque()
-        for job in pulled_spans():
+        for job in pulled_spans:
             pending.append(submit(job))
             if len(pending) >= width:
                 yield fold(pending.popleft().result())
@@ -950,8 +917,6 @@ class GatspiShardedBackend(SimBackend):
         *,
         shards: int = 4,
         workers: Optional[Any] = None,
-        kernel: Optional[str] = None,
-        restructure: Optional[str] = None,
         device: Optional[str] = None,
         **options: Any,
     ) -> ShardedGatspiSession:
@@ -970,9 +935,8 @@ class GatspiShardedBackend(SimBackend):
         an integer ``workers=N``.  A config with a user-pinned
         ``window_overlap`` always degrades to the single-shard
         passthrough — partitioning under a margin the engine cannot
-        vouch for would break the bit-identity contract.  ``kernel`` /
-        ``restructure`` / ``device`` select the inner executors exactly
-        as for ``gatspi``.
+        vouch for would break the bit-identity contract.  ``device``
+        selects the array backend exactly as for ``gatspi``.
         """
         from .adapters import _reject_unknown_options
 
@@ -1000,16 +964,9 @@ class GatspiShardedBackend(SimBackend):
                 workers = None
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
-        overrides = {}
-        if kernel is not None:
-            overrides["kernel"] = kernel
-        if restructure is not None:
-            overrides["restructure"] = restructure
-        if device is not None:
-            overrides["device"] = device
         config = config or SimConfig()
-        if overrides:
-            config = config.with_updates(**overrides)
+        if device is not None:
+            config = config.with_updates(device=device)
         return ShardedGatspiSession(
             netlist,
             annotation,

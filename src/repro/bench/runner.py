@@ -10,9 +10,9 @@ paper-scale speedup estimates for the same workload shape.
 Backends are resolved through the :mod:`repro.api` registry, so any
 registered engine can be benchmarked against any other:
 ``run_case(case, backend="threaded-cpu", baseline_backend="event")``.
-Backend strings may be full specs with prepare options, e.g.
-``backend="gatspi:kernel=scalar"`` to benchmark the scalar reference kernel
-against the level-batched vector kernel.
+Backend strings may be full specs with prepare options
+(``backend="gatspi:device=torch"``); ``backend="gatspi-oracle"`` benchmarks
+the per-object reference executors against the array pipeline.
 """
 
 from __future__ import annotations

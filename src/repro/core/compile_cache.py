@@ -219,7 +219,7 @@ def compile_key(
             netlist_fingerprint or fingerprint_netlist(netlist),
             fingerprint_annotation(annotation, netlist),
             f"full_sdf={config.full_sdf}",
-            f"device={config.effective_device()}",
+            f"device={config.device}",
         )
     )
 

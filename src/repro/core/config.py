@@ -43,35 +43,13 @@ class SimConfig:
     full_sdf:
         When false, conditional SDF delays collapse to per-pin averages — the
         paper's "No Full SDF" ablation in Table 7.
-    kernel:
-        Which kernel implementation executes Algorithm 1.  ``"vector"``
-        (default) runs the level-batched struct-of-arrays kernel
-        (:mod:`repro.core.vector_kernel`) — all gates of a level across all
-        windows in lock-step numpy operations, the software analogue of the
-        paper's one-thread-per-(gate, window) GPU grid.  ``"scalar"`` runs
-        the per-gate Python reference kernel (:mod:`repro.core.kernel`);
-        both produce bit-identical waveforms.  Either way a level is
-        count → allocate → store with one kernel execution: the outputs the
-        count produces are the ones stored (there is no second, store-pass
-        execution and no knob for one).
-    restructure:
-        Which implementation runs the non-kernel phases (testbench
-        restructuring, pool loading, readback/stitching).  ``"vector"``
-        (default) is the bulk-array pipeline (:mod:`repro.core.restructure`):
-        the stimulus is lowered once into flat event tensors, slice bounds
-        come from ``searchsorted`` prefix sums, windows are bulk-loaded via
-        :meth:`~repro.core.memory.WaveformPool.load_windows`, and output
-        stitching is array ops.  ``"python"`` is the per-``(net, window)``
-        :class:`Waveform`-object reference path; both produce bit-identical
-        waveforms, mirroring the ``kernel`` oracle pattern.
     device:
         Which array backend (:mod:`repro.core.xp`) executes the data plane:
         ``"numpy"`` (always available, bit-identical reference), ``"torch"``
         or ``"cupy"`` when installed.  Defaults to the ``REPRO_DEVICE``
-        environment variable, falling back to ``"numpy"``.  The scalar
-        kernel and python restructure *oracle* executors always run on the
-        numpy backend regardless of this field (they are per-object Python
-        reference paths); see :meth:`effective_device`.
+        environment variable, falling back to ``"numpy"``.  (The
+        per-object reference engine, backend ``"gatspi-oracle"``, pins
+        itself to numpy whatever this field says.)
     compile_cache:
         When true (default), ``compile()`` results — levelized graph,
         truth/delay lookup arrays, packed design tensors — are memoized
@@ -101,8 +79,6 @@ class SimConfig:
     pathpulse_percent: float = 100.0
     enable_net_delay_filtering: bool = True
     full_sdf: bool = True
-    kernel: str = "vector"
-    restructure: str = "vector"
     device: str = field(default_factory=default_device)
     compile_cache: bool = True
     analysis: str = "warn"
@@ -145,15 +121,6 @@ class SimConfig:
             raise ValueError("window_overlap must be non-negative")
         if self.stream_chunk_cycles is not None and self.stream_chunk_cycles < 1:
             raise ValueError("stream_chunk_cycles must be at least 1")
-        if self.kernel not in ("vector", "scalar"):
-            raise ValueError(
-                f"kernel must be 'vector' or 'scalar', got {self.kernel!r}"
-            )
-        if self.restructure not in ("vector", "python"):
-            raise ValueError(
-                f"restructure must be 'vector' or 'python', got "
-                f"{self.restructure!r}"
-            )
         if self.analysis not in ("strict", "warn", "off"):
             raise ValueError(
                 f"analysis must be 'strict', 'warn' or 'off', got "
@@ -167,18 +134,6 @@ class SimConfig:
                 f"package is installed, and an unset device defaults to the "
                 f"REPRO_DEVICE environment variable"
             )
-
-    def effective_device(self) -> str:
-        """The array backend the data plane will actually run on.
-
-        The scalar kernel and the python restructure pipeline are
-        per-object Python oracles with no device representation, so
-        selecting either pins the run to the numpy backend; the
-        configured ``device`` applies to the all-vector pipeline.
-        """
-        if self.kernel == "scalar" or self.restructure == "python":
-            return "numpy"
-        return self.device
 
     @property
     def pathpulse_fraction(self) -> float:

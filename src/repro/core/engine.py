@@ -58,7 +58,7 @@ from .incremental import (
     full_plan,
     rebuild_artifacts,
 )
-from .kernel import GateKernelInputs, GateKernelResult, simulate_gate_window
+from .kernel import GateKernelInputs
 from .memory import DeviceMemoryError, WaveformPool
 from .restructure import (
     SourceEvents,
@@ -168,7 +168,21 @@ class GatspiEngine:
     Registered as the ``"gatspi"`` backend in :mod:`repro.api`; new code
     should reach it via ``get_backend("gatspi").prepare(...)`` rather than
     instantiating this class directly.
+
+    The class runs one pipeline — the bulk-array restructure/load/readback
+    phases around the level-batched kernel.  The three drivers
+    (:meth:`simulate`, :meth:`resimulate`, :meth:`run_stream_chunk`) build
+    a plan, a window list and a source mapping and hand them to one
+    executor: :meth:`_execute` is the seam a subclass replaces to run the
+    same plans differently (the per-object oracle in
+    :mod:`repro.reference.oracle_engine` does), :meth:`_run_windows` the
+    array executor underneath it.
     """
+
+    #: Stamped on ``stats.kernel_mode`` / ``stats.restructure_mode`` of
+    #: every result this engine class produces.
+    kernel_mode = "vector"
+    restructure_mode = "vector"
 
     def __init__(
         self,
@@ -182,7 +196,7 @@ class GatspiEngine:
         self._compiled: Optional[CompiledGraph] = None
         self._gate_inputs: Dict[str, GateKernelInputs] = {}
         self._packed: Optional[PackedDesign] = None
-        self._xp: ArrayBackend = get_array_backend(self.config.effective_device())
+        self._xp: ArrayBackend = get_array_backend(self.config.device)
         self._readback_net_ids = None
         self._source_net_ids = None
         self._compile_time = 0.0
@@ -225,8 +239,7 @@ class GatspiEngine:
 
     @property
     def xp(self) -> ArrayBackend:
-        """The array backend the data plane runs on (see
-        :meth:`SimConfig.effective_device`)."""
+        """The array backend the data plane runs on (``config.device``)."""
         return self._xp
 
     @property
@@ -238,10 +251,10 @@ class GatspiEngine:
         """Levelize the netlist and build all lookup arrays.
 
         Produces two equivalent views of the design: the per-gate
-        :class:`GateKernelInputs` the scalar reference kernel consumes, and
-        the packed :class:`PackedDesign` tensors the level-batched vector
-        kernel executes (built from the very same truth/delay arrays, so the
-        two kernels cannot diverge on compiled data).  Results are memoized
+        :class:`GateKernelInputs` (compile data the incremental rebuild and
+        the reference oracle read), and the packed :class:`PackedDesign`
+        tensors the level-batched kernel executes (built from the very same
+        truth/delay arrays, so the two cannot diverge).  Results are memoized
         process-wide by content fingerprint unless
         ``SimConfig(compile_cache=False)``.
 
@@ -250,7 +263,7 @@ class GatspiEngine:
         :meth:`_build_artifacts`.
         """
         start = time.perf_counter()
-        self._xp = get_array_backend(self.config.effective_device())
+        self._xp = get_array_backend(self.config.device)
         artifacts = None
         key = None
         netlist_fp = None
@@ -583,48 +596,9 @@ class GatspiEngine:
                 sources[net] = wave
             else:
                 sources[net] = previous.waveforms[net]
-        compiled = self.compiled
-        config = self.config
-        timings = PhaseTimings()
-        stats = SimulationStats(
-            gate_count=compiled.gate_count,
-            levels=compiled.depth,
-            widest_level=compiled.levelization.widest_level,
-            cycles=cycles,
-            kernel_mode=config.kernel,
-            restructure_mode=config.restructure,
-            device=self._xp.name,
-            incremental=True,
-            dirty_gates=plan.dirty_gates,
-            dirty_fraction=plan.dirty_fraction,
+        return self._run_plan(
+            plan, stimulus, sources, cycles, duration, previous=previous
         )
-        outputs = self._execute_partial(plan, sources, duration, timings, stats)
-
-        start = time.perf_counter()
-        result = SimulationResult(duration=duration, timings=timings, stats=stats)
-        for net in self.netlist.source_nets():
-            wave = stimulus[net]
-            result.toggle_counts[net] = wave.toggles_in(0, duration - 1)
-            result.waveforms[net] = wave
-        total_output_transitions = 0
-        dirty_nets = set(plan.readback_nets)
-        for gate in compiled.gates.values():
-            net = gate.output_net
-            if net in dirty_nets:
-                count, wave = outputs[net]
-            else:
-                count = previous.toggle_counts[net]
-                wave = previous.waveforms[net]
-            result.toggle_counts[net] = count
-            result.waveforms[net] = wave
-            total_output_transitions += count
-        stats.output_transitions = total_output_transitions
-        stats.input_events = fanin_weighted_toggles(
-            self.netlist, result.toggle_counts
-        )
-        timings.readback += time.perf_counter() - start
-        self._retain(stimulus, duration, result)
-        return result
 
     def _partial_ok(
         self,
@@ -689,60 +663,79 @@ class GatspiEngine:
         input or sequential-element output).  ``duration`` defaults to
         ``cycles * clock_period``; one of the two must be given.
         """
-        compiled = self.compiled
-        config = self.config
-        cycles, duration = normalize_horizon(cycles, duration, config.clock_period)
+        cycles, duration = normalize_horizon(
+            cycles, duration, self.config.clock_period
+        )
         validate_stimulus(self.netlist, stimulus)
-        plan = self._full_plan()
+        return self._run_plan(
+            self._full_plan(), stimulus, stimulus, cycles, duration
+        )
 
-        windows = self._window_ranges(duration)
-        self._check_sentinel_headroom(stimulus, windows, plan.source_nets)
+    def _run_plan(
+        self,
+        plan: ExecutionPlan,
+        stimulus: Mapping[str, Waveform],
+        sources: Mapping[str, Waveform],
+        cycles: int,
+        duration: int,
+        previous: Optional[SimulationResult] = None,
+    ) -> SimulationResult:
+        """Execute ``plan`` over the whole horizon and assemble the result.
+
+        The one whole-run driver behind :meth:`simulate` (full plan,
+        ``sources`` is the stimulus) and :meth:`resimulate` (dirty plan,
+        ``sources`` adds the clean boundary waveforms): nets the plan does
+        not read back are carried over from ``previous``.
+        """
+        compiled = self.compiled
+        windows = self._window_ranges(0, duration)
+        self._check_sentinel_headroom(sources, windows, plan.source_nets)
         timings = PhaseTimings()
         stats = SimulationStats(
             gate_count=compiled.gate_count,
             levels=compiled.depth,
             widest_level=compiled.levelization.widest_level,
-            windows=len(windows),
+            segments=0,
             cycles=cycles,
-            kernel_mode=config.kernel,
-            restructure_mode=config.restructure,
+            kernel_mode=self.kernel_mode,
+            restructure_mode=self.restructure_mode,
             device=self._xp.name,
         )
+        if plan.partial:
+            stats.incremental = True
+            stats.dirty_gates = plan.dirty_gates
+            stats.dirty_fraction = plan.dirty_fraction
+        outputs = self._execute(plan, sources, windows, duration, timings, stats)
 
-        if config.restructure == "vector":
-            # Lower the stimulus once into flat event tensors; every
-            # segment batch slices the same tensors.
-            start = time.perf_counter()
-            events = lower_stimulus(plan.source_nets, stimulus)
-            timings.restructure += time.perf_counter() - start
-            # Host→device transfer point (the only one of the stimulus
-            # path): the lowered event tensors move to the device once.
-            start = time.perf_counter()
-            events = events.to_device(self._xp)
-            timings.host_to_device += time.perf_counter() - start
-            readback = _ReadbackAccumulator(plan.readback_nets)
-            stats.segments = self._segment_windows(
-                windows,
-                lambda batch: self._simulate_batch_vector(
-                    events, batch, duration, timings, stats, readback, plan
-                ),
-            )
-            result = self._assemble_result_vector(
-                stimulus, windows, readback, duration, timings, stats
-            )
-            self._retain(stimulus, duration, result)
-            return result
-
-        window_outputs: Dict[str, Dict[int, Waveform]] = {}
-        stats.segments = self._segment_windows(
-            windows,
-            lambda batch: self._simulate_batch(
-                stimulus, batch, duration, timings, stats, window_outputs, plan
-            ),
+        start = time.perf_counter()
+        result = SimulationResult(duration=duration, timings=timings, stats=stats)
+        # Source nets: toggle counts (and waveforms) from the original
+        # stimulus, clipped to the simulated duration.
+        for net in self.netlist.source_nets():
+            wave = stimulus[net]
+            result.toggle_counts[net] = wave.toggles_in(0, duration - 1)
+            if self.config.store_waveforms:
+                result.waveforms[net] = wave
+        total_output_transitions = 0
+        for gate in compiled.gates.values():
+            net = gate.output_net
+            if net in outputs:
+                count, stitched = outputs[net]
+            else:
+                # A clean net of a partial plan: the base run's answer.
+                assert previous is not None
+                count = previous.toggle_counts[net]
+                stitched = previous.waveforms[net]
+            result.toggle_counts[net] = count
+            if stitched is not None:
+                result.waveforms[net] = stitched
+            total_output_transitions += count
+        stats.output_transitions = total_output_transitions
+        # Input events seen by gates = fanout-weighted net transitions.
+        stats.input_events = fanin_weighted_toggles(
+            self.netlist, result.toggle_counts
         )
-        result = self._assemble_result(
-            stimulus, windows, window_outputs, duration, timings, stats
-        )
+        timings.readback += time.perf_counter() - start
         self._retain(stimulus, duration, result)
         return result
 
@@ -789,15 +782,16 @@ class GatspiEngine:
         """Simulate ``duration`` time units chunk by chunk, yielding batches.
 
         The out-of-core replay driver: each chunk's stimulus span is pulled
-        from ``source`` (which may itself stream from disk), split into
-        ``cycle_parallelism`` windows of fixed length, run through the
-        level loop against one persistent pool whose window columns are
-        recycled between chunks (:meth:`WaveformPool.release_windows`), and
-        read back as one host-side :class:`StreamBatch`.  Nothing
-        proportional to the whole run is ever materialized — peak memory is
-        O(chunk), which is what keeps million-cycle replays at constant
-        RSS.  Absolute times ride in int64 host arrays, so runs may even
-        exceed the ``EOW`` sentinel that bounds whole-run waveforms.
+        from ``source`` (which may itself stream from disk,
+        :meth:`pull_spans`) and executed by :meth:`run_stream_chunk` — split
+        into ``cycle_parallelism`` windows, run through the level loop
+        against one persistent pool whose window columns are recycled
+        between chunks (:meth:`WaveformPool.release_windows`), and read
+        back as one host-side :class:`StreamBatch`.  Nothing proportional
+        to the whole run is ever materialized — peak memory is O(chunk),
+        which is what keeps million-cycle replays at constant RSS.
+        Absolute times ride in int64 host arrays, so runs may even exceed
+        the ``EOW`` sentinel that bounds whole-run waveforms.
 
         Bit-identity with :meth:`simulate` comes from the settle margin:
         every window is extended backwards across the chunk boundary by the
@@ -806,39 +800,54 @@ class GatspiEngine:
         path, which is why a pinned ``config.window_overlap`` is refused
         here rather than silently risking seam-visible answers.
         """
-        plan = self._full_plan()
-        self._check_streamable()
-        perm = self._source_permutation(source, plan)
         if timings is None:
             timings = PhaseTimings()
         if stats is None:
             stats = SimulationStats()
-        stats.streamed = True
         stats.segments = 0
-        overlap = self.window_overlap
-        chunk_duration, window_length = self._stream_geometry(chunk_cycles)
+        for span, index, start, end in self.pull_spans(
+            source, duration, chunk_cycles, timings
+        ):
+            yield self.run_stream_chunk(
+                span, index, start, end, duration, timings=timings, stats=stats
+            )
+
+    def pull_spans(
+        self,
+        source: StreamingSourceEvents,
+        duration: int,
+        chunk_cycles: Optional[int],
+        timings: PhaseTimings,
+    ) -> Iterator[Tuple[SourceEvents, int, int, int]]:
+        """Pull ``(span, chunk_index, chunk_start, chunk_end)`` per chunk.
+
+        The sequential half of a streamed run (spans must be pulled in
+        order), shared by :meth:`stream` and the sharded backend's chunk
+        pipeline; every yielded tuple is one :meth:`run_stream_chunk` call.
+        Spans come back in the design's source-net order.
+        """
+        self._check_streamable()
+        perm = self._source_permutation(source, self._full_plan())
+        config = self.config
+        if chunk_cycles is None:
+            chunk_cycles = config.stream_chunk_cycles
+        if chunk_cycles is None:
+            chunk_cycles = 32 * config.cycle_parallelism
+        if chunk_cycles < 1:
+            raise ValueError("chunk_cycles must be at least 1")
         if duration < 1:
             raise ValueError("duration must be positive")
-
-        chunk_start = 0
-        chunk_index = 0
-        window_index = 0
-        while chunk_start < duration:
+        chunk_duration = chunk_cycles * config.clock_period
+        # Lookback of at least 1: the settle margin can derive to 0 on
+        # trivial designs, but a chunk must still see the previous time
+        # unit so toggles landing exactly on its boundary (which it owns,
+        # see _source_span_fields) are present in the span.
+        lookback = max(self.window_overlap, 1)
+        for chunk_index, chunk_start in enumerate(
+            range(0, duration, chunk_duration)
+        ):
             chunk_end = min(chunk_start + chunk_duration, duration)
-            windows: List[_WindowRange] = []
-            cursor = chunk_start
-            while cursor < chunk_end:
-                end = min(cursor + window_length, chunk_end)
-                windows.append(
-                    _WindowRange(index=window_index, start=cursor, end=end)
-                )
-                window_index += 1
-                cursor = end
-            # Lookback of at least 1: the settle margin can derive to 0 on
-            # trivial designs, but a chunk must still see the previous time
-            # unit so toggles landing exactly on its boundary (which it
-            # owns, see _source_span_fields) are present in the span.
-            extended_lo = max(0, chunk_start - max(overlap, 1))
+            extended_lo = max(0, chunk_start - lookback)
             start = time.perf_counter()
             span = source.span_events(
                 extended_lo, chunk_end, retire_before=extended_lo
@@ -846,25 +855,7 @@ class GatspiEngine:
             if perm is not None:
                 span = _reorder_span(span, perm)
             timings.restructure += time.perf_counter() - start
-            # One engine-cached pool serves every chunk of every streamed
-            # run (run_stream_chunk shares it): each batch releases the
-            # previous chunk's window columns and reuses the same words.
-            if self._stream_pool is None:
-                self._stream_pool = self._make_pool(windows, plan)
-            yield self._execute_stream_chunk(
-                span,
-                windows,
-                chunk_index,
-                chunk_start,
-                chunk_end,
-                duration,
-                timings,
-                stats,
-                plan,
-                self._stream_pool,
-            )
-            chunk_start = chunk_end
-            chunk_index += 1
+            yield span, chunk_index, chunk_start, chunk_end
 
     def run_stream_chunk(
         self,
@@ -876,15 +867,15 @@ class GatspiEngine:
         timings: Optional[PhaseTimings] = None,
         stats: Optional[SimulationStats] = None,
     ) -> StreamBatch:
-        """Execute one pre-pulled chunk span (sharded streaming workers).
+        """Execute one pre-pulled chunk span and assemble its host batch.
 
-        The sharded backend's parent session owns the stimulus stream —
-        spans must be pulled sequentially — and ships each chunk's span to
-        a shard worker, which calls this.  ``span`` must cover
-        ``(max(0, chunk_start - max(window_overlap, 1)), chunk_end)`` with nets in
-        the design's source order (the parent reuses the engine's span
-        geometry, so this holds by construction).  Each engine keeps one
-        private stream pool recycled across calls, so worker RSS stays
+        ``span`` must cover ``(max(0, chunk_start - max(window_overlap, 1)),
+        chunk_end)`` with nets in the design's source order (what
+        :meth:`pull_spans` yields).  The sharded backend's parent session
+        owns the stimulus stream and ships each chunk's span to a shard
+        worker, which calls this.  Each engine keeps one private stream
+        pool recycled across calls — every chunk releases the previous
+        chunk's window columns and reuses the same words — so RSS stays
         flat no matter how many chunks it executes.
         """
         plan = self._full_plan()
@@ -897,70 +888,52 @@ class GatspiEngine:
         if timings is None:
             timings = PhaseTimings()
         if stats is None:
-            stats = SimulationStats()
+            stats = SimulationStats(segments=0)
         stats.streamed = True
-        span_length = chunk_end - chunk_start
-        if span_length < 1:
+        if chunk_end - chunk_start < 1:
             raise ValueError("chunk span must be non-empty")
-        parallelism = self.config.cycle_parallelism
-        window_length = max(1, -(-span_length // parallelism))
-        self._check_stream_headroom(window_length)
-        windows: List[_WindowRange] = []
-        cursor = chunk_start
-        index = 0
-        while cursor < chunk_end:
-            end = min(cursor + window_length, chunk_end)
-            windows.append(_WindowRange(index=index, start=cursor, end=end))
-            index += 1
-            cursor = end
+        windows = self._window_ranges(chunk_start, chunk_end)
+        self._check_stream_headroom(windows[0].length)
         if self._stream_pool is None:
             self._stream_pool = self._make_pool(windows, plan)
-        return self._execute_stream_chunk(
-            span,
-            windows,
-            chunk_index,
-            chunk_start,
-            chunk_end,
-            duration,
-            timings,
-            stats,
-            plan,
-            self._stream_pool,
+        readback = self._run_windows(
+            plan, span, windows, duration, timings, stats, pool=self._stream_pool
         )
+        stats.chunks += 1
+        hnp = HOST
+        start = time.perf_counter()
+        establish, counts, times = readback.merged()
+        window_starts = hnp.asarray(
+            [window.start for window in windows], dtype=hnp.int64
+        )
+        source_establish, source_counts, source_times = _source_span_fields(
+            span, chunk_start
+        )
+        batch = StreamBatch(
+            chunk_index=chunk_index,
+            chunk_start=chunk_start,
+            chunk_end=chunk_end,
+            nets=plan.readback_nets,
+            window_starts=window_starts,
+            establish_values=establish,
+            toggle_counts=counts,
+            times=times,
+            source_nets=span.nets,
+            source_establish=source_establish,
+            source_counts=source_counts,
+            source_times=source_times,
+        )
+        timings.readback += time.perf_counter() - start
+        return batch
 
     def _check_streamable(self) -> None:
-        config = self.config
-        if config.restructure != "vector":
-            raise ValueError(
-                "streaming execution requires the vector restructure "
-                "pipeline (SimConfig(restructure='vector')); the python "
-                "reference path materializes per-window Waveform objects"
-            )
-        if config.window_overlap is not None:
+        if self.config.window_overlap is not None:
             raise ValueError(
                 "streaming execution derives its settle margin from the "
                 "design's critical path; a pinned window_overlap below it "
                 "would make chunk boundaries visible in the results — "
                 "leave SimConfig.window_overlap unset for run_stream"
             )
-
-    def _stream_geometry(
-        self, chunk_cycles: Optional[int]
-    ) -> Tuple[int, int]:
-        """(chunk duration, window length) in time units for streaming."""
-        config = self.config
-        if chunk_cycles is None:
-            chunk_cycles = config.stream_chunk_cycles
-        if chunk_cycles is None:
-            chunk_cycles = 32 * config.cycle_parallelism
-        if chunk_cycles < 1:
-            raise ValueError("chunk_cycles must be at least 1")
-        chunk_duration = chunk_cycles * config.clock_period
-        window_length = max(
-            1, -(-chunk_duration // config.cycle_parallelism)
-        )
-        self._check_stream_headroom(window_length)
-        return chunk_duration, window_length
 
     def _check_stream_headroom(self, window_length: int) -> None:
         """Streaming counterpart of :meth:`_check_sentinel_headroom`.
@@ -1007,59 +980,6 @@ class GatspiEngine:
             )
         return [index[net] for net in expected]
 
-    def _execute_stream_chunk(
-        self,
-        span: SourceEvents,
-        windows: Sequence[_WindowRange],
-        chunk_index: int,
-        chunk_start: int,
-        chunk_end: int,
-        duration: int,
-        timings: PhaseTimings,
-        stats: SimulationStats,
-        plan: ExecutionPlan,
-        pool: WaveformPool,
-    ) -> StreamBatch:
-        """Run one chunk's windows and assemble its host StreamBatch."""
-        hnp = HOST
-        start = time.perf_counter()
-        events = span.to_device(self._xp)
-        timings.host_to_device += time.perf_counter() - start
-        readback = _ReadbackAccumulator(plan.readback_nets)
-        stats.segments += self._segment_windows(
-            windows,
-            lambda batch: self._simulate_batch_vector(
-                events, batch, duration, timings, stats, readback, plan,
-                pool=pool,
-            ),
-        )
-        stats.windows += len(windows)
-        stats.chunks += 1
-        start = time.perf_counter()
-        establish, counts, times = readback.merged()
-        window_starts = hnp.asarray(
-            [window.start for window in windows], dtype=hnp.int64
-        )
-        source_establish, source_counts, source_times = _source_span_fields(
-            span, chunk_start
-        )
-        batch = StreamBatch(
-            chunk_index=chunk_index,
-            chunk_start=chunk_start,
-            chunk_end=chunk_end,
-            nets=plan.readback_nets,
-            window_starts=window_starts,
-            establish_values=establish,
-            toggle_counts=counts,
-            times=times,
-            source_nets=span.nets,
-            source_establish=source_establish,
-            source_counts=source_counts,
-            source_times=source_times,
-        )
-        timings.readback += time.perf_counter() - start
-        return batch
-
     def _full_plan(self) -> ExecutionPlan:
         """The whole-design execution plan (cached until artifacts change)."""
         if self._plan is None:
@@ -1072,73 +992,88 @@ class GatspiEngine:
             )
         return self._plan
 
-    def _execute_partial(
+    def _execute(
         self,
         plan: ExecutionPlan,
         sources: Mapping[str, Waveform],
+        windows: Sequence[_WindowRange],
         duration: int,
         timings: PhaseTimings,
         stats: SimulationStats,
-    ) -> Dict[str, Tuple[int, Waveform]]:
-        """Run the level loop over a dirty sub-plan only.
+    ) -> Dict[str, Tuple[int, Optional[Waveform]]]:
+        """Run ``plan`` over ``windows`` from a ``{net: Waveform}`` mapping.
 
-        ``sources`` maps every plan source net (true stimulus sources plus
-        clean boundary nets) to its exact absolute waveform.  Returns the
-        stitched ``(toggle_count, waveform)`` of every dirty gate output;
-        waveforms are always stitched here (partial execution requires
-        ``store_waveforms`` anyway — the merged result feeds later reruns).
+        ``sources`` maps every plan source net (true stimulus sources plus,
+        for a dirty plan, clean boundary nets) to its exact absolute
+        waveform.  Returns ``(toggle_count, waveform)`` per readback net.
+        With stored waveforms the count comes from the stitched waveform,
+        so transitions landing exactly on a window seam are counted once;
+        otherwise the waveform is ``None`` and the trimmed per-window
+        counts are summed.
+
+        This is the overridable seam: everything above it (plans, windows,
+        result assembly, retention) is executor-independent.
         """
-        config = self.config
-        windows = self._window_ranges(duration)
-        self._check_sentinel_headroom(sources, windows, plan.source_nets)
-        stats.windows = len(windows)
-        outputs: Dict[str, Tuple[int, Waveform]] = {}
-
-        if config.restructure == "vector":
-            start = time.perf_counter()
-            events = lower_stimulus(plan.source_nets, sources)
-            timings.restructure += time.perf_counter() - start
-            start = time.perf_counter()
-            events = events.to_device(self._xp)
-            timings.host_to_device += time.perf_counter() - start
-            readback = _ReadbackAccumulator(plan.readback_nets)
-            stats.segments = self._segment_windows(
-                windows,
-                lambda batch: self._simulate_batch_vector(
-                    events, batch, duration, timings, stats, readback, plan
-                ),
-            )
-            hnp = HOST
-            start = time.perf_counter()
-            window_starts = hnp.asarray(
-                [window.start for window in windows], dtype=hnp.int64
-            )
-            for index, net in enumerate(plan.readback_nets):
-                establish, counts, times = readback.net_series(index)
+        # Lower the stimulus once into flat event tensors; every segment
+        # batch slices the same tensors.
+        start = time.perf_counter()
+        events = lower_stimulus(plan.source_nets, sources)
+        timings.restructure += time.perf_counter() - start
+        readback = self._run_windows(
+            plan, events, windows, duration, timings, stats
+        )
+        hnp = HOST
+        start = time.perf_counter()
+        window_starts = hnp.asarray(
+            [window.start for window in windows], dtype=hnp.int64
+        )
+        outputs: Dict[str, Tuple[int, Optional[Waveform]]] = {}
+        for index, net in enumerate(readback.nets):
+            establish, counts, times = readback.net_series(index)
+            if self.config.store_waveforms:
                 stitched = stitch_windows(window_starts, establish, counts, times)
                 outputs[net] = (stitched.toggle_count(), stitched)
-            timings.readback += time.perf_counter() - start
-            return outputs
-
-        window_outputs: Dict[str, Dict[int, Waveform]] = {}
-        stats.segments = self._segment_windows(
-            windows,
-            lambda batch: self._simulate_batch(
-                sources, batch, duration, timings, stats, window_outputs, plan
-            ),
-        )
-        start = time.perf_counter()
-        for net, per_window in window_outputs.items():
-            stitched = self._stitch(net, per_window, windows)
-            outputs[net] = (stitched.toggle_count(), stitched)
+            else:
+                outputs[net] = (int(counts.sum()), None)
         timings.readback += time.perf_counter() - start
         return outputs
+
+    def _run_windows(
+        self,
+        plan: ExecutionPlan,
+        events: SourceEvents,
+        windows: Sequence[_WindowRange],
+        duration: int,
+        timings: PhaseTimings,
+        stats: SimulationStats,
+        pool: Optional[WaveformPool] = None,
+    ) -> _ReadbackAccumulator:
+        """The array executor: lowered events in, trimmed readback out.
+
+        Moves the event tensors to the device (the only host→device
+        transfer of the stimulus path), then runs the windows through
+        :meth:`_simulate_batch` in as many sequential segments as the pool
+        needs.  ``pool`` recycles a persistent pool across calls (the
+        streaming driver's constant-RSS path) instead of one per segment.
+        """
+        start = time.perf_counter()
+        events = events.to_device(self._xp)
+        timings.host_to_device += time.perf_counter() - start
+        readback = _ReadbackAccumulator(plan.readback_nets)
+        stats.segments += self._segment_windows(
+            windows,
+            lambda batch: self._simulate_batch(
+                events, batch, duration, timings, stats, readback, plan, pool
+            ),
+        )
+        stats.windows += len(windows)
+        return readback
 
     def _check_sentinel_headroom(
         self,
         stimulus: Mapping[str, Waveform],
         windows: Sequence["_WindowRange"],
-        nets: Optional[Sequence[str]] = None,
+        nets: Sequence[str],
     ) -> None:
         """Refuse runs whose timestamps could reach the ``EOW`` sentinel.
 
@@ -1146,12 +1081,10 @@ class GatspiEngine:
         waveform early on readback — a silent wrong answer.  Window-local
         input times are bounded by both the longest extended window and the
         largest stimulus timestamp; adding the estimated critical-path delay
-        bounds every output time the kernel can produce.  ``nets`` narrows
-        the check to a plan's source nets (partial execution feeds boundary
-        waveforms, not just the design's stimulus sources).
+        bounds every output time the kernel can produce.  ``nets`` are the
+        plan's source nets (partial execution feeds boundary waveforms, not
+        just the design's stimulus sources).
         """
-        if nets is None:
-            nets = tuple(self.netlist.source_nets())
         max_timestamp = 0
         for net in nets:
             wave = stimulus[net]
@@ -1176,19 +1109,18 @@ class GatspiEngine:
     # ------------------------------------------------------------------
     # Window / segment management
     # ------------------------------------------------------------------
-    def _window_ranges(self, duration: int) -> List[_WindowRange]:
-        parallelism = self.config.cycle_parallelism
-        window_length = max(1, -(-duration // parallelism))  # ceil division
+    def _window_ranges(self, start: int, end: int) -> List[_WindowRange]:
+        """Split ``[start, end)`` into up to ``cycle_parallelism`` windows."""
+        span = end - start
+        window_length = max(1, -(-span // self.config.cycle_parallelism))
         ranges: List[_WindowRange] = []
-        start = 0
-        index = 0
-        while start < duration:
-            end = min(start + window_length, duration)
-            ranges.append(_WindowRange(index=index, start=start, end=end))
-            start = end
-            index += 1
+        cursor = start
+        while cursor < end:
+            stop = min(cursor + window_length, end)
+            ranges.append(_WindowRange(index=len(ranges), start=cursor, end=stop))
+            cursor = stop
         if not ranges:
-            ranges.append(_WindowRange(index=0, start=0, end=max(1, duration)))
+            ranges.append(_WindowRange(index=0, start=start, end=max(1, end)))
         return ranges
 
     def _make_pool(
@@ -1216,8 +1148,8 @@ class GatspiEngine:
         """Run ``simulate_batch`` over windows, splitting on pool overflow.
 
         The queue preserves window order across splits, so batches always
-        cover the run front to back — the invariant result assembly (of
-        either restructure pipeline) relies on.
+        cover the run front to back — the invariant result assembly
+        relies on.
         """
         pending: List[Sequence[_WindowRange]] = [list(windows)]
         segments = 0
@@ -1238,77 +1170,6 @@ class GatspiEngine:
 
     def _simulate_batch(
         self,
-        stimulus: Mapping[str, Waveform],
-        windows: Sequence[_WindowRange],
-        duration: int,
-        timings: PhaseTimings,
-        stats: SimulationStats,
-        window_outputs: Dict[str, Dict[int, Waveform]],
-        plan: ExecutionPlan,
-    ) -> None:
-        config = self.config
-        pool = self._make_pool(windows, plan)
-        overlap = self.window_overlap
-
-        # Restructure source waveforms into windows (cycle parallelism).  Each
-        # window is extended backwards by the settle margin so events still
-        # propagating across the window boundary are reproduced exactly; the
-        # margin region is trimmed from the outputs below.
-        # Partial plans keep the settle margin on the right too: boundary
-        # waveforms are previous-run absolute waveforms, and the window
-        # must see the propagation tail past its edge exactly as a cold
-        # run's in-pool fanin waveforms would provide it.
-        slice_tail = overlap if plan.partial else 0
-        start = time.perf_counter()
-        sliced: Dict[Tuple[str, int], Waveform] = {}
-        extended_starts: Dict[int, int] = {}
-        for window in windows:
-            extended_starts[window.index] = max(0, window.start - overlap)
-        for net in plan.source_nets:
-            wave = stimulus[net]
-            for window in windows:
-                sliced[(net, window.index)] = wave.window(
-                    extended_starts[window.index],
-                    window.end + slice_tail,
-                    rebase=True,
-                )
-        timings.restructure += time.perf_counter() - start
-
-        # Load the windows into the device memory pool.
-        start = time.perf_counter()
-        for (net, window_index), wave in sliced.items():
-            pool.store_waveform(net, window_index, wave)
-        timings.host_to_device += time.perf_counter() - start
-
-        # Level-by-level simulation through the configured kernel.
-        if config.kernel == "vector":
-            self._run_levels_vector(pool, windows, timings, stats, plan)
-        else:
-            self._run_levels_scalar(pool, windows, timings, stats, plan)
-
-        # Read back gate output waveforms for this batch of windows, trimming
-        # each one to exactly [start, end): the settle margin on the left is
-        # discarded, and so is any propagation tail past the right edge (the
-        # next window reproduces it with full knowledge of its stimulus).
-        # Only the final window keeps its tail, since nothing follows it.
-        start = time.perf_counter()
-        for net in plan.readback_nets:
-            per_net = window_outputs.setdefault(net, {})
-            for window in windows:
-                wave = pool.read_waveform(net, window.index)
-                margin = window.start - extended_starts[window.index]
-                if overlap > 0 and window.end < duration:
-                    right_edge = window.end - extended_starts[window.index]
-                else:
-                    right_edge = EOW - 1
-                if margin > 0 or right_edge != EOW - 1:
-                    wave = wave.window(margin, right_edge, rebase=True)
-                per_net[window.index] = wave
-        stats.pool_words_used = max(stats.pool_words_used, pool.used_words)
-        timings.readback += time.perf_counter() - start
-
-    def _simulate_batch_vector(
-        self,
         events: SourceEvents,
         windows: Sequence[_WindowRange],
         duration: int,
@@ -1320,13 +1181,16 @@ class GatspiEngine:
     ) -> None:
         """One segment batch through the bulk-array pipeline.
 
-        Same phases as :meth:`_simulate_batch` — restructure, load, level
-        execution, readback — but the boundary phases never touch
-        per-window :class:`Waveform` objects: slice bounds come from
-        ``searchsorted`` over the lowered event tensors, the pool is
-        filled by one :meth:`WaveformPool.load_windows` call, and trimmed
-        outputs land in the accumulator as flat host arrays after the one
-        device→host transfer of the batch.
+        Restructure, load, level execution, readback — and the boundary
+        phases never touch per-window :class:`Waveform` objects: slice
+        bounds come from ``searchsorted`` over the lowered event tensors,
+        the pool is filled by one :meth:`WaveformPool.load_windows` call,
+        and trimmed outputs land in the accumulator as flat host arrays
+        after the one device→host transfer of the batch.
+
+        Each window is extended backwards by the settle margin so events
+        still propagating across the window boundary are reproduced
+        exactly; the margin region is trimmed from the outputs below.
 
         ``pool`` recycles a persistent pool instead of building one per
         batch (the streaming driver's constant-RSS path): every previously
@@ -1334,7 +1198,6 @@ class GatspiEngine:
         allocator to the retained floor, so repeated batches reuse the
         same storage.
         """
-        config = self.config
         xp = self._xp
         if pool is None:
             pool = self._make_pool(windows, plan)
@@ -1347,8 +1210,10 @@ class GatspiEngine:
             [max(0, window.start - overlap) for window in windows], dtype=xp.int64
         )
         ends = xp.asarray([window.end for window in windows], dtype=xp.int64)
-        # See _simulate_batch: partial plans keep the right-hand settle
-        # margin so boundary waveforms reproduce a cold run's in-pool tails.
+        # Partial plans keep the settle margin on the right too: boundary
+        # waveforms are previous-run absolute waveforms, and the window
+        # must see the propagation tail past its edge exactly as a cold
+        # run's in-pool fanin waveforms would provide it.
         slice_ends = ends + overlap if plan.partial else ends
 
         # Restructure: per-(net, window) slice bounds over the flat event
@@ -1371,14 +1236,13 @@ class GatspiEngine:
         )
         timings.host_to_device += time.perf_counter() - start
 
-        if config.kernel == "vector":
-            self._run_levels_vector(pool, windows, timings, stats, plan)
-        else:
-            self._run_levels_scalar(pool, windows, timings, stats, plan)
+        self._run_levels(pool, windows, timings, stats, plan)
 
-        # Readback: trim every output window to [start, end) — settle
-        # margin and propagation tail dropped exactly as the reference
-        # path does — and lift the survivors to absolute time.
+        # Readback: trim every output window to exactly [start, end) and
+        # lift the survivors to absolute time.  The settle margin on the
+        # left is discarded, and so is any propagation tail past the right
+        # edge (the next window reproduces it with full knowledge of its
+        # stimulus); only the final window keeps its tail.
         start = time.perf_counter()
         nets = readback.nets
         addresses, toggle_counts = pool.window_table(
@@ -1421,65 +1285,9 @@ class GatspiEngine:
         timings.readback += time.perf_counter() - start
 
     # ------------------------------------------------------------------
-    # Level execution: scalar reference kernel
+    # Level execution: level-batched kernel
     # ------------------------------------------------------------------
-    def _run_levels_scalar(
-        self,
-        pool: WaveformPool,
-        windows: Sequence[_WindowRange],
-        timings: PhaseTimings,
-        stats: SimulationStats,
-        plan: ExecutionPlan,
-    ) -> None:
-        """Per-(gate, window) Python kernel loop — the reference oracle."""
-        config = self.config
-        for level in plan.gates_by_level:
-            schedule_start = time.perf_counter()
-            tasks = [
-                (gate, window)
-                for gate in level
-                for window in windows
-            ]
-            timings.scheduling += time.perf_counter() - schedule_start
-
-            # Count: one kernel execution per task sizes (and produces) its
-            # output waveform.
-            kernel_start = time.perf_counter()
-            results: List[GateKernelResult] = []
-            for gate, window in tasks:
-                pointers = [
-                    pool.pointer(net, window.index) for net in gate.input_nets
-                ]
-                results.append(
-                    simulate_gate_window(
-                        pool.data,
-                        pointers,
-                        self._gate_inputs[gate.name],
-                        pathpulse_fraction=config.pathpulse_fraction,
-                        net_delay_filtering=config.enable_net_delay_filtering,
-                    )
-                )
-                stats.kernel_invocations += 1
-            timings.kernel += time.perf_counter() - kernel_start
-
-            # Allocate, then store the counted waveforms at their addresses.
-            schedule_start = time.perf_counter()
-            for (gate, window), result in zip(tasks, results):
-                pool.store_kernel_output(
-                    gate.output_net,
-                    window.index,
-                    pool.allocate(result.storage_words),
-                    result.initial_value,
-                    result.toggle_times,
-                )
-            timings.scheduling += time.perf_counter() - schedule_start
-            stats.level_batches += 1
-            stats.max_batch_tasks = max(stats.max_batch_tasks, len(tasks))
-
-    # ------------------------------------------------------------------
-    # Level execution: level-batched vector kernel
-    # ------------------------------------------------------------------
-    def _run_levels_vector(
+    def _run_levels(
         self,
         pool: WaveformPool,
         windows: Sequence[_WindowRange],
@@ -1554,124 +1362,6 @@ class GatspiEngine:
             )
             timings.scheduling += time.perf_counter() - schedule_start
 
-    # ------------------------------------------------------------------
-    # Result assembly
-    # ------------------------------------------------------------------
-    def _assemble_result(
-        self,
-        stimulus: Mapping[str, Waveform],
-        windows: Sequence[_WindowRange],
-        window_outputs: Dict[str, Dict[int, Waveform]],
-        duration: int,
-        timings: PhaseTimings,
-        stats: SimulationStats,
-    ) -> SimulationResult:
-        start = time.perf_counter()
-        result = SimulationResult(
-            duration=duration, timings=timings, stats=stats
-        )
-
-        # Source nets: toggle counts (and waveforms) from the original
-        # stimulus, clipped to the simulated duration.
-        for net in self.netlist.source_nets():
-            wave = stimulus[net]
-            result.toggle_counts[net] = wave.toggles_in(0, duration - 1)
-            if self.config.store_waveforms:
-                result.waveforms[net] = wave
-
-        # Gate output nets: stitch per-window results back together.  When
-        # full waveforms are kept, toggle counts come from the stitched
-        # waveform so transitions landing exactly on a window seam are
-        # counted once; otherwise the per-window counts are summed.
-        total_output_transitions = 0
-        for net, per_window in window_outputs.items():
-            if self.config.store_waveforms:
-                stitched = self._stitch(net, per_window, windows)
-                result.waveforms[net] = stitched
-                count = stitched.toggle_count()
-            else:
-                count = sum(w.toggle_count() for w in per_window.values())
-            result.toggle_counts[net] = count
-            total_output_transitions += count
-        stats.output_transitions = total_output_transitions
-
-        # Input events seen by gates = fanout-weighted net transitions.
-        stats.input_events = fanin_weighted_toggles(self.netlist, result.toggle_counts)
-
-        timings.readback += time.perf_counter() - start
-        return result
-
-    def _assemble_result_vector(
-        self,
-        stimulus: Mapping[str, Waveform],
-        windows: Sequence[_WindowRange],
-        readback: _ReadbackAccumulator,
-        duration: int,
-        timings: PhaseTimings,
-        stats: SimulationStats,
-    ) -> SimulationResult:
-        """Vectorized counterpart of :meth:`_assemble_result`.
-
-        Stitching runs over the accumulated per-window host arrays
-        (:func:`~repro.core.restructure.stitch_windows`), reproducing the
-        reference :meth:`_stitch` seam rules bit-exactly; without stored
-        waveforms, per-net counts are sums over the trimmed window counts,
-        exactly as the reference path sums per-window toggle counts.
-        """
-        hnp = HOST
-        start = time.perf_counter()
-        result = SimulationResult(duration=duration, timings=timings, stats=stats)
-
-        for net in self.netlist.source_nets():
-            wave = stimulus[net]
-            result.toggle_counts[net] = wave.toggles_in(0, duration - 1)
-            if self.config.store_waveforms:
-                result.waveforms[net] = wave
-
-        window_starts = hnp.asarray(
-            [window.start for window in windows], dtype=hnp.int64
-        )
-        total_output_transitions = 0
-        for index, net in enumerate(readback.nets):
-            establish, counts, times = readback.net_series(index)
-            if self.config.store_waveforms:
-                stitched = stitch_windows(window_starts, establish, counts, times)
-                result.waveforms[net] = stitched
-                count = stitched.toggle_count()
-            else:
-                count = int(counts.sum())
-            result.toggle_counts[net] = count
-            total_output_transitions += count
-        stats.output_transitions = total_output_transitions
-
-        stats.input_events = fanin_weighted_toggles(self.netlist, result.toggle_counts)
-        timings.readback += time.perf_counter() - start
-        return result
-
-    def _stitch(
-        self,
-        net: str,
-        per_window: Dict[int, Waveform],
-        windows: Sequence[_WindowRange],
-    ) -> Waveform:
-        changes: List[Tuple[int, int]] = []
-        for window in windows:
-            wave = per_window.get(window.index)
-            if wave is None:
-                continue
-            for local_time, value in wave.changes():
-                absolute = local_time + window.start
-                if changes and changes[-1][1] == value:
-                    continue
-                if changes and absolute <= changes[-1][0]:
-                    # A window-boundary artefact (a transition recorded right
-                    # at the seam); keep the earlier one.
-                    continue
-                changes.append((absolute, value))
-        if not changes:
-            changes = [(0, 0)]
-        return Waveform.from_changes(changes)
-
 
 def _reorder_span(span: SourceEvents, perm: List[int]) -> SourceEvents:
     """Permute a span's nets into ``perm`` order (host-side, per chunk)."""
@@ -1714,28 +1404,3 @@ def _source_span_fields(span: SourceEvents, chunk_start: int):
     times = gather_segments(span.times, span.offsets[:-1] + lo, counts)
     return establish, counts, times
 
-
-def simulate(
-    netlist: Netlist,
-    stimulus: Mapping[str, Waveform],
-    cycles: Optional[int] = None,
-    duration: Optional[int] = None,
-    annotation: Optional[DelayAnnotation] = None,
-    config: Optional[SimConfig] = None,
-) -> SimulationResult:
-    """One-call convenience wrapper (deprecated).
-
-    Prefer the unified entry point::
-
-        from repro.api import get_backend
-        get_backend("gatspi").prepare(netlist, annotation, config).run(...)
-
-    which supports every registered backend and reuses the compiled design
-    across runs.
-    """
-    from ..api import get_backend
-
-    session = get_backend("gatspi").prepare(
-        netlist, annotation=annotation, config=config
-    )
-    return session.run(stimulus, cycles=cycles, duration=duration)

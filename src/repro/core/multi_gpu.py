@@ -139,7 +139,7 @@ def simulate_multi_gpu(
     kept so the parallel runtime can be modelled as the slowest device plus
     ``launch_overhead``.
 
-    ``backend`` accepts a registry spec (``"gatspi:kernel=scalar"``), and
+    ``backend`` accepts a registry spec (``"gatspi:device=torch"``), and
     ``backend_options`` adds explicit prepare options on top of the spec.
     """
     # Imported lazily: ``repro.api`` depends on ``repro.core``.

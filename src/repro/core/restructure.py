@@ -30,9 +30,9 @@ bulk array form:
 Every device-side function takes the array backend as an ``xp`` parameter
 (:mod:`repro.core.xp`), defaulting to the host numpy backend — whose
 operations *are* the numpy functions, so the default path is bit-identical
-to the pre-xp pipeline.  The per-object reference pipeline stays reachable
-via ``SimConfig(restructure="python")`` exactly as ``kernel="scalar"``
-keeps the scalar kernel as the execution oracle.
+to the pre-xp pipeline.  The per-object reference pipeline lives in
+:mod:`repro.reference.oracle_engine` (backend ``"gatspi-oracle"``), next to
+the scalar kernel it runs; the differential suites hold this module to it.
 
 Segmented ``searchsorted``
 --------------------------

@@ -20,10 +20,10 @@ implementation, while torch/cupy sessions run the same lock-step loop on
 device tensors.
 
 Bit-exactness with the scalar kernel is a hard contract (the scalar path
-stays registered as the reference oracle): every arithmetic step below
-mirrors the scalar statement it replaces, including the float64 arrival-time
-arithmetic, the MSI equality comparison, and the truncating ``int()``
-conversion of output timestamps.
+stays registered as the reference oracle, backend ``"gatspi-oracle"``):
+every arithmetic step below mirrors the scalar statement it replaces,
+including the float64 arrival-time arithmetic, the MSI equality comparison,
+and the truncating ``int()`` conversion of output timestamps.
 
 Task layout
 -----------

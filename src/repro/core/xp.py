@@ -27,12 +27,12 @@ The active backend of a simulation is chosen by, in decreasing precedence:
    ``device``).
 3. The default, ``"numpy"``.
 
-The engine pins the scalar-kernel and python-restructure *oracle* executors
-to the numpy backend regardless of the configured device — they are
-per-object Python reference paths with no device representation — so a
-non-numpy device only drives the vector kernel + vector restructure
-pipeline, and differential runs under ``REPRO_DEVICE=torch`` compare the
-device pipeline against the host oracles exactly as intended.
+The reference oracle engine (:mod:`repro.reference.oracle_engine`, backend
+``"gatspi-oracle"``) pins itself to the numpy backend regardless of the
+configured device — it is per-object Python with no device representation
+— so a non-numpy device only drives the array pipeline, and differential
+runs under ``REPRO_DEVICE=torch`` compare the device pipeline against the
+host oracle exactly as intended.
 
 Operation surface
 -----------------

@@ -44,9 +44,19 @@ def _strip_comments(text: str) -> str:
     return text
 
 
+def _unescape(name: str) -> str:
+    """A name without the ``\\`` of an escaped identifier.
+
+    An escaped identifier (``\\a[0] ``, what :func:`write_verilog` emits
+    for flattened bus bits) ends at whitespace; neither the backslash nor
+    the terminator is part of the name.
+    """
+    return name.strip().lstrip("\\").strip()
+
+
 def _expand_names(raw: str, msb: Optional[str], lsb: Optional[str]) -> List[str]:
     """Expand a declaration's name list, flattening any vector range."""
-    names = [name.strip() for name in raw.split(",") if name.strip()]
+    names = [_unescape(name) for name in raw.split(",") if name.strip()]
     if msb is None:
         return names
     high, low = int(msb), int(lsb)
@@ -115,10 +125,10 @@ def parse_verilog(
             raise VerilogError(
                 f"instance {inst_name!r} references unknown cell {cell_name!r}"
             )
-        inst_name = inst_name.lstrip("\\")
+        inst_name = _unescape(inst_name)
         connections: Dict[str, str] = {}
         for pin, net in _PIN_CONN.findall(conn_text):
-            net = net.strip().lstrip("\\").strip()
+            net = _unescape(net)
             if not net:
                 raise VerilogError(
                     f"instance {inst_name!r} pin {pin!r} is unconnected"

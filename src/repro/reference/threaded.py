@@ -118,7 +118,7 @@ class PartitionedCpuSimulator:
 
         compiled = self._engine.compiled
         pool = WaveformPool(config.waveform_pool_words)
-        windows = self._engine._window_ranges(duration)
+        windows = self._engine._window_ranges(0, duration)
         for net in self.netlist.source_nets():
             wave = stimulus[net]
             for window in windows:

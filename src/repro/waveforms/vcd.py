@@ -106,7 +106,12 @@ def save_vcd(waveforms: Mapping[str, Waveform], path: str, **kwargs: object) -> 
         handle.write(write_vcd(waveforms, **kwargs))  # type: ignore[arg-type]
 
 
-_VAR = re.compile(r"\$var\s+\w+\s+(\d+)\s+(\S+)\s+(.+?)\s*(?:\[\d+(?::\d+)?\])?\s+\$end")
+# ``$var <type> <width> <code> <name> [<select>] $end``.  A single-bit
+# select (``a[0]`` or ``a [0]``) names one bit of a flattened bus and is
+# part of the signal's name; a ``[msb:lsb]`` range is only a width note.
+_VAR = re.compile(
+    r"\$var\s+\w+\s+(\d+)\s+(\S+)\s+(.+?)\s*(?:(\[\d+\])|\[\d+:\d+\])?\s+\$end"
+)
 _SCOPE = re.compile(r"\$scope\s+\w+\s+(\S+)\s+\$end")
 _TIME = re.compile(r"^#(\d+)")
 _SCALAR = re.compile(r"^([01xzXZ])(\S+)$")
@@ -184,7 +189,7 @@ def _parse_definitions(lines: Iterator[str]) -> Dict[str, Tuple[str, str]]:
                     f"has width {width}"
                 )
             if code not in declarations:
-                name = name.strip()
+                name = name.strip() + (match.group(4) or "")
                 declarations[code] = (".".join(scope_stack + [name]), name)
             continue
         scope = _SCOPE.search(line)

@@ -3,9 +3,11 @@
 Every test drives the same seeded-random workload through several engine
 variants and checks they agree:
 
-* ``gatspi`` (vector kernel + vector restructure pipeline, the default),
-* ``gatspi:kernel=scalar`` (per-gate Python kernel oracle),
-* ``gatspi:restructure=python`` (per-(net, window) pipeline oracle),
+* ``gatspi`` (the array pipeline: bulk restructure/load/readback around
+  the level-batched kernel — the only executor in the production engine),
+* ``gatspi-oracle`` (:class:`~repro.reference.oracle_engine.OracleEngine`:
+  the same plans run per (net, window) Waveform object and per (gate,
+  window) scalar kernel call),
 * ``event`` (the event-driven commercial-simulator stand-in).
 
 Among gatspi variants the contract is **bit-identical waveforms**; against
@@ -16,11 +18,11 @@ arities, events exactly on window boundaries, settle-overlap edge cases,
 pool-overflow segment splits, and empty windows.
 
 The suite is additionally parametrized over every available array backend
-(:mod:`repro.core.xp`): the all-vector pipeline executes on the
-parametrized device while the scalar/python oracle variants pin numpy
-(see ``SimConfig.effective_device``), so each device's data plane is held
-bit-identical to the host oracles.  With only numpy installed the device
-axis has one value; installing torch/cupy widens it automatically.
+(:mod:`repro.core.xp`): the array pipeline executes on the parametrized
+device while the oracle engine pins numpy at construction, so each
+device's data plane is held bit-identical to the host oracle.  With only
+numpy installed the device axis has one value; installing torch/cupy
+widens it automatically.
 """
 
 from __future__ import annotations
@@ -40,13 +42,9 @@ from repro.testing import (
 
 DURATION = 24_000
 
-#: The gatspi variants that must produce bit-identical waveforms.
-GATSPI_SPECS = (
-    "gatspi",
-    "gatspi:kernel=scalar",
-    "gatspi:restructure=python",
-    "gatspi:kernel=scalar,restructure=python",
-)
+#: The gatspi engines that must produce bit-identical waveforms: the
+#: production array pipeline and the per-object reference oracle.
+GATSPI_SPECS = ("gatspi", "gatspi-oracle")
 
 #: Array backends the vector pipeline is exercised on (numpy always;
 #: torch/cupy auto-included when importable).
@@ -83,13 +81,13 @@ def _run(
 def _variant_results(netlist, annotation, stimulus, device, config=None):
     """(reference, {spec: result}) for one device value.
 
-    On ``numpy`` this is the full oracle comparison: every executor spec
-    against the scalar+python reference.  On other devices only the
-    all-vector pipeline actually varies (the oracle specs pin numpy via
-    ``effective_device``), so re-running them would duplicate the numpy
-    leg's work for byte-identical results; instead the device pipeline is
-    held to the numpy vector pipeline — which the numpy leg has already
-    proven bit-identical to the oracles.
+    On ``numpy`` this is the oracle comparison: the array pipeline against
+    the ``gatspi-oracle`` reference.  On other devices only the array
+    pipeline actually varies (the oracle engine pins numpy), so re-running
+    the oracle would duplicate the numpy leg's work for byte-identical
+    results; instead the device pipeline is held to the numpy array
+    pipeline — which the numpy leg has already proven bit-identical to
+    the oracle.
     """
     if device == "numpy":
         results = {
@@ -97,7 +95,7 @@ def _variant_results(netlist, annotation, stimulus, device, config=None):
                        device=device)
             for spec in GATSPI_SPECS
         }
-        reference = results.pop("gatspi:kernel=scalar,restructure=python")
+        reference = results.pop("gatspi-oracle")
         return reference, results
     reference = _run("gatspi", netlist, annotation, stimulus, config=config,
                      device="numpy")
@@ -111,15 +109,15 @@ def _oracle_pair(
 ):
     """(reference, vector-candidate) for pairwise pipeline comparisons.
 
-    numpy compares the vector pipeline against the python restructure
-    oracle; other devices compare against the numpy vector pipeline (see
+    numpy compares the array pipeline against the ``gatspi-oracle``
+    engine; other devices compare against the numpy array pipeline (see
     :func:`_variant_results` for why).
     """
     candidate = _run(
         "gatspi", netlist, annotation, stimulus, config=config,
         duration=duration, device=device,
     )
-    reference_spec = "gatspi:restructure=python" if device == "numpy" else "gatspi"
+    reference_spec = "gatspi-oracle" if device == "numpy" else "gatspi"
     reference = _run(
         reference_spec, netlist, annotation, stimulus, config=config,
         duration=duration, device="numpy",
@@ -144,11 +142,11 @@ def _assert_bit_identical(reference, candidate, context: str):
 @pytest.mark.parametrize("device", DEVICES)
 @pytest.mark.parametrize("seed", range(6))
 def test_gatspi_variants_bit_identical_random_designs(seed, device):
-    """All four gatspi executor combinations agree bit-for-bit.
+    """The array pipeline and the oracle engine agree bit-for-bit.
 
     Random designs draw from the full arity mix (1- to 4-input cells) and
-    random stimuli cover generic event spacing.  The vector variants run
-    on ``device``; the oracle variants pin numpy.
+    random stimuli cover generic event spacing.  The array pipeline runs
+    on ``device``; the oracle pins numpy.
     """
     netlist, annotation = _prepare_design(seed)
     stimulus = build_random_stimulus(netlist, DURATION, seed=seed + 50)
@@ -171,9 +169,7 @@ def test_launch_count_contract(seed, device):
     netlist, annotation = _prepare_design(seed, num_gates=30)
     stimulus = build_random_stimulus(netlist, DURATION, seed=seed + 31)
     vector = _run("gatspi", netlist, annotation, stimulus, device=device)
-    scalar = _run(
-        "gatspi:kernel=scalar,restructure=python", netlist, annotation, stimulus
-    )
+    scalar = _run("gatspi-oracle", netlist, annotation, stimulus)
     _assert_bit_identical(scalar, vector, f"launch contract seed={seed}")
     for stats in (vector.stats, scalar.stats):
         assert stats.segments == 1
@@ -524,21 +520,6 @@ def test_run_many_falls_back_to_serial_with_pinned_overlap():
     )
     for result in results:
         _assert_bit_identical(reference, result, "serial fallback")
-
-
-def test_sharded_backend_scalar_oracle_executors():
-    """Sharding composes with the oracle executor options."""
-    netlist, annotation = _prepare_design(2, num_gates=20)
-    stimulus = build_random_stimulus(netlist, 8_000, seed=12)
-    reference = _run(
-        "gatspi", netlist, annotation, stimulus, duration=8_000
-    )
-    candidate = _run(
-        "gatspi-sharded:shards=2,workers=2,kernel=scalar,restructure=python",
-        netlist, annotation, stimulus, duration=8_000,
-    )
-    assert candidate.stats.kernel_mode == "scalar"
-    _assert_bit_identical(reference, candidate, "sharded scalar oracle")
 
 
 def test_sharded_backend_saif_criterion_against_event():

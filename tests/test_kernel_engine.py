@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import get_backend
 from repro.cells import DEFAULT_LIBRARY
 from repro.core import (
     DeviceMemoryError,
@@ -16,6 +17,7 @@ from repro.core import (
 from repro.core.delaytable import DelayArc, GateDelayTable
 from repro.core.kernel import count_input_events, resolve_gate_delay
 from repro.core.waveform import EOW
+from repro.reference.oracle_engine import OracleEngine
 from repro.sdf import UnitDelayModel, annotation_from_design_delays
 
 
@@ -213,10 +215,12 @@ class TestEngine:
         """Count → allocate → store executes the kernel once: one launch per
         level and one invocation per (gate, window) task (unsegmented run)."""
         stimulus = self.build_stimulus(random_netlist, duration=6000)
-        config = SimConfig(cycle_parallelism=4, clock_period=1000, kernel=kernel)
-        stats = GatspiEngine(
+        config = SimConfig(cycle_parallelism=4, clock_period=1000)
+        engine_class = {"vector": GatspiEngine, "scalar": OracleEngine}[kernel]
+        stats = engine_class(
             random_netlist, annotation=random_annotation, config=config
         ).simulate(stimulus, cycles=6).stats
+        assert stats.kernel_mode == kernel
         assert stats.segments == 1
         assert stats.level_batches == stats.levels
         assert stats.kernel_invocations == stats.gate_count * stats.windows
@@ -224,6 +228,19 @@ class TestEngine:
     def test_two_pass_knob_is_gone(self):
         with pytest.raises(TypeError):
             SimConfig(two_pass=False)
+
+    def test_executor_knobs_are_gone(self, small_netlist):
+        """One executor per engine class: no config field, no prepare option
+        (the reference executors are the ``gatspi-oracle`` backend)."""
+        with pytest.raises(TypeError):
+            SimConfig(kernel="scalar")
+        with pytest.raises(TypeError):
+            SimConfig(restructure="python")
+        assert not hasattr(SimConfig, "effective_device")
+        for backend in ("gatspi", "gatspi-sharded"):
+            for option in ({"kernel": "scalar"}, {"restructure": "python"}):
+                with pytest.raises(TypeError):
+                    get_backend(backend).prepare(small_netlist, **option)
 
     def test_memory_segmentation_preserves_results(self, random_netlist, random_annotation):
         stimulus = self.build_stimulus(random_netlist, duration=6000)

@@ -137,6 +137,28 @@ class TestVerilog:
         assert set(parsed.inputs) == set(small_netlist.inputs)
         assert parsed.cell_histogram() == small_netlist.cell_histogram()
 
+    def test_round_trip_preserves_indexed_and_escaped_names(self):
+        """``write_verilog`` escapes names with brackets/dots; the parser
+        must hand back the names themselves, not ``\\a[0]``."""
+        builder = NetlistBuilder("rt")
+        a0 = builder.input("a[0]")
+        a1 = builder.input("a[1]")
+        plain = builder.input("plain")
+        mid = builder.gate("AND2", [a0, a1], output_net="m.x", name="u.and[0]")
+        builder.output("y[0]")
+        builder.gate("OR2", [mid, plain], output_net="y[0]", name="u_or")
+        original = builder.build()
+
+        parsed = parse_verilog(write_verilog(original))
+        assert parsed.source_nets() == original.source_nets()
+        assert parsed.inputs == original.inputs
+        assert parsed.outputs == original.outputs
+        assert set(parsed.nets) == set(original.nets)
+        assert list(parsed.instances) == list(original.instances)
+        for name, inst in original.instances.items():
+            assert parsed.instances[name].cell_name == inst.cell_name
+            assert parsed.instances[name].connections == inst.connections
+
     def test_vector_ports_are_flattened(self):
         text = """
         module vec (a, y);

@@ -6,9 +6,10 @@ restructure step must produce when slicing canonical waveforms into
 cycle-parallel windows, that stitching must produce when reassembling
 per-window outputs (including ``window_overlap`` seams and propagation
 tails), and that the engine must produce end to end on a small hand-built
-design.  Both the per-object reference pipeline and the vectorized
-pipeline are held to the same golden bytes, so a regression in either —
-or a silent divergence between them — fails loudly.
+design.  Both the per-object reference pipeline (``OracleEngine``) and the
+vectorized pipeline (``GatspiEngine``) are held to the same golden bytes,
+so a regression in either — or a silent divergence between them — fails
+loudly.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.core.restructure import (
     stitch_windows,
 )
 from repro.core.xp import available_array_backends, get_array_backend
+from repro.reference.oracle_engine import OracleEngine, _stitch
 from repro.sdf import UnitDelayModel, annotation_from_design_delays
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "restructure_golden.json"
@@ -127,11 +129,7 @@ def test_vectorized_stitching_matches_golden(case):
     "case", GOLDEN["stitch_cases"], ids=_case_ids(GOLDEN["stitch_cases"])
 )
 def test_reference_stitching_matches_golden(case):
-    """The engine's sequential ``_stitch`` agrees with the same fixtures."""
-    builder = NetlistBuilder("stitch_ref")
-    a = builder.input("a")
-    builder.gate("INV", [a])
-    engine = GatspiEngine(builder.build())
+    """The oracle's sequential ``_stitch`` agrees with the same fixtures."""
     windows = [
         _WindowRange(index=i, start=start, end=start)
         for i, start in enumerate(case["window_starts"])
@@ -140,7 +138,7 @@ def test_reference_stitching_matches_golden(case):
         i: Waveform.from_toggle_array(w["establish"], w["toggles_local"])
         for i, w in enumerate(case["windows"])
     }
-    stitched = engine._stitch("n", per_window, windows)
+    stitched = _stitch(per_window, windows)
     assert stitched.to_list() == case["expected"], case["name"]
 
 
@@ -171,7 +169,7 @@ def test_engine_waveforms_match_golden(case, restructure, device):
     deliberately undersized margin (``tiny_overlap``) whose seam
     artifacts the stitch rules must resolve exactly as frozen.  The
     vector pipeline runs on every available array backend (the python
-    reference pipeline pins numpy by construction).
+    reference pipeline, ``OracleEngine``, pins numpy at construction).
     """
     netlist = _golden_netlist()
     annotation = annotation_from_design_delays(
@@ -180,9 +178,11 @@ def test_engine_waveforms_match_golden(case, restructure, device):
     stimulus = {
         net: Waveform.from_array(arr) for net, arr in case["stimulus"].items()
     }
-    config = SimConfig(restructure=restructure, device=device, **case["config"])
-    engine = GatspiEngine(netlist, annotation=annotation, config=config)
+    config = SimConfig(device=device, **case["config"])
+    engine_class = {"python": OracleEngine, "vector": GatspiEngine}[restructure]
+    engine = engine_class(netlist, annotation=annotation, config=config)
     result = engine.simulate(stimulus, duration=case["duration"])
+    assert result.stats.restructure_mode == restructure
     assert dict(sorted(result.toggle_counts.items())) == (
         case["expected_toggle_counts"]
     ), case["name"]

@@ -38,7 +38,7 @@ DEVICES = available_array_backends()
 #: Specs that must be bit-identical on waveforms, toggle counts, and state.
 EXACT_SPECS = (
     "gatspi",
-    "gatspi:kernel=scalar",
+    "gatspi-oracle",
     "gatspi-sharded:shards=2",
     "gatspi-sharded:shards=2,workers=process",
 )
@@ -126,7 +126,7 @@ def test_run_cycles_differential(label, device):
     vector = _session("gatspi", netlist, device=device).run_cycles(
         stimulus, cycles
     )
-    scalar = _session("gatspi:kernel=scalar", netlist).run_cycles(
+    scalar = _session("gatspi-oracle", netlist).run_cycles(
         stimulus, cycles
     )
     for net in netlist.nets:

@@ -28,10 +28,14 @@ def design():
     return netlist, annotation
 
 
+#: The backend behind each ``stats.restructure_mode`` label.
+BACKENDS = {"python": "gatspi-oracle", "vector": "gatspi"}
+
+
 def _prepare(design, restructure, **config_kwargs):
     netlist, annotation = design
-    config = SimConfig(restructure=restructure, **config_kwargs)
-    return get_backend("gatspi").prepare(
+    config = SimConfig(**config_kwargs)
+    return get_backend(BACKENDS[restructure]).prepare(
         netlist, annotation=annotation, config=config
     )
 

@@ -216,6 +216,17 @@ class TestStreamedVsWhole:
         with pytest.raises(NotImplementedError):
             event.run_stream(stimulus, duration=DURATION)
 
+    def test_oracle_engine_refuses_streaming(self):
+        """``gatspi-oracle`` materializes per-window Waveform objects — the
+        thing streaming exists to avoid — and says so instead of running."""
+        netlist, annotation = _design(0)
+        stimulus = build_random_stimulus(netlist, DURATION, seed=1)
+        oracle = get_backend("gatspi-oracle").prepare(netlist, annotation=annotation)
+        with pytest.raises(ValueError, match="requires the array pipeline"):
+            oracle.run_stream(stimulus, duration=DURATION)
+        with pytest.raises(ValueError, match="requires the array pipeline"):
+            next(oracle.iter_windows(stimulus, duration=DURATION))
+
 
 # ----------------------------------------------------------------------
 # VCD as a streaming stimulus source

@@ -1,7 +1,8 @@
 """Scalar-vs-vector kernel equivalence and the SoA pipeline plumbing.
 
-The level-batched vector kernel must be *bit-identical* to the per-gate
-scalar reference kernel — same waveforms, same toggle counts — across gate
+The level-batched vector kernel (``gatspi``, :class:`GatspiEngine`) must be
+*bit-identical* to the per-gate scalar reference kernel (``gatspi-oracle``,
+:class:`OracleEngine`) — same waveforms, same toggle counts — across gate
 arities, MSI collisions, inertial filtering settings, initial-value-1
 waveforms, and empty windows.  The pool-layout tests pin down the count-pass
 prefix-sum allocation and the zero-copy readback views.
@@ -28,17 +29,21 @@ from repro.core import (
     simulate_level,
     simulate_multi_gpu,
 )
+from repro.reference.oracle_engine import OracleEngine
 from repro.sdf import SyntheticDelayModel, annotation_from_design_delays
 from repro.testing import build_random_netlist, build_random_stimulus
 
 DURATION = 6000
 
+#: The engine class behind each ``stats.kernel_mode`` label.
+ENGINES = {"scalar": OracleEngine, "vector": GatspiEngine}
+
 
 def run_both_kernels(netlist, annotation, stimulus, duration=DURATION, **updates):
     results = []
     for kernel in ("scalar", "vector"):
-        config = SimConfig(clock_period=500, kernel=kernel, **updates)
-        engine = GatspiEngine(netlist, annotation=annotation, config=config)
+        config = SimConfig(clock_period=500, **updates)
+        engine = ENGINES[kernel](netlist, annotation=annotation, config=config)
         results.append(engine.simulate(stimulus, duration=duration))
     return results
 
@@ -339,8 +344,8 @@ class TestOverflowGuards:
             net: Waveform.from_initial_and_toggles(0, [EOW - 3])
             for net in netlist.source_nets()
         }
-        config = SimConfig(kernel=kernel, cycle_parallelism=1)
-        engine = GatspiEngine(netlist, annotation=annotation, config=config)
+        config = SimConfig(cycle_parallelism=1)
+        engine = ENGINES[kernel](netlist, annotation=annotation, config=config)
         with pytest.raises(StimulusError, match="EOW"):
             engine.simulate(stimulus, duration=EOW - 1)
 
@@ -348,9 +353,9 @@ class TestOverflowGuards:
 class TestBackendSpecs:
     def test_parse_backend_spec(self):
         assert parse_backend_spec("gatspi") == ("gatspi", {})
-        assert parse_backend_spec("gatspi:kernel=scalar") == (
+        assert parse_backend_spec("gatspi:device=numpy") == (
             "gatspi",
-            {"kernel": "scalar"},
+            {"device": "numpy"},
         )
         name, options = parse_backend_spec("threaded-cpu:num_workers=8,barrier_overhead=0.5")
         assert name == "threaded-cpu"
@@ -358,15 +363,17 @@ class TestBackendSpecs:
 
     def test_parse_backend_spec_rejects_malformed(self):
         with pytest.raises(ValueError):
-            parse_backend_spec("gatspi:kernel")
+            parse_backend_spec("gatspi:device")
 
     def test_resolve_backend_prepares_kernel_variant(self):
         netlist = build_random_netlist(num_gates=12, seed=4)
-        backend, options = resolve_backend("gatspi:kernel=scalar")
+        backend, options = resolve_backend("gatspi-oracle:device=numpy")
         session = backend.prepare(netlist, **options)
-        assert session.engine.config.kernel == "scalar"
+        assert isinstance(session.engine, OracleEngine)
+        assert session.engine.kernel_mode == "scalar"
         session = get_backend("gatspi").prepare(netlist)
-        assert session.engine.config.kernel == "vector"
+        assert type(session.engine) is GatspiEngine
+        assert session.engine.kernel_mode == "vector"
 
 
 class TestMultiGpuPackedPartitioning:
@@ -382,7 +389,7 @@ class TestMultiGpuPackedPartitioning:
             results[kernel] = simulate_multi_gpu(
                 netlist, stimulus, cycles=8, num_devices=4,
                 annotation=annotation, config=config,
-                backend=f"gatspi:kernel={kernel}",
+                backend={"scalar": "gatspi-oracle", "vector": "gatspi"}[kernel],
             )
         assert results["vector"].toggle_counts == results["scalar"].toggle_counts
         assert results["vector"].kernel_mode == "vector"

@@ -49,6 +49,23 @@ class TestVcd:
         assert parsed["sig"].value_at(0) == 0
         assert parsed["sig"].value_at(11) == 1
 
+    def test_indexed_names_round_trip(self):
+        """A single-bit select is part of the name (flattened bus bits):
+        ``a[0]`` and ``a[1]`` used to collapse into a duplicate ``a``."""
+        import io
+
+        from repro.waveforms.vcd import VcdEventStream
+
+        waves = {
+            "a[0]": Waveform.from_initial_and_toggles(0, [10, 25]),
+            "a[1]": Waveform.from_initial_and_toggles(1, [40]),
+            "plain": Waveform.from_initial_and_toggles(0, [5]),
+        }
+        text = write_vcd(waves, end_time=100)
+        for dump in (text, text.replace("a[0] $end", "a [0] $end")):
+            assert parse_vcd(dump) == waves
+            assert set(VcdEventStream(io.StringIO(dump)).nets) == set(waves)
+
     def test_vector_signals_rejected(self):
         text = (
             "$var wire 8 ! bus [7:0] $end\n$enddefinitions $end\n#0\n"

@@ -128,15 +128,26 @@ class TestDeviceSelection:
         assert result.returncode == 0, result.stderr
 
     def test_oracle_executors_pin_numpy(self):
+        """An ``OracleEngine`` built with any registered device runs on
+        numpy and keys the compile cache as numpy."""
+        from repro.core import GatspiEngine
+        from repro.core.compile_cache import compile_key
+        from repro.reference.oracle_engine import OracleEngine
+        from repro.testing import build_random_netlist
+
         device = BACKENDS[-1]  # any registered backend
-        assert SimConfig(device=device).effective_device() == device
-        assert (
-            SimConfig(device=device, kernel="scalar").effective_device()
-            == "numpy"
-        )
-        assert (
-            SimConfig(device=device, restructure="python").effective_device()
-            == "numpy"
+        netlist = build_random_netlist(num_gates=8, seed=1)
+        config = SimConfig(device=device)
+        production = GatspiEngine(netlist, config=config)
+        oracle = OracleEngine(netlist, config=config)
+        assert production.config.device == production.xp.name == device
+        assert oracle.config.device == oracle.xp.name == "numpy"
+        oracle.compile()
+        assert oracle.xp.name == "numpy"
+        assert compile_key(
+            netlist, oracle.annotation, oracle.config
+        ) == compile_key(
+            netlist, oracle.annotation, SimConfig(device="numpy")
         )
 
 
