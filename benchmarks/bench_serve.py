@@ -7,39 +7,31 @@ A :class:`~repro.serve.SimulationService` is driven by 1 / 4 / 16
 concurrent clients re-simulating one compiled design, once through the
 plain single-session ``gatspi`` backend (every request is a full engine
 run, serialized on the shared session) and once through
-``gatspi-sharded:shards=4`` (adaptive window-axis sharding plus
-micro-batch fusion: queued same-design requests execute as one fused
-engine run and are sliced apart bit-exactly).
+``gatspi-sharded:shards=4,workers=process`` — the GIL-free process-shard
+mode: shares run on spawned worker processes attached to the
+shared-memory design export (:mod:`repro.core.shm`), and queued
+same-design requests execute as one fused engine run, sliced apart
+bit-exactly.  (In-parent shares are a test executor, not a serving mode,
+and have no cell here.)
 
-Writes ``BENCH_serve.json`` at the repository root with requests/sec and
-p50/p99 client-observed latency for every (backend, concurrency) cell,
-plus the **no-regression floor**: at 4 concurrent clients the sharded
-backend's throughput must be at least
-:data:`SHARDED_NO_REGRESSION_FLOOR` (1.0x) of the single-session
-backend's.  The floor is load-bearing in both regimes the backend
-adapts to: on a single-core machine the sharded backend degrades to a
-zero-overhead passthrough and wins by fusing micro-batches (amortizing
-the engine's per-run fixed costs across the batch); on multi-core
-machines it additionally executes shares in parallel.
-
-A third scenario drives the GIL-free process-shard mode
-(``workers=process``: shares run on spawned worker processes attached to
-the shared-memory design export, :mod:`repro.core.shm`).  Its floor is
-core-count-aware, per the ISSUE-8 acceptance criterion: on >= 2 cores
-process shards must reach :data:`PROCESS_FLOOR_MULTI_CORE` (1.5x) of the
-single-session baseline at 4 clients — true parallelism, not just
-fusion — while on a 1-core runner the sharded session adaptively
-degrades to the single-shard passthrough and the floor relaxes to
-:data:`PROCESS_FLOOR_SINGLE_CORE` (1.0x); the report records
-``cpu_count`` so the gap stays visible either way.
+The full run writes ``BENCH_serve.json`` at the repository root with
+requests/sec and p50/p99 client-observed latency for every (backend,
+concurrency) cell, plus the core-count-aware process floor, per the
+ISSUE-8 acceptance criterion: on >= 2 cores process shards must reach
+:data:`PROCESS_FLOOR_MULTI_CORE` (1.5x) of the single-session baseline
+at 4 clients — true parallelism, not just fusion — while on a 1-core
+runner the sharded session adaptively degrades to the single-shard
+passthrough and the floor relaxes to :data:`PROCESS_FLOOR_SINGLE_CORE`
+(1.0x); the report records ``cpu_count`` so the gap stays visible either
+way.
 
 Accuracy gates throughput: every response's total switching activity must
 equal the single-session reference before any rate is recorded.
 
 The smoke configuration (``REPRO_BENCH_SERVE_SMOKE=1``) shrinks the
-workload and only sanity-checks that the ratio is positive — a
-seconds-long run on a shared CI runner is too noisy to gate on a real
-floor.
+workload, only sanity-checks that the ratio is positive, and writes
+nothing — a seconds-long run on a shared CI runner is too noisy to gate
+on a real floor, and its numbers must never replace a full-mode record.
 """
 
 from __future__ import annotations
@@ -65,11 +57,7 @@ from repro.serve import ServeRequest, SimulationService  # noqa: E402
 
 RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
 
-#: Throughput floor of gatspi-sharded vs single-session gatspi at 4
-#: concurrent clients.  "No regression": serving through the sharded
-#: backend must never be slower than serializing full runs on one session.
-SHARDED_NO_REGRESSION_FLOOR = 1.0
-SMOKE_NO_REGRESSION_FLOOR = 0.0
+SMOKE_FLOOR = 0.0
 
 #: Process-shard throughput floors vs the single-session baseline at 4
 #: clients.  Multi-core: shares execute truly in parallel (no shared
@@ -79,17 +67,16 @@ SMOKE_NO_REGRESSION_FLOOR = 0.0
 PROCESS_FLOOR_MULTI_CORE = 1.5
 PROCESS_FLOOR_SINGLE_CORE = 1.0
 
-#: Interleaved (baseline, candidate) measurement pairs per floored cell.
-#: Floors gate on the *max* ratio across pairs: when the true ratio sits
-#: exactly at the floor (single core, where both sharded modes degrade to
-#: the same passthrough, true ratio 1.0), a single noisy sample fails the
+#: Interleaved (baseline, candidate) measurement pairs of the floored cell.
+#: The floor gates on the *max* ratio across pairs: when the true ratio sits
+#: exactly at the floor (single core, where process mode degrades to the
+#: passthrough, true ratio 1.0), a single noisy sample fails the
 #: gate ~half the time, while a genuine regression fails every pair.  The
 #: same max-over-interleaved-pairs discipline (mirroring the analysis
 #: bench's min-of-ratios overhead bound) is immune to co-tenant drift.
 FLOOR_PAIRS = 3
 
 SINGLE_BACKEND = "gatspi"
-SHARDED_BACKEND = "gatspi-sharded:shards=4"
 PROCESS_BACKEND = "gatspi-sharded:shards=4,workers=process"
 CONCURRENCY_LEVELS = (1, 4, 16)
 SERVICE_WORKERS = 4
@@ -207,7 +194,7 @@ def test_serve_throughput_and_report():
     )
     per_client = SMOKE_REQUESTS_PER_CLIENT if _smoke() else REQUESTS_PER_CLIENT
 
-    backends = (SINGLE_BACKEND, SHARDED_BACKEND, PROCESS_BACKEND)
+    backends = (SINGLE_BACKEND, PROCESS_BACKEND)
     scenarios = {backend: {} for backend in backends}
     for clients in CONCURRENCY_LEVELS:
         for backend in backends:
@@ -215,100 +202,70 @@ def test_serve_throughput_and_report():
                 workload, backend, clients, per_client[clients]
             )
 
-    def ratios_vs_single(backend):
-        return {
-            str(clients): (
-                scenarios[backend][str(clients)]["requests_per_second"]
-                / scenarios[SINGLE_BACKEND][str(clients)]["requests_per_second"]
-            )
-            for clients in CONCURRENCY_LEVELS
-        }
-
-    ratios = ratios_vs_single(SHARDED_BACKEND)
-    process_ratios = ratios_vs_single(PROCESS_BACKEND)
+    process_ratios = {
+        str(clients): (
+            scenarios[PROCESS_BACKEND][str(clients)]["requests_per_second"]
+            / scenarios[SINGLE_BACKEND][str(clients)]["requests_per_second"]
+        )
+        for clients in CONCURRENCY_LEVELS
+    }
     cpu_count = os.cpu_count() or 1
     process_floor = (
         PROCESS_FLOOR_MULTI_CORE if cpu_count >= 2 else PROCESS_FLOOR_SINGLE_CORE
     )
+    process_summary = ", ".join(
+        f"{clients} clients {process_ratios[str(clients)]:.2f}x"
+        for clients in CONCURRENCY_LEVELS
+    )
+    print(
+        f"\nBENCH_serve: process-vs-single rps {process_summary} "
+        f"(cpu_count={cpu_count})"
+    )
+    if _smoke():
+        assert process_ratios["4"] > SMOKE_FLOOR
+        return
 
     # Floored 4-client cell: re-measure interleaved pairs (the sweep
-    # above is pair #1) and gate on the max ratio per candidate backend.
-    floor_samples = {
-        SHARDED_BACKEND: [ratios["4"]],
-        PROCESS_BACKEND: [process_ratios["4"]],
-    }
-    if not _smoke():
-        for _ in range(FLOOR_PAIRS - 1):
-            base = _measure_scenario(
-                workload, SINGLE_BACKEND, 4, per_client[4]
-            )["requests_per_second"]
-            for backend in (SHARDED_BACKEND, PROCESS_BACKEND):
-                cell = _measure_scenario(workload, backend, 4, per_client[4])
-                floor_samples[backend].append(
-                    cell["requests_per_second"] / base
-                )
+    # above is pair #1) and gate on the max ratio.
+    floor_samples = [process_ratios["4"]]
+    for _ in range(FLOOR_PAIRS - 1):
+        base = _measure_scenario(
+            workload, SINGLE_BACKEND, 4, per_client[4]
+        )["requests_per_second"]
+        cell = _measure_scenario(workload, PROCESS_BACKEND, 4, per_client[4])
+        floor_samples.append(cell["requests_per_second"] / base)
     report = {
         "workload": {
             "design": case.name,
             "testbench": case.testbench,
             "cycles": case.cycles,
             "gate_count": netlist.gate_count,
-            "mode": "smoke" if _smoke() else "full",
+            "mode": "full",
         },
         "service_workers": SERVICE_WORKERS,
         "cpu_count": cpu_count,
         "single_backend": SINGLE_BACKEND,
-        "sharded_backend": SHARDED_BACKEND,
         "process_backend": PROCESS_BACKEND,
         "scenarios": scenarios,
-        "sharded_vs_single_rps_ratio": ratios,
         "process_vs_single_rps_ratio": process_ratios,
-        "floor_ratio_samples_at_4_clients": {
-            backend: samples for backend, samples in floor_samples.items()
-        },
+        "floor_ratio_samples_at_4_clients": floor_samples,
         "floor_methodology": (
             f"max ratio over {FLOOR_PAIRS} interleaved "
-            f"(single, candidate) measurement pairs"
+            f"(single, process) measurement pairs"
         ),
-        "no_regression_floor_at_4_clients": (
-            SMOKE_NO_REGRESSION_FLOOR if _smoke() else SHARDED_NO_REGRESSION_FLOOR
-        ),
-        "process_floor_at_4_clients": (
-            SMOKE_NO_REGRESSION_FLOOR if _smoke() else process_floor
-        ),
+        "process_floor_at_4_clients": process_floor,
     }
     RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    summary = ", ".join(
-        f"{clients} clients {ratios[str(clients)]:.2f}x"
-        for clients in CONCURRENCY_LEVELS
-    )
-    process_summary = ", ".join(
-        f"{clients} clients {process_ratios[str(clients)]:.2f}x"
-        for clients in CONCURRENCY_LEVELS
-    )
-    print(f"\nBENCH_serve: sharded-vs-single rps {summary}")
-    print(
-        f"BENCH_serve: process-vs-single rps {process_summary} "
-        f"(cpu_count={cpu_count}) -> {RESULT_PATH}"
-    )
+    print(f"BENCH_serve: floor samples {floor_samples} -> {RESULT_PATH}")
 
-    floor = SMOKE_NO_REGRESSION_FLOOR if _smoke() else SHARDED_NO_REGRESSION_FLOOR
-    sharded_best = max(floor_samples[SHARDED_BACKEND])
-    assert sharded_best >= floor, (
-        f"gatspi-sharded at {sharded_best:.2f}x of single-session gatspi "
-        f"throughput under 4 concurrent clients (max of "
-        f"{len(floor_samples[SHARDED_BACKEND])} interleaved pairs, floor "
-        f"{floor}x): the sharded serving path regressed"
+    process_best = max(floor_samples)
+    assert process_best >= process_floor, (
+        f"workers=process at {process_best:.2f}x of single-session "
+        f"gatspi throughput under 4 concurrent clients (max of "
+        f"{len(floor_samples)} interleaved pairs, "
+        f"floor {process_floor}x on {cpu_count} core(s)): the "
+        f"process-shard serving path regressed"
     )
-    if not _smoke():
-        process_best = max(floor_samples[PROCESS_BACKEND])
-        assert process_best >= process_floor, (
-            f"workers=process at {process_best:.2f}x of single-session "
-            f"gatspi throughput under 4 concurrent clients (max of "
-            f"{len(floor_samples[PROCESS_BACKEND])} interleaved pairs, "
-            f"floor {process_floor}x on {cpu_count} core(s)): the "
-            f"process-shard serving path regressed"
-        )
 
 
 if __name__ == "__main__":

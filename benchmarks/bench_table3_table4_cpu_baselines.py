@@ -3,16 +3,16 @@ simulator.
 
 Table 3 compares GATSPI's kernel against an OpenMP implementation of the same
 algorithm on 32-64 CPUs; Table 4 against the multi-threaded mode of the
-commercial simulator.  Both baselines are reproduced twice: measured (the
-partitioned CPU simulator at laptop scale) and modelled (paper-scale event
-counts through the CPU/GPU models).
+commercial simulator.  Both baselines are modelled (paper-scale event counts
+through the CPU/GPU models); Table 3's load-imbalance column — the penalty the
+paper highlights for low-activity designs — is measured at laptop scale, as
+max / mean kernel seconds over the window-axis shares ``gatspi-sharded`` runs.
 """
 
-from repro.bench import representative_cases
-from repro.bench.runner import prepare_case
+from repro.api import get_backend
+from repro.bench.runner import prepare_case, share_kernel_seconds
 from repro.core import SimConfig
 from repro.gpu import KernelPerfModel, V100, format_table, openmp_kernel_seconds
-from repro.reference import PartitionedCpuSimulator
 
 PAPER_TABLE3 = {
     # design/testbench -> (GATSPI kernel s, OpenMP kernel s, #CPUs)
@@ -22,30 +22,29 @@ PAPER_TABLE3 = {
 }
 
 
-def test_table3_openmp_comparison(benchmark, representative_artifacts):
-    def run_partitioned():
-        reports = {}
-        for key, artifact in representative_artifacts.items():
-            cpus = PAPER_TABLE3.get(key, (0, 0, 32))[2]
-            simulator = PartitionedCpuSimulator(
-                artifact.netlist,
-                annotation=None,
-                config=SimConfig(clock_period=artifact.case.clock_period,
-                                 cycle_parallelism=4),
-                num_workers=cpus,
-            )
-            netlist, annotation, stimulus = prepare_case(artifact.case)
-            simulator = PartitionedCpuSimulator(
-                netlist, annotation=annotation,
-                config=SimConfig(clock_period=artifact.case.clock_period,
-                                 cycle_parallelism=4),
-                num_workers=cpus,
-            )
-            _, report = simulator.run(stimulus, cycles=artifact.case.cycles)
-            reports[key] = report
-        return reports
+#: Window-axis shares the measured imbalance column is taken over.
+IMBALANCE_SHARES = 8
 
-    reports = benchmark.pedantic(run_partitioned, rounds=1, iterations=1)
+
+def test_table3_openmp_comparison(benchmark, representative_artifacts):
+    def run_shares():
+        imbalance = {}
+        for key, artifact in representative_artifacts.items():
+            case = artifact.case
+            netlist, annotation, stimulus = prepare_case(case)
+            session = get_backend("gatspi").prepare(
+                netlist, annotation=annotation,
+                config=SimConfig(clock_period=case.clock_period,
+                                 cycle_parallelism=4),
+            )
+            seconds = share_kernel_seconds(
+                session, stimulus, case.cycles * case.clock_period,
+                IMBALANCE_SHARES,
+            )
+            imbalance[key] = max(seconds) / (sum(seconds) / len(seconds))
+        return imbalance
+
+    imbalance = benchmark.pedantic(run_shares, rounds=1, iterations=1)
 
     model = KernelPerfModel(V100)
     rows = []
@@ -53,7 +52,6 @@ def test_table3_openmp_comparison(benchmark, representative_artifacts):
         cpus = PAPER_TABLE3[key][2]
         gpu_s = model.predict_kernel_seconds(artifact.workload)
         openmp_s = openmp_kernel_seconds(artifact.workload, num_cpus=cpus)
-        report = reports[key]
         rows.append([
             key,
             str(cpus),
@@ -61,15 +59,17 @@ def test_table3_openmp_comparison(benchmark, representative_artifacts):
             f"{openmp_s * 1e3:.2f}",
             f"{openmp_s / gpu_s:.1f}X",
             f"{PAPER_TABLE3[key][1] / PAPER_TABLE3[key][0]:.1f}X",
-            f"{report.load_imbalance():.2f}",
+            f"{imbalance[key]:.2f}",
         ])
+        assert imbalance[key] >= 1.0
         # Shape: the modelled GPU beats the modelled OpenMP port, as in Table 3
         # where GATSPI is 9-15X faster than 32-64 CPU cores.
         assert gpu_s < openmp_s
     print("\n=== Table 3: GATSPI vs OpenMP port (modelled, paper-scale shape) ===")
     print(format_table(
         ["Design (testbench)", "#CPUs", "GPU kernel (ms)", "OpenMP kernel (ms)",
-         "Model speedup", "Paper speedup", "Measured imbalance"],
+         "Model speedup", "Paper speedup",
+         f"Measured imbalance ({IMBALANCE_SHARES} shares)"],
         rows,
     ))
 

@@ -4,11 +4,14 @@ Table 8 compares kernel runtimes on T4 / V100 / A100; Fig. 6 shows kernel
 runtime for Design B's concatenated testbenches on 1 CPU core, a 64-core
 OpenMP run, 1/8 V100s and 1/4 A100s.  Both are regenerated from the analytic
 device models driven by the measured workloads, and the multi-device
-cycle-parallel distribution is additionally exercised with the real engine.
+cycle-parallel distribution is additionally exercised with the real engine:
+per-share kernel seconds over the ``gatspi-sharded`` partition, whose merged
+toggle totals must not move with the share count.
 """
 
-from repro.bench.runner import prepare_case
-from repro.core import SimConfig, simulate_multi_gpu
+from repro.api import get_backend
+from repro.bench.runner import prepare_case, share_kernel_seconds
+from repro.core import SimConfig
 from repro.gpu import (
     A100,
     KernelPerfModel,
@@ -92,16 +95,26 @@ def test_fig6_multi_gpu_scaling(benchmark, representative_artifacts):
     assert a100_curve[1].kernel_seconds < a100_curve[0].kernel_seconds
     assert v100_curve[0].kernel_seconds / v100_curve[1].kernel_seconds < 8.0
 
-    # The real multi-device distribution preserves total activity while the
-    # slowest share bounds the parallel runtime.
-    netlist, annotation, stimulus = prepare_case(artifact.case)
-    multi = simulate_multi_gpu(
-        netlist, stimulus, artifact.case.cycles, num_devices=4,
-        annotation=annotation,
-        config=SimConfig(clock_period=artifact.case.clock_period,
-                         cycle_parallelism=8),
+    # The real multi-device distribution preserves total activity exactly
+    # while the slowest share bounds the parallel runtime.
+    case = artifact.case
+    netlist, annotation, stimulus = prepare_case(case)
+    config = SimConfig(clock_period=case.clock_period, cycle_parallelism=8)
+    duration = case.cycles * case.clock_period
+    session = get_backend("gatspi").prepare(
+        netlist, annotation=annotation, config=config
     )
-    assert multi.speedup_vs_single_device > 1.5
-    print(f"measured 4-device cycle-parallel distribution: "
-          f"{multi.speedup_vs_single_device:.1f}X vs serial, "
-          f"imbalance {multi.load_imbalance():.2f}")
+    totals = set()
+    for shares in (1, 2, 4, 8):
+        sharded = get_backend("gatspi-sharded").prepare(
+            netlist, annotation=annotation, config=config, shards=shares
+        )
+        totals.add(sharded.run(stimulus, duration=duration).total_toggles())
+        seconds = share_kernel_seconds(session, stimulus, duration, shares)
+        speedup = sum(seconds) / max(seconds)
+        print(f"measured {shares}-share cycle-parallel distribution: "
+              f"{speedup:.1f}X vs serial, "
+              f"imbalance {max(seconds) * len(seconds) / sum(seconds):.2f}")
+        if shares == 4:
+            assert speedup > 1.5
+    assert len(totals) == 1, totals

@@ -1,16 +1,18 @@
 """Multi-GPU cycle-parallel scaling (paper Fig. 6) on a generated design.
 
-Distributes one testbench across 1, 2, 4, and 8 model devices using the
-paper's cycle-parallelism workload-distribution strategy, reports measured
-per-device kernel times and load imbalance, and prints the modelled
-paper-scale scaling curve `t = t1/n + ovr`.
+Distributes one testbench across 1, 2, 4, and 8 window-axis shares — the
+paper's cycle-parallelism workload-distribution strategy, one share per model
+device — reports measured per-share kernel times and load imbalance, checks
+that the merged `gatspi-sharded` toggle totals do not move with the share
+count, and prints the modelled paper-scale scaling curve `t = t1/n + ovr`.
 
 Run with:  python examples/multi_gpu_scaling.py
 """
 
 from repro.api import get_backend
+from repro.bench import share_kernel_seconds
 from repro.bench.designs import industry_like
-from repro.core import SimConfig, simulate_multi_gpu
+from repro.core import SimConfig
 from repro.gpu import KernelWorkload, MultiGpuModel, V100
 from repro.sdf import SyntheticDelayModel, annotation_from_design_delays
 from repro.waveforms import TestbenchSpec, stimulus_for_netlist
@@ -26,24 +28,26 @@ def main() -> None:
     config = SimConfig(cycle_parallelism=8, clock_period=spec.clock_period)
 
     print(f"design: {netlist.gate_count} gates, testbench {spec.cycles} cycles\n")
-    print("measured cycle-parallel distribution across model devices:")
-    baseline = None
-    for devices in (1, 2, 4, 8):
-        result = simulate_multi_gpu(
-            netlist, stimulus, spec.cycles, num_devices=devices,
-            annotation=annotation, config=config, backend="gatspi",
-        )
-        parallel = result.parallel_kernel_runtime
-        if baseline is None:
-            baseline = parallel
-        print(f"  {devices} device(s): kernel {parallel:.2f}s  "
-              f"speedup {baseline / parallel:4.1f}X  "
-              f"imbalance {result.load_imbalance():.2f}")
-
-    # Modelled paper-scale curve for the same workload shape.
     session = get_backend("gatspi").prepare(netlist, annotation=annotation,
                                             config=config)
     result = session.run(stimulus, cycles=spec.cycles)
+    print("measured cycle-parallel distribution across model devices:")
+    baseline = None
+    for devices in (1, 2, 4, 8):
+        seconds = share_kernel_seconds(session, stimulus, result.duration, devices)
+        parallel = max(seconds)
+        if baseline is None:
+            baseline = parallel
+        merged = get_backend("gatspi-sharded").prepare(
+            netlist, annotation=annotation, config=config, shards=devices
+        ).run(stimulus, cycles=spec.cycles)
+        assert merged.total_toggles() == result.total_toggles()
+        print(f"  {devices} device(s): kernel {parallel:.2f}s  "
+              f"speedup {baseline / parallel:4.1f}X  "
+              f"imbalance {parallel * len(seconds) / sum(seconds):.2f}  "
+              f"toggles {merged.total_toggles()}")
+
+    # Modelled paper-scale curve for the same workload shape.
     workload = KernelWorkload.from_result(netlist, result)
     print("\nmodelled V100 scaling (t = t1/n + overhead):")
     for point in MultiGpuModel(V100).scaling_curve(workload, [1, 2, 4, 8]):

@@ -17,11 +17,11 @@ All simulation engines are served through one unified entry point, the
     session = get_backend("gatspi").prepare(netlist, annotation, config)
     result = session.run(stimulus, cycles=100)
 
-Backends ``"gatspi"``, ``"event"``, ``"zero-delay"``, and ``"threaded-cpu"``
-ship built in; the benchmark harness (:mod:`repro.bench`), the
-glitch-optimization flow (:mod:`repro.opt`), and the multi-device distributor
-(:mod:`repro.core.multi_gpu`) all accept backend names, never concrete
-classes.
+Backends ``"gatspi"``, ``"gatspi-oracle"``, ``"gatspi-sharded"``, ``"event"``
+and ``"zero-delay"`` ship built in; the benchmark harness
+(:mod:`repro.bench`), the glitch-optimization flow (:mod:`repro.opt`) and the
+serving front end (:mod:`repro.serve`) all accept backend names, never
+concrete classes.
 """
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ from .core import (
     SimulationResult,
     StimulusError,
     Waveform,
-    simulate_multi_gpu,
 )
 from .netlist import Netlist, NetlistBuilder, parse_verilog, read_verilog
 from .sdf import (
@@ -62,7 +61,6 @@ __all__ = [
     "SimulationResult",
     "StimulusError",
     "Waveform",
-    "simulate_multi_gpu",
     "Netlist",
     "NetlistBuilder",
     "parse_verilog",

@@ -6,15 +6,15 @@ three-step flow, regardless of how it is implemented::
     from repro.api import get_backend
 
     backend = get_backend("gatspi")              # or "event", "zero-delay",
-    session = backend.prepare(netlist,           # "threaded-cpu", ...
+    session = backend.prepare(netlist,           # "gatspi-sharded", ...
                               annotation=annotation, config=config)
     result = session.run(stimulus, cycles=100)   # -> SimulationResult
 
 ``prepare`` does all per-design compilation once; ``run`` may be called any
 number of times with different stimuli (compile-once/simulate-many).  The
-benchmark harness, the glitch-optimization flow, and the multi-device
-distributor all dispatch through this registry, so swapping the engine under
-any of them is a string change.
+benchmark harness, the glitch-optimization flow and the serving front end
+all dispatch through this registry, so swapping the engine under any of
+them is a string change.
 
 Register new engines with::
 
@@ -46,8 +46,6 @@ from .adapters import (
     EventSession,
     GatspiBackend,
     GatspiSession,
-    ThreadedCpuBackend,
-    ThreadedCpuSession,
     ZeroDelayBackend,
     ZeroDelaySession,
 )
@@ -73,8 +71,6 @@ __all__ = [
     "GatspiShardedBackend",
     "RunSpec",
     "ShardedGatspiSession",
-    "ThreadedCpuBackend",
-    "ThreadedCpuSession",
     "ZeroDelayBackend",
     "ZeroDelaySession",
 ]

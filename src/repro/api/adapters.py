@@ -14,8 +14,6 @@ Name               Engine
                    — the commercial-simulator stand-in / oracle
 ``zero-delay``     :class:`~repro.reference.zero_delay.ZeroDelaySimulator`
                    — purely functional, used to isolate glitch activity
-``threaded-cpu``   :class:`~repro.reference.threaded.PartitionedCpuSimulator`
-                   — the OpenMP-style partitioned CPU baseline
 =================  ==================================================
 
 The concrete classes stay importable for backwards compatibility, but flows
@@ -41,7 +39,6 @@ from ..core.waveform import Waveform
 from ..netlist import Netlist
 from ..reference.event_sim import EventDrivenSimulator
 from ..reference.oracle_engine import OracleEngine
-from ..reference.threaded import PartitionedCpuSimulator, PartitionedRunReport
 from ..reference.zero_delay import ZeroDelaySimulator
 from ..sdf.annotate import DelayAnnotation
 from .backend import BackendCapabilities, SimBackend
@@ -73,22 +70,15 @@ _STRUCTURAL_EDIT_RULES: Tuple[str, ...] = (
 _DELAY_EDIT_RULES: Tuple[str, ...] = ("negative-delay",)
 
 
-def _check_edit_analysis(
-    engine: GatspiEngine,
-    receipt: EditReceipt,
-    analysis: Optional[str] = None,
-) -> None:
+def _check_edit_analysis(engine: GatspiEngine, receipt: EditReceipt) -> None:
     """Incremental design-rule gate for an applied edit batch.
 
     Mirrors prepare-time analysis (`analyze_for_prepare`) but re-evaluates
     only the rules an edit of this kind can invalidate: delay-only batches
     check ``negative-delay`` alone, structural batches the fast structural
-    set.  ``analysis="off"`` and empty batches skip entirely.  ``analysis``
-    overrides the engine config's mode (the sharded session passes its
-    outer mode — inner engines always run with analysis off).
+    set.  ``analysis="off"`` and empty batches skip entirely.
     """
-    if analysis is None:
-        analysis = engine.config.analysis
+    analysis = engine.config.analysis
     if analysis == "off" or not receipt.seeds:
         return
     from ..analysis.engine import AnalysisWarning, DesignAnalysisError, analyze_design
@@ -116,8 +106,15 @@ def _check_edit_analysis(
 class GatspiSession(Session):
     """Session over a compiled :class:`GatspiEngine` (or its oracle)."""
 
-    def __init__(self, engine: GatspiEngine, backend_name: str = "gatspi"):
-        super().__init__(backend_name, engine.netlist, engine.config)
+    def __init__(
+        self,
+        engine: GatspiEngine,
+        backend_name: str = "gatspi",
+        config: Optional[SimConfig] = None,
+    ):
+        # ``config`` is what the caller prepared with when the engine runs
+        # a derived one (the sharded session's per-share parallelism).
+        super().__init__(backend_name, engine.netlist, config or engine.config)
         self.engine = engine
         self._last_edit_receipt: Optional[EditReceipt] = None
 
@@ -320,62 +317,3 @@ class ZeroDelayBackend(SimBackend):
         # a zero-delay simulation has no delays to annotate.
         _reject_unknown_options(self.name, options)
         return ZeroDelaySession(ZeroDelaySimulator(netlist), config or SimConfig())
-
-
-# ----------------------------------------------------------------------
-# threaded-cpu
-# ----------------------------------------------------------------------
-class ThreadedCpuSession(Session):
-    """Session over a :class:`PartitionedCpuSimulator`.
-
-    The partition timing report of the most recent run is kept on
-    :attr:`last_report` (the uniform ``run`` contract only returns the
-    :class:`SimulationResult`).
-    """
-
-    def __init__(self, simulator: PartitionedCpuSimulator):
-        super().__init__("threaded-cpu", simulator.netlist, simulator.config)
-        self.simulator = simulator
-        self.last_report: Optional[PartitionedRunReport] = None
-
-    def _run(
-        self,
-        stimulus: Mapping[str, Waveform],
-        cycles: int,
-        duration: int,
-    ) -> SimulationResult:
-        result, report = self.simulator.run(stimulus, duration=duration)
-        self.last_report = report
-        return result
-
-
-@register_backend("threaded-cpu")
-class ThreadedCpuBackend(SimBackend):
-    name = "threaded-cpu"
-    capabilities = BackendCapabilities(
-        delay_aware=True,
-        glitch_accurate=True,
-        waveforms=True,
-        phase_timings=True,
-        description="Partitioned (OpenMP-style) CPU port of the GATSPI algorithm",
-    )
-
-    def _prepare(
-        self,
-        netlist: Netlist,
-        annotation: Optional[DelayAnnotation] = None,
-        config: Optional[SimConfig] = None,
-        *,
-        num_workers: int = 32,
-        barrier_overhead: float = 1e-5,
-        **options: Any,
-    ) -> ThreadedCpuSession:
-        _reject_unknown_options(self.name, options)
-        simulator = PartitionedCpuSimulator(
-            netlist,
-            annotation=annotation,
-            config=config,
-            num_workers=num_workers,
-            barrier_overhead=barrier_overhead,
-        )
-        return ThreadedCpuSession(simulator)

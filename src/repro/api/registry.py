@@ -1,14 +1,14 @@
 """String-keyed registry of simulation backends.
 
 The registry is the seam between *flows* (benchmark harness, glitch
-optimization, multi-device distribution, user scripts) and *engines*: a flow
+optimization, serving, user scripts) and *engines*: a flow
 asks for a backend by name and receives an object implementing the
 :class:`~repro.api.backend.SimBackend` protocol, never a concrete simulator
 class.  New engines (sharded, cached, remote) plug in with
 ``@register_backend("my-name")`` without touching any flow code.
 
 Backend *specs* extend plain names with prepare-time options so flow
-configuration (benchmark CLIs, multi-device runs) can select engine variants
+configuration (benchmark CLIs, serve requests) can select engine variants
 without code changes: ``"gatspi:device=torch"`` resolves to the ``gatspi``
 backend with ``prepare(..., device="torch")``.
 """
@@ -125,7 +125,7 @@ def parse_backend_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
     A bare name parses to ``(name, {})``.  Values are coerced to
     ``bool``/``int``/``float`` when they look like one, otherwise kept as
     strings — e.g. ``"gatspi:device=torch"`` or
-    ``"threaded-cpu:num_workers=8"``.
+    ``"gatspi-sharded:shards=4,workers=process:2"``.
     """
     if not spec or not isinstance(spec, str):
         raise ValueError("backend spec must be a non-empty string")

@@ -16,10 +16,11 @@ once (the serving layer does exactly that when concurrent requests share a
 compiled design).  Calls serialize on a per-session lock around the
 backend dispatch and the stats/counter mutation — a session executes one
 run at a time, because the concrete engines keep per-run state (memory
-pools, timing accumulators, ``last_report``-style fields) that is not
-re-entrant.  Callers wanting parallel runs over one design should prepare
-several sessions (the compile cache makes the extra ``prepare()`` calls
-share one compile) or use the ``gatspi-sharded`` backend.
+pools, timing accumulators) that is not re-entrant.  Callers wanting
+parallel runs over one design should prepare several sessions (the compile
+cache makes the extra ``prepare()`` calls share one compile) or run one
+session's shares on process workers (``gatspi-sharded`` with
+``workers=process``).
 """
 
 from __future__ import annotations

@@ -1,67 +1,56 @@
 """The ``gatspi-sharded`` backend: window-axis sharding behind the registry.
 
 The paper's multi-GPU strategy (Section 5) partitions the cycle-parallel
-window axis across devices.  This backend is that strategy as a first-class
+window axis across devices: ``32 * n`` windows on ``n`` GPUs, kernel time
+``t = t1 / n + ovr``.  This backend is that strategy as a first-class
 :class:`~repro.api.backend.SimBackend`: one ``run()`` carves the horizon
-into contiguous shares (via the same :mod:`~repro.core.sharding` planner
-``simulate_multi_gpu`` uses), executes each share on a worker-thread pool —
-one prepared ``gatspi`` session per worker, all sharing one compile through
-the process-wide compile cache — and merges the per-share results (toggle
-counts, stats, stitched waveforms) into a result **bit-identical** to a
-single-session ``gatspi`` run.
+into ``shards`` contiguous shares (:func:`~repro.core.sharding.plan_shards`),
+simulates each share — extended backwards by the engine's settle margin so
+events still propagating across a boundary are reproduced exactly — and
+merges the shares (toggle counts, stats, stitched waveforms) into a result
+**bit-identical** to a single-session ``gatspi`` run.  Each share runs with
+``ceil(cycle_parallelism / shards)`` windows, so the *total* parallelism
+stays at the configured value.
 
-Because it implements the standard backend protocol, every flow drives it
-by name: ``bench/runner.py`` benchmarks it, the differential suite holds
-it to the single-session pipeline, and :mod:`repro.serve` serves it, e.g.
-with the spec ``"gatspi-sharded:shards=4"``.
+Shares execute on one of two executors, picked by the ``workers`` option:
 
-Two design decisions matter for throughput:
+* **In the parent** (default): one after another on the session's single
+  ``gatspi`` engine.  Deterministic, no extra processes; this is what the
+  differential / golden / incremental suites use to pin partition + merge
+  exactness.  It is not a speed-up — partitioning pays per-share level
+  batches, settle margins and a per-net merge that only parallel execution
+  could win back (``shards=2`` measured 0.38 s against 0.18 s for plain
+  ``gatspi`` on an 812-gate design, 200 cycles, 2 cores; a thread pool over
+  the same two shares measured the same 0.38 s under the GIL, which is why
+  there is none).  ``shards=1``, the default, is a zero-overhead passthrough.
+* **On process workers** (``workers="process"`` / ``"process:N"``, spec
+  ``"gatspi-sharded:shards=4,workers=process"``): each share runs in a
+  spawned OS process, GIL-free.  The packed design tensors are exported
+  once into a ``multiprocessing.shared_memory`` segment
+  (:mod:`repro.core.shm`) and every worker attaches them read-only, so the
+  per-worker cost is one levelize plus zero-copy views.  Workers compile a
+  normal ``gatspi`` engine around the attached tensors, so results stay
+  bit-identical.  Bare ``"process"`` partitions only as wide as the machine
+  (``min(shards, os.cpu_count())``); ``"process:N"`` pins the pool width
+  and keeps the full partition count.  Measured 0.79–1.06x of ``gatspi``
+  at 1000 cycles on 2 cores — near break-even, the only mode that can
+  scale with cores.  Process sessions are host-only (``device="numpy"``)
+  and refuse in-place edits; :meth:`ShardedGatspiSession.close` (or
+  dropping the session) shuts the pool down and unlinks the segment.
 
-* **Adaptive shard width.**  Partitioning pays real per-share costs (extra
-  level batches, settle margins, per-net merge work) that only *parallel*
-  execution can win back.  ``shards`` is therefore a cap: unless a worker
-  count is pinned explicitly, the session partitions only as wide as the
-  machine can actually execute in parallel (``os.cpu_count()``), down to a
-  zero-overhead single-session passthrough on one core — the no-regression
-  guarantee the serving benchmark enforces.  Passing ``workers=N``
-  explicitly forces an ``N``-wide pool with the full requested partition
-  count (the differential suite uses this to exercise real sharding on any
-  machine).
-* **Batched runs** (:meth:`ShardedGatspiSession.run_many`).  Requests for
-  one compiled design can be *fused along the time axis* — laid out back
-  to back with settle pads, executed as one engine run, and sliced apart
-  bit-exactly (:func:`~repro.core.sharding.plan_fusion` /
-  :func:`~repro.core.sharding.fuse_stimuli` /
-  :func:`~repro.core.sharding.split_fused_waveform`).  One fused run pays
-  the engine's per-level-batch and per-net fixed costs once per *batch*
-  instead of once per *request*, which is what makes micro-batched serving
-  (:mod:`repro.serve`) faster than serializing single-session runs even on
-  one core.
+A user-pinned ``window_overlap`` may be smaller than the critical path, in
+which case partitioning is not exactness-preserving; such sessions always
+run the single-share passthrough.
 
-Shares normally execute on worker *threads* — the numpy kernels release
-the GIL only partially, so thread shards stop scaling once the Python-side
-scheduling work saturates one core.  ``workers="process"`` (spec
-``"gatspi-sharded:shards=4,workers=process"``; ``"process:N"`` pins the
-pool width) runs each share in a separate spawned OS process instead.  The
-packed design tensors are exported once into a
-``multiprocessing.shared_memory`` segment (:mod:`repro.core.shm`) and every
-worker attaches them read-only, so the per-worker cost is one levelize plus
-zero-copy views — not a duplicate of the design tensors.  Workers rebuild a
-normal ``gatspi`` session around the attached tensors through the regular
-compile path, so process shards stay bit-identical to thread shards and to
-single-session runs.  Process sessions are host-only (``device="numpy"``)
-and do not support in-place edits (:meth:`ShardedGatspiSession.apply_edits`
-/ :meth:`~ShardedGatspiSession.rerun` raise); call
-:meth:`ShardedGatspiSession.close` (or drop the session) to shut the pool
-down and unlink the shared segment.
-
-Sharded runs keep the *total* cycle parallelism at the configured value:
-each share runs with ``ceil(cycle_parallelism / shards)`` windows,
-mirroring the paper's ``32 * n`` windows across ``n`` GPUs.  Each share's
-stimulus is extended backwards by the engine's settle margin so events
-still propagating across a shard boundary are reproduced exactly; the
-margin region is trimmed from the share outputs before stitching, exactly
-as the engine trims its own windows.
+**Batched runs** (:meth:`ShardedGatspiSession.run_many`) are the other axis:
+requests for one compiled design are *fused along the time axis* — laid out
+back to back with settle pads, executed as one engine run, and sliced apart
+bit-exactly (:func:`~repro.core.sharding.plan_fusion` /
+:func:`~repro.core.sharding.fuse_stimuli` /
+:func:`~repro.core.sharding.split_fused_waveform`).  One fused run pays the
+engine's per-level-batch and per-net fixed costs once per *batch* instead
+of once per *request* (measured 1.34–1.87x over four serial runs), which is
+what micro-batched serving (:mod:`repro.serve`) rides on.
 """
 
 from __future__ import annotations
@@ -70,8 +59,8 @@ import multiprocessing
 import os
 import time
 import weakref
-from collections import OrderedDict, deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -84,7 +73,7 @@ from ..core.contract import (
     validate_stimulus,
 )
 from ..core.edits import Edit, EditReceipt
-from ..core.engine import RETAINED_RUN_CAPACITY, _RetainedRun
+from ..core.engine import GatspiEngine
 from ..core.restructure import (
     SourceEvents,
     StreamingSourceEvents,
@@ -109,9 +98,9 @@ from ..core.sharding import (
 from ..core.waveform import Waveform
 from ..netlist import Netlist
 from ..sdf.annotate import DelayAnnotation
+from .adapters import GatspiSession, _reject_unknown_options
 from .backend import BackendCapabilities, SimBackend
 from .registry import register_backend
-from .session import Session
 
 
 @dataclass(frozen=True)
@@ -127,15 +116,15 @@ class RunSpec:
 # Process-shard worker plumbing
 # ----------------------------------------------------------------------
 #: Per-worker-process state: the attached shared-memory design and the
-#: ``gatspi`` session rebuilt around it.  Populated once by the pool
+#: ``gatspi`` engine compiled around it.  Populated once by the pool
 #: initializer; worker processes are single-threaded, so no lock.
 _WORKER_STATE: Dict[str, Any] = {}
 
 
 def _process_worker_init(
     netlist: Netlist,
-    annotation: Optional[DelayAnnotation],
-    inner_config: SimConfig,
+    annotation: DelayAnnotation,
+    share_config: SimConfig,
     manifest: "design_shm.DesignManifest",
 ) -> None:
     """Initializer of one spawned shard worker.
@@ -143,26 +132,24 @@ def _process_worker_init(
     Attaches the parent's shared design tensors and compiles a normal
     ``gatspi`` engine around them (``compile(packed=...)`` skips only the
     pack/upload step), so shard execution in the worker runs the exact
-    code path thread shards run in the parent.
+    code path in-parent shares run.
     """
-    from ..core.engine import GatspiEngine
-    from .adapters import GatspiSession
-
     attachment = design_shm.attach_packed_design(manifest)
-    engine = GatspiEngine(netlist, annotation=annotation, config=inner_config)
+    engine = GatspiEngine(netlist, annotation=annotation, config=share_config)
     engine.compile(packed=attachment.packed)
     # The attachment must outlive the engine: the packed tensors are
     # zero-copy views into its mapping.
     _WORKER_STATE["attachment"] = attachment
-    _WORKER_STATE["session"] = GatspiSession(engine)
+    _WORKER_STATE["engine"] = engine
 
 
 def _process_run_shard(
     stimulus: Mapping[str, Waveform], duration: int
 ) -> SimulationResult:
-    """Run one share on this worker's session (executed in the worker)."""
-    session = _WORKER_STATE["session"]
-    return session.run(stimulus, duration=duration)
+    """Run one share on this worker's engine (executed in the worker)."""
+    return _WORKER_STATE["engine"].simulate(
+        stimulus, duration=duration, retain=False
+    )
 
 
 def _process_run_stream_chunk(
@@ -177,12 +164,11 @@ def _process_run_stream_chunk(
     The worker keeps one private stream pool recycled across chunks
     (engine state), so its RSS stays flat over arbitrarily long runs; the
     per-chunk stats/timings ride back with the batch so the parent can
-    merge serial-equivalent costs exactly like thread mode.
+    merge serial-equivalent costs.
     """
-    session = _WORKER_STATE["session"]
     timings = PhaseTimings()
     stats = SimulationStats(segments=0)
-    batch = session.engine.run_stream_chunk(
+    batch = _WORKER_STATE["engine"].run_stream_chunk(
         span,
         chunk_index,
         chunk_start,
@@ -210,15 +196,15 @@ def _release_process_resources(
         shared.close()
 
 
-class ShardedGatspiSession(Session):
-    """One compiled design, simulated in window-axis shards on a pool.
+class ShardedGatspiSession(GatspiSession):
+    """One compiled design, simulated in window-axis shares.
 
-    Holds one inner ``gatspi`` session per worker; all of them share one
-    compile via the content-fingerprint compile cache, so preparing this
-    session costs a single compilation regardless of the worker count.
-    Inner sessions are thread-safe (each serializes its own runs), and a
-    share is pinned to exactly one inner session, so concurrent shares
-    never contend on engine state.
+    A :class:`~repro.api.adapters.GatspiSession` whose single in-parent
+    engine runs with the per-share window count: it executes the shares
+    itself (default), or — with ``process_workers`` — serves the
+    single-share passthrough, incremental reruns, the merge metadata and
+    the compiled tensors the shared segment is exported from, while the
+    shares run in the worker processes.
     """
 
     def __init__(
@@ -226,95 +212,52 @@ class ShardedGatspiSession(Session):
         netlist: Netlist,
         annotation: Optional[DelayAnnotation],
         config: SimConfig,
-        shards: int,
-        workers: Optional[int],
-        worker_mode: str = "thread",
+        shards: int = 1,
+        process_workers: Optional[int] = None,
     ):
-        super().__init__("gatspi-sharded", netlist, config)
         if shards < 1:
             raise ValueError("shards must be at least 1")
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be at least 1")
-        if worker_mode not in ("thread", "process"):
-            raise ValueError(
-                f"worker_mode must be 'thread' or 'process', got {worker_mode!r}"
-            )
-        if worker_mode == "process" and config.device != "numpy":
-            raise ValueError(
-                "workers='process' requires the numpy device: the design "
-                "tensors are shared between processes via host shared "
-                "memory, which device arrays cannot live in"
-            )
-        self._worker_mode = worker_mode
-        self._annotation = annotation
-        self._requested_shards = shards
+        if process_workers is not None:
+            if process_workers < 1:
+                raise ValueError("workers must be at least 1")
+            if config.device != "numpy":
+                raise ValueError(
+                    "workers='process' requires the numpy device: the design "
+                    "tensors are shared between processes via host shared "
+                    "memory, which device arrays cannot live in"
+                )
+            process_workers = min(process_workers, shards)
         if config.window_overlap is not None:
             # A user-pinned settle margin may be smaller than the critical
             # path, in which case partitioning is not exactness-preserving
             # (the same reason run_many refuses to fuse): fall back to a
             # single full-range shard so the bit-identity contract against
             # single-session gatspi holds for every config.
-            self._shards = 1
-            self._workers = 1
-        elif workers is None:
-            # Adaptive width: never partition wider than the machine can
-            # execute in parallel — per-share costs without parallel payoff
-            # would regress straight-line throughput.
-            self._workers = max(1, min(shards, os.cpu_count() or 1))
-            self._shards = self._workers
-        else:
-            self._workers = min(workers, shards)
-            self._shards = shards
-        # Keep the *total* window count at the configured parallelism:
-        # each share gets its slice of the cycle-parallel axis.
-        inner_parallelism = max(1, -(-config.cycle_parallelism // self._shards))
-        # Shares always keep waveforms internally: exact merging trims and
-        # stitches share outputs, which needs the per-share waveforms even
-        # when the caller only wants toggle counts.  Consequence: with
-        # ``store_waveforms=False`` the merged counts are the stitched-exact
-        # (waveform-mode) counts — seam toggles counted once — not the
-        # engine's counts-only shortcut of summing per-window trimmed counts.
-        # ``analysis="off"``: the outer (template-method) ``prepare`` already
-        # analyzed the design once under the caller's mode; re-running it per
-        # inner worker would duplicate warnings without new information.
-        self._inner_config = config.with_updates(
-            cycle_parallelism=inner_parallelism,
-            store_waveforms=True,
-            analysis="off",
+            shards = 1
+        self._shards = shards
+        self._process_workers = process_workers
+        engine = GatspiEngine(
+            netlist,
+            annotation=annotation,
+            config=config.with_updates(
+                # Keep the *total* window count at the configured
+                # parallelism: each share gets its slice of the axis.
+                cycle_parallelism=max(1, -(-config.cycle_parallelism // shards)),
+                # Exact merging trims and stitches share outputs, which
+                # needs the per-share waveforms even when the caller only
+                # wants toggle counts.  Consequence: counts-only results
+                # are the stitched-exact (waveform-mode) counts — seam
+                # toggles counted once — not the engine's counts-only
+                # shortcut of summing per-window trimmed counts.
+                store_waveforms=True,
+            ),
         )
-        from .registry import get_backend  # local: avoids import cycles
-
-        backend = get_backend("gatspi")
-        # Process mode keeps exactly one in-parent session: it serves the
-        # single-shard passthrough, the merge metadata, and the compiled
-        # tensors the shared segment is exported from; the shard-executing
-        # sessions live in the worker processes instead.
-        inner_count = 1 if worker_mode == "process" else self._workers
-        self._inner_sessions = [
-            backend.prepare(netlist, annotation=annotation, config=self._inner_config)
-            for _ in range(inner_count)
-        ]
-        engine = self._inner_sessions[0].engine
-        self._overlap = engine.window_overlap
-        self._gate_output_nets = tuple(
-            gate.output_net for gate in engine.compiled.gates.values()
-        )
-        # Incremental rerun keeps full-range *merged* results at this level
-        # (keyed by the first engine's journal fingerprint); the inner
-        # engines must not retain their per-share slices, which are useless
-        # as rerun baselines and would pin share-sized waveform sets.
-        for inner in self._inner_sessions:
-            inner.engine.retain_results = False
-        self._retained: "OrderedDict[str, _RetainedRun]" = OrderedDict()
-        self._last_edit_receipt: Optional[EditReceipt] = None
-        # Session-lifetime worker pool, created lazily by the first
-        # multi-shard run (serving hot path: no per-run thread spawn/join)
-        # and shut down when the session is garbage collected.
-        self._pool: Optional[ThreadPoolExecutor] = None
-        # Process-mode resources, also created lazily by the first
-        # multi-shard run: the spawned worker pool and the shared-memory
-        # export of the packed design every worker attaches.  Torn down by
-        # close() or, failing that, the finalizer at garbage collection.
+        engine.compile()
+        super().__init__(engine, "gatspi-sharded", config)
+        # Process-mode resources, created lazily by the first multi-shard
+        # run: the spawned worker pool and the shared-memory export of the
+        # packed design every worker attaches.  Torn down by close() or,
+        # failing that, the finalizer at garbage collection.
         self._process_pool: Optional[ProcessPoolExecutor] = None
         self._shared_design: Optional[design_shm.SharedDesign] = None
         self._process_finalizer: Optional[weakref.finalize] = None
@@ -324,39 +267,23 @@ class ShardedGatspiSession(Session):
     # ------------------------------------------------------------------
     @property
     def shard_count(self) -> int:
-        """Effective partition width of every run (adaptive, see module)."""
+        """Shares every run is partitioned into (1 = passthrough)."""
         return self._shards
 
     @property
-    def requested_shards(self) -> int:
-        """The ``shards`` cap the session was prepared with."""
-        return self._requested_shards
-
-    @property
     def worker_count(self) -> int:
-        """Worker threads or processes shares execute on."""
-        return self._workers
-
-    @property
-    def worker_mode(self) -> str:
-        """``"thread"`` (default) or ``"process"`` (GIL-free shards)."""
-        return self._worker_mode
-
-    @property
-    def compile_cache_hit(self) -> bool:
-        """Whether the *first* inner prepare reused a cached compile."""
-        return self._inner_sessions[0].engine.compile_cache_hit
+        """Process workers shares run on (0: they run in the parent)."""
+        return self._process_workers or 0
 
     # ------------------------------------------------------------------
-    # Lifecycle (process mode)
+    # Lifecycle (process workers)
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release process-shard resources: pool shutdown + segment unlink.
+        """Release process-worker resources: pool shutdown + segment unlink.
 
-        Idempotent; a no-op for thread-mode sessions (their pool is torn
-        down by the garbage-collection finalizer) and for process sessions
-        that never ran multi-shard.  After ``close()`` the session still
-        serves single-shard passthrough runs on the in-parent session.
+        Idempotent; a no-op for sessions that never spawned workers.
+        After ``close()`` the session still serves single-share
+        passthrough runs on the in-parent engine.
         """
         finalizer = self._process_finalizer
         self._process_pool = None
@@ -374,18 +301,18 @@ class ShardedGatspiSession(Session):
         initializer, so the export must stay linked until ``close()``.
         """
         if self._process_pool is None:
-            engine = self._inner_sessions[0].engine
+            engine = self.engine
             self._shared_design = design_shm.export_packed_design(
                 engine.packed_design
             )
             self._process_pool = ProcessPoolExecutor(
-                max_workers=self._workers,
+                max_workers=self._process_workers,
                 mp_context=multiprocessing.get_context("spawn"),
                 initializer=_process_worker_init,
                 initargs=(
-                    self._netlist,
-                    self._annotation,
-                    self._inner_config,
+                    engine.netlist,
+                    engine.annotation,
+                    engine.config,
                     self._shared_design.manifest,
                 ),
             )
@@ -407,66 +334,63 @@ class ShardedGatspiSession(Session):
         duration: int,
     ) -> SimulationResult:
         result = self._execute(stimulus, duration)
-        # Retain before the waveform clear below: rerun baselines need the
-        # full merged waveforms (retention is skipped entirely when the
-        # session never stores them, so the clear cannot corrupt the store).
-        self._retain(stimulus, duration, result)
-        if not self._config.store_waveforms:
+        if self._config.store_waveforms:
+            # The merged full-range result is the rerun base, never a share.
+            self.engine.retain(stimulus, duration, result)
+        else:
             result.waveforms.clear()
         return result
 
-    def _retain(
-        self,
-        stimulus: Mapping[str, Waveform],
-        duration: int,
-        result: SimulationResult,
-    ) -> None:
-        if not self._config.store_waveforms:
-            return
-        key = self._inner_sessions[0].engine.journal.fingerprint()
-        self._retained[key] = _RetainedRun(
-            stimulus=dict(stimulus), duration=duration, result=result
+    def _execute(
+        self, stimulus: Mapping[str, Waveform], duration: int
+    ) -> SimulationResult:
+        """Sharded execution; the result always carries waveforms."""
+        plan = plan_shards(
+            duration, self._shards, overlap=self.engine.window_overlap
         )
-        self._retained.move_to_end(key)
-        while len(self._retained) > RETAINED_RUN_CAPACITY:
-            self._retained.popitem(last=False)
+        if len(plan) == 1:
+            # Zero-overhead passthrough: a single full-range shard is
+            # exactly a single-session run.
+            return self.engine.simulate(stimulus, duration=duration, retain=False)
+        # Both executors take the same slices and return results in plan
+        # order, so merging — and therefore the answer — is identical.
+        slices = (
+            slice_stimulus(stimulus, shard.ext_start, shard.end) for shard in plan
+        )
+        if self._process_workers is None:
+            share_results = [
+                self.engine.simulate(
+                    share, duration=shard.run_duration, retain=False
+                )
+                for shard, share in zip(plan, slices)
+            ]
+        else:
+            # The executor queues excess shares behind the worker count.
+            pool = self._ensure_process_pool()
+            futures = [
+                pool.submit(_process_run_shard, share, shard.run_duration)
+                for shard, share in zip(plan, slices)
+            ]
+            share_results = [future.result() for future in futures]
+        return self._merge(stimulus, plan, share_results, duration)
 
     # ------------------------------------------------------------------
-    # Incremental re-simulation
+    # Incremental re-simulation (the in-parent engine; never process mode)
     # ------------------------------------------------------------------
-    @property
-    def last_edit_receipt(self) -> Optional[EditReceipt]:
-        """Receipt of the most recent :meth:`rerun`/:meth:`apply_edits`."""
-        return self._last_edit_receipt
-
-    def _sync_inner_engines(self) -> None:
-        """Propagate the first engine's post-edit state to every worker."""
-        engine0 = self._inner_sessions[0].engine
-        for inner in self._inner_sessions[1:]:
-            inner.engine.adopt(engine0)
-        self._overlap = engine0.window_overlap
-        self._gate_output_nets = tuple(
-            gate.output_net for gate in engine0.compiled.gates.values()
-        )
-
-    def _reject_edits_in_process_mode(self) -> None:
-        if self._worker_mode == "process":
+    def _reject_edits_on_process_workers(self) -> None:
+        if self._process_workers is not None:
             # Worker engines live in other processes; there is no channel
             # to re-sync their compiled state after an in-place edit, and
             # silently editing only the parent would break bit-identity.
             raise NotImplementedError(
                 "process-shard sessions do not support in-place edits; "
                 "prepare a new session for the edited design "
-                "(or use workers=thread)"
+                "(or drop workers=process)"
             )
 
     def apply_edits(self, edits: Sequence[Edit]) -> EditReceipt:
-        self._reject_edits_in_process_mode()
-        with self._run_lock:
-            receipt = self._inner_sessions[0].engine.apply_edits(list(edits))
-            self._sync_inner_engines()
-            self._last_edit_receipt = receipt
-        return receipt
+        self._reject_edits_on_process_workers()
+        return super().apply_edits(edits)
 
     def rerun(
         self,
@@ -476,98 +400,20 @@ class ShardedGatspiSession(Session):
         cycles: Optional[int] = None,
         duration: Optional[int] = None,
     ) -> SimulationResult:
-        from .adapters import _check_edit_analysis
-
-        self._reject_edits_in_process_mode()
+        self._reject_edits_on_process_workers()
         with self._run_lock:
-            engine0 = self._inner_sessions[0].engine
-            receipt = engine0.apply_edits(list(edits))
-            try:
-                _check_edit_analysis(engine0, receipt, self._config.analysis)
-                retained = self._retained.get(receipt.parent_journal)
-                if stimulus is None and retained is not None:
-                    stimulus = retained.stimulus
-                if duration is None and cycles is None and retained is not None:
-                    duration = retained.duration
-                result = engine0.resimulate(
-                    receipt,
-                    stimulus,
-                    cycles=cycles,
-                    duration=duration,
-                    previous=retained.result if retained is not None else None,
-                )
-            except Exception:
-                engine0.apply_edits(receipt.undo_edits)
-                self._sync_inner_engines()
-                raise
-            self._sync_inner_engines()
-            self._last_edit_receipt = receipt
-            if stimulus is not None:
-                self._retain(stimulus, result.duration, result)
+            result = super().rerun(
+                edits, stimulus=stimulus, cycles=cycles, duration=duration
+            )
             if not self._config.store_waveforms:
+                # The dict is shared with the engine's retained copy, so the
+                # next rerun of a counts-only session falls back to a full
+                # run, as a counts-only gatspi session's does.
                 result.waveforms.clear()
-            self._finalize_stats(result, result.stats.cycles)
-            self._runs_completed += 1
         return result
 
-    def _execute(
-        self, stimulus: Mapping[str, Waveform], duration: int
-    ) -> SimulationResult:
-        """Sharded execution; the result always carries waveforms."""
-        plan = plan_shards(duration, self._shards, overlap=self._overlap)
-        if len(plan) == 1:
-            # Zero-overhead passthrough: a single full-range shard is
-            # exactly a single-session run (the inner config keeps
-            # waveforms, which `_run` drops again if asked to).
-            return self._inner_sessions[0].run(stimulus, duration=duration)
-        share_results = self._run_shards(stimulus, plan)
-        return self._merge(stimulus, plan, share_results, duration)
-
-    def _run_shards(
-        self, stimulus: Mapping[str, Waveform], plan: Sequence[Shard]
-    ) -> List[SimulationResult]:
-        """Execute every shard, fanned out across the inner sessions.
-
-        Shard ``k`` runs on inner session ``k % workers``; with more
-        shards than workers the extra shards queue up behind their
-        session's lock, bounding concurrency at the worker count.
-
-        In process mode each share is sliced here in the parent (the same
-        slice thread mode takes) and submitted to the spawned pool; the
-        executor queues excess shares behind the worker count, and results
-        come back in plan order, so merging is identical to thread mode —
-        which is what keeps the two modes bit-identical.
-        """
-        if self._worker_mode == "process":
-            pool = self._ensure_process_pool()
-            futures = [
-                pool.submit(
-                    _process_run_shard,
-                    slice_stimulus(stimulus, shard.ext_start, shard.end),
-                    shard.run_duration,
-                )
-                for shard in plan
-            ]
-            return [future.result() for future in futures]
-
-        def run_shard(shard: Shard) -> SimulationResult:
-            session = self._inner_sessions[shard.index % self._workers]
-            share_stimulus = slice_stimulus(stimulus, shard.ext_start, shard.end)
-            return session.run(share_stimulus, duration=shard.run_duration)
-
-        if self._workers == 1:
-            return [run_shard(shard) for shard in plan]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._workers, thread_name_prefix="gatspi-shard"
-            )
-            weakref.finalize(
-                self, ThreadPoolExecutor.shutdown, self._pool, wait=False
-            )
-        return list(self._pool.map(run_shard, plan))
-
     # ------------------------------------------------------------------
-    # Streaming replay (chunk pipelining across the worker pool)
+    # Streaming replay
     # ------------------------------------------------------------------
     def _stream_batches(
         self,
@@ -577,98 +423,52 @@ class ShardedGatspiSession(Session):
         timings: PhaseTimings,
         stats: SimulationStats,
     ) -> Iterator[StreamBatch]:
-        """Stream chunks through the worker pool, yielding in chunk order.
+        """Stream chunks, pipelined across process workers when there are any.
 
         Streaming parallelism is *pipelined*, not partitioned: the parent
         owns the stimulus stream (spans must be pulled sequentially), so
         it pulls each chunk's span, ships it to a worker
-        (:meth:`~repro.core.engine.GatspiEngine.run_stream_chunk`), and
-        keeps up to ``workers`` chunks in flight — thread mode pins chunk
-        ``k`` to inner session ``k % workers`` so one engine never runs
-        two chunks at once, process mode lets the spawned pool schedule
-        freely (every worker keeps its own recycled stream pool).  Batches
-        are yielded strictly in chunk order, which the online accumulator
-        requires; each worker derives its own window geometry from the
-        chunk span, exact under the shared critical-path settle margin.
+        (:meth:`~repro.core.engine.GatspiEngine.run_stream_chunk`; every
+        worker keeps its own recycled stream pool) and keeps up to
+        ``workers`` chunks in flight.  Batches are yielded strictly in
+        chunk order, which the online accumulator requires; each worker
+        derives its own window geometry from the chunk span, exact under
+        the shared critical-path settle margin.  With fewer than two
+        workers there is nothing to overlap and this is the in-parent
+        engine's own stream.
         """
-        # The parent pulls spans through the first inner engine's geometry
-        # (every inner engine shares the compiled design and settle margin).
-        pulled_spans = self._inner_sessions[0].engine.pull_spans(
-            source, duration, chunk_cycles, timings
-        )
+        width = self._process_workers or 1
+        if width == 1:
+            yield from super()._stream_batches(
+                source, duration, chunk_cycles, timings, stats
+            )
+            return
+        pool = self._ensure_process_pool()
         stats.streamed = True
         stats.segments = 0
-        stats.shards = self._workers
-
-        def run_chunk_inline(
-            job: Tuple[SourceEvents, int, int, int]
-        ) -> Tuple[StreamBatch, SimulationStats, PhaseTimings]:
-            chunk_index = job[1]
-            inner = self._inner_sessions[chunk_index % len(self._inner_sessions)]
-            chunk_timings = PhaseTimings()
-            chunk_stats = SimulationStats(segments=0)
-            with inner._run_lock:
-                batch = inner.engine.run_stream_chunk(
-                    *job, duration, timings=chunk_timings, stats=chunk_stats
-                )
-            return batch, chunk_stats, chunk_timings
-
-        width = self._workers
-        submit = None
-        if width > 1 and self._worker_mode == "process":
-            pool = self._ensure_process_pool()
-            submit = lambda job: pool.submit(  # noqa: E731
-                _process_run_stream_chunk, *job, duration
-            )
-        elif width > 1:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._workers, thread_name_prefix="gatspi-shard"
-                )
-                weakref.finalize(
-                    self, ThreadPoolExecutor.shutdown, self._pool, wait=False
-                )
-            submit = lambda job: self._pool.submit(run_chunk_inline, job)  # noqa: E731
-
-        def fold(
-            outcome: Tuple[StreamBatch, SimulationStats, PhaseTimings]
-        ) -> StreamBatch:
-            batch, chunk_stats, chunk_timings = outcome
-            self._merge_chunk_stats(stats, timings, chunk_stats, chunk_timings)
-            return batch
-
-        if submit is None:
-            for job in pulled_spans:
-                yield fold(run_chunk_inline(job))
-            return
+        stats.shards = width
         pending: "deque" = deque()
-        for job in pulled_spans:
-            pending.append(submit(job))
+        for job in self.engine.pull_spans(source, duration, chunk_cycles, timings):
+            pending.append(pool.submit(_process_run_stream_chunk, *job, duration))
             if len(pending) >= width:
-                yield fold(pending.popleft().result())
+                yield self._fold_chunk(stats, timings, *pending.popleft().result())
         while pending:
-            yield fold(pending.popleft().result())
+            yield self._fold_chunk(stats, timings, *pending.popleft().result())
 
     @staticmethod
-    def _merge_chunk_stats(
+    def _fold_chunk(
         stats: SimulationStats,
         timings: PhaseTimings,
+        batch: StreamBatch,
         chunk_stats: SimulationStats,
         chunk_timings: PhaseTimings,
-    ) -> None:
-        """Fold one chunk's workload stats into the run totals.
+    ) -> StreamBatch:
+        """Fold one worker chunk's workload stats into the run totals.
 
-        Additive counters sum, high-water marks take the max, and the
-        execution descriptors are adopted from the first chunk — the same
-        serial-equivalent accounting :meth:`_merge` applies to shards.
+        Additive counters sum and high-water marks take the max — the
+        same serial-equivalent accounting :meth:`_merge` applies to shards
+        (a streamed chunk carries no design descriptors to adopt).
         """
-        if stats.chunks == 0:
-            stats.gate_count = chunk_stats.gate_count
-            stats.levels = chunk_stats.levels
-            stats.widest_level = chunk_stats.widest_level
-            stats.kernel_mode = chunk_stats.kernel_mode
-            stats.restructure_mode = chunk_stats.restructure_mode
-            stats.device = chunk_stats.device
         stats.windows += chunk_stats.windows
         stats.segments += chunk_stats.segments
         stats.chunks += chunk_stats.chunks
@@ -680,12 +480,8 @@ class ShardedGatspiSession(Session):
         stats.max_batch_tasks = max(
             stats.max_batch_tasks, chunk_stats.max_batch_tasks
         )
-        timings.host_to_device += chunk_timings.host_to_device
-        timings.scheduling += chunk_timings.scheduling
-        timings.kernel += chunk_timings.kernel
-        timings.readback += chunk_timings.readback
-        timings.restructure += chunk_timings.restructure
-        timings.dump += chunk_timings.dump
+        timings.add(chunk_timings)
+        return batch
 
     def _merge(
         self,
@@ -699,19 +495,13 @@ class ShardedGatspiSession(Session):
         Source nets take their counts (and waveforms) from the original
         stimulus; gate outputs are trimmed to their shard's owned range
         and stitched through the engine's seam rules.  Phase timings are
-        summed across shards — the serial-equivalent cost, mirroring
-        ``MultiGpuResult.serial_kernel_runtime`` (wall-clock parallelism
-        is measured by callers, e.g. the serving benchmark).
+        summed across shards — the serial-equivalent cost (wall-clock
+        parallelism is measured by callers, e.g. the serving benchmark).
         """
         merge_start = time.perf_counter()
         timings = PhaseTimings()
         for share in share_results:
-            timings.restructure += share.timings.restructure
-            timings.host_to_device += share.timings.host_to_device
-            timings.scheduling += share.timings.scheduling
-            timings.kernel += share.timings.kernel
-            timings.readback += share.timings.readback
-            timings.dump += share.timings.dump
+            timings.add(share.timings)
 
         first = share_results[0].stats
         stats = SimulationStats(
@@ -742,12 +532,11 @@ class ShardedGatspiSession(Session):
             result.toggle_counts[net] = wave.toggles_in(0, duration - 1)
             result.waveforms[net] = wave
 
+        overlap = self.engine.window_overlap
         total_output_transitions = 0
-        for net in self._gate_output_nets:
+        for net in self._gate_output_nets():
             trimmed = [
-                trim_shard_waveform(
-                    share.waveforms[net], shard, duration, self._overlap
-                )
+                trim_shard_waveform(share.waveforms[net], shard, duration, overlap)
                 for shard, share in zip(plan, share_results)
             ]
             stitched = merge_shard_waveforms(plan, trimmed)
@@ -761,6 +550,10 @@ class ShardedGatspiSession(Session):
         )
         timings.readback += time.perf_counter() - merge_start
         return result
+
+    def _gate_output_nets(self) -> List[str]:
+        """Merge order of the gate outputs (re-read: edits change it)."""
+        return [gate.output_net for gate in self.engine.compiled.gates.values()]
 
     # ------------------------------------------------------------------
     # Batched execution (time-axis request fusion)
@@ -792,7 +585,7 @@ class ShardedGatspiSession(Session):
 
         fusable = (
             len(requests) > 1
-            and self._overlap > 0
+            and self.engine.window_overlap > 0
             and self._config.window_overlap is None
         )
         if fusable:
@@ -809,7 +602,9 @@ class ShardedGatspiSession(Session):
         self, normalized: Sequence[Tuple[int, int, Mapping[str, Waveform]]]
     ) -> Optional[List[SimulationResult]]:
         """One fused engine run for the whole batch (or ``None`` to punt)."""
-        layout = plan_fusion([d for _, d, _ in normalized], self._overlap)
+        layout = plan_fusion(
+            [d for _, d, _ in normalized], self.engine.window_overlap
+        )
         nets = tuple(self._netlist.source_nets())
         fused_stimulus = fuse_stimuli(
             nets, [stimulus for _, _, stimulus in normalized], layout
@@ -879,7 +674,7 @@ class ShardedGatspiSession(Session):
             if store_waveforms:
                 result.waveforms[net] = wave
         total_output_transitions = 0
-        for net in self._gate_output_nets:
+        for net in self._gate_output_nets():
             sliced = split_fused_waveform(fused.waveforms[net], layout, index)
             if store_waveforms:
                 result.waveforms[net] = sliced
@@ -904,8 +699,9 @@ class GatspiShardedBackend(SimBackend):
         waveforms=True,
         phase_timings=True,
         description=(
-            "gatspi with the window axis sharded across a worker pool and "
-            "batched-run fusion; bit-identical to single-session gatspi"
+            "gatspi with the window axis sharded in the parent or across "
+            "process workers, plus batched-run fusion; bit-identical to "
+            "single-session gatspi"
         ),
     )
 
@@ -915,63 +711,55 @@ class GatspiShardedBackend(SimBackend):
         annotation: Optional[DelayAnnotation] = None,
         config: Optional[SimConfig] = None,
         *,
-        shards: int = 4,
-        workers: Optional[Any] = None,
+        shards: int = 1,
+        workers: Optional[str] = None,
         device: Optional[str] = None,
         **options: Any,
     ) -> ShardedGatspiSession:
         """Compile once, ready to simulate in window-axis shares.
 
-        ``shards`` caps the partition count of every subsequent ``run``
-        (spec syntax ``"gatspi-sharded:shards=4"``).  By default the
-        session partitions only as wide as ``os.cpu_count()`` allows
-        (down to a single-session passthrough on one core); pass
-        ``workers=N`` to pin an ``N``-wide pool and force the full
-        requested partition count.  ``workers="process"`` runs shares on
-        spawned worker *processes* instead of threads (GIL-free), with
-        the packed design tensors shared read-only via
-        :mod:`repro.core.shm`; ``workers="process:N"`` additionally pins
-        the pool width and forces the full partition count, exactly like
-        an integer ``workers=N``.  A config with a user-pinned
-        ``window_overlap`` always degrades to the single-shard
-        passthrough — partitioning under a margin the engine cannot
-        vouch for would break the bit-identity contract.  ``device``
-        selects the array backend exactly as for ``gatspi``.
+        ``shards`` is the partition count of every subsequent ``run``
+        (spec syntax ``"gatspi-sharded:shards=4"``; the default 1 is the
+        single-session passthrough).  Shares run one after another in
+        the parent unless ``workers="process"`` puts them on spawned
+        worker processes (GIL-free, design tensors shared read-only via
+        :mod:`repro.core.shm`): bare ``"process"`` partitions only as
+        wide as ``min(shards, os.cpu_count())``, ``"process:N"`` pins an
+        ``N``-wide pool and keeps the full partition count.  A config
+        with a user-pinned ``window_overlap`` always degrades to the
+        single-shard passthrough — partitioning under a margin the
+        engine cannot vouch for would break the bit-identity contract.
+        ``device`` selects the array backend exactly as for ``gatspi``.
         """
-        from .adapters import _reject_unknown_options
-
         _reject_unknown_options(self.name, options)
         if shards < 1:
             raise ValueError("shards must be at least 1")
-        worker_mode = "thread"
-        if isinstance(workers, str):
-            base, sep, width_text = workers.partition(":")
-            if base != "process":
+        process_workers: Optional[int] = None
+        if workers is not None:
+            base, sep, width_text = str(workers).partition(":")
+            if not isinstance(workers, str) or base != "process":
                 raise ValueError(
-                    f"workers must be an integer, 'process', or "
-                    f"'process:N', got {workers!r}"
+                    f"workers must be 'process' or 'process:N', got "
+                    f"{workers!r}: shares run in the parent, or on N "
+                    f"process workers with workers=process:N"
                 )
-            worker_mode = "process"
             if sep:
                 try:
-                    workers = int(width_text)
+                    process_workers = int(width_text)
                 except ValueError:
                     raise ValueError(
                         f"invalid process worker width {width_text!r} in "
-                        f"workers={'process:' + width_text!r}"
+                        f"workers={workers!r}"
                     ) from None
             else:
-                workers = None
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be at least 1")
+                # Per-share costs without parallel payoff would regress
+                # throughput: never partition wider than the machine.
+                shards = process_workers = max(
+                    1, min(shards, os.cpu_count() or 1)
+                )
         config = config or SimConfig()
         if device is not None:
             config = config.with_updates(device=device)
         return ShardedGatspiSession(
-            netlist,
-            annotation,
-            config,
-            shards=shards,
-            workers=workers,
-            worker_mode=worker_mode,
+            netlist, annotation, config, shards, process_workers
         )

@@ -2,7 +2,14 @@
 
 from . import designs
 from .suites import BenchmarkCase, PaperNumbers, case_by_name, representative_cases, table2_cases
-from .runner import BenchmarkArtifacts, BenchmarkRow, prepare_case, run_case, run_suite
+from .runner import (
+    BenchmarkArtifacts,
+    BenchmarkRow,
+    prepare_case,
+    run_case,
+    run_suite,
+    share_kernel_seconds,
+)
 from .tables import TABLE2_HEADER, format_rows, format_table2, table2_rows
 
 __all__ = [
@@ -17,6 +24,7 @@ __all__ = [
     "prepare_case",
     "run_case",
     "run_suite",
+    "share_kernel_seconds",
     "TABLE2_HEADER",
     "format_rows",
     "format_table2",

@@ -9,21 +9,26 @@ paper-scale speedup estimates for the same workload shape.
 
 Backends are resolved through the :mod:`repro.api` registry, so any
 registered engine can be benchmarked against any other:
-``run_case(case, backend="threaded-cpu", baseline_backend="event")``.
+``run_case(case, backend="gatspi-sharded:shards=4", baseline_backend="event")``.
 Backend strings may be full specs with prepare options
 (``backend="gatspi:device=torch"``); ``backend="gatspi-oracle"`` benchmarks
 the per-object reference executors against the array pipeline.
+:func:`share_kernel_seconds` is the measured side of the paper's
+multi-device tables (Table 3's imbalance column, Fig. 6).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
-from ..api import resolve_backend
+from ..api import GatspiSession, resolve_backend
 from ..core.config import SimConfig
+from ..core.restructure import slice_stimulus
 from ..core.results import SimulationResult
+from ..core.sharding import plan_shards
+from ..core.waveform import Waveform
 from ..gpu import ApplicationModel, GpuSpec, KernelPerfModel, KernelWorkload, V100
 from ..netlist import Netlist
 from ..power import summarize_activity
@@ -124,6 +129,30 @@ def prepare_case(case: BenchmarkCase):
     )
     stimulus = stimulus_for_netlist(netlist, spec, kind=case.stimulus_kind)
     return netlist, annotation, stimulus
+
+
+def share_kernel_seconds(
+    session: GatspiSession,
+    stimulus: Mapping[str, Waveform],
+    duration: int,
+    shares: int,
+) -> List[float]:
+    """Kernel seconds of each of ``shares`` window-axis shares of one run.
+
+    The plan ``gatspi-sharded:shards=N`` executes (margin-extended slices
+    of :func:`~repro.core.sharding.plan_shards`), run share by share on a
+    ``gatspi`` ``session`` as one device each would: ``max`` is the
+    parallel kernel runtime of the paper's ``t = t1 / n + ovr``, ``sum``
+    the serial one, ``max / mean`` the uneven-activity load imbalance.
+    """
+    plan = plan_shards(duration, shares, overlap=session.engine.window_overlap)
+    return [
+        session.run(
+            slice_stimulus(stimulus, shard.ext_start, shard.end),
+            duration=shard.run_duration,
+        ).kernel_runtime
+        for shard in plan
+    ]
 
 
 def run_case(

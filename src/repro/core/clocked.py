@@ -37,7 +37,7 @@ next frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -418,13 +418,7 @@ class _ClockedRun:
     # Aggregation
     # ------------------------------------------------------------------
     def _fold(self, result: SimulationResult) -> None:
-        for spec in dataclass_fields(PhaseTimings):
-            setattr(
-                self.timings,
-                spec.name,
-                getattr(self.timings, spec.name)
-                + getattr(result.timings, spec.name),
-            )
+        self.timings.add(result.timings)
         stats = self.stats
         frame = result.stats
         if self._frames_folded == 0:

@@ -207,10 +207,7 @@ class GatspiEngine:
         self._journal = EditJournal()
         self._plan: Optional[ExecutionPlan] = None
         #: Completed runs kept as incremental-rerun bases (LRU, see
-        #: :data:`RETAINED_RUN_CAPACITY`).  Sharded inner engines disable
-        #: retention — their runs cover window sub-ranges, not the full
-        #: horizon an incremental rerun stitches from.
-        self.retain_results = True
+        #: :data:`RETAINED_RUN_CAPACITY`); written by :meth:`retain`.
         self._retained: "OrderedDict[str, _RetainedRun]" = OrderedDict()
         #: Recycled pool for :meth:`run_stream_chunk` (sharded streaming
         #: workers); dropped whenever compiled artifacts change.
@@ -230,8 +227,9 @@ class GatspiEngine:
         """The compile-time struct-of-arrays design tensors (vector kernel).
 
         Built once per compile, materialized on the configured array
-        backend, and reused by every run — including every device share of
-        :func:`~repro.core.multi_gpu.simulate_multi_gpu`.
+        backend, and reused by every run — including every window-axis
+        share of a ``gatspi-sharded`` session (process workers attach the
+        same tensors through :mod:`~repro.core.shm`).
         """
         if self._packed is None:
             self.compile()
@@ -505,21 +503,6 @@ class GatspiEngine:
             compile_cache.store(key, artifacts)
         self._install_artifacts(artifacts, cache_hit=False)
 
-    def adopt(self, other: "GatspiEngine") -> None:
-        """Adopt another engine's design state and compiled artifacts.
-
-        Used by the sharded backend to keep its inner engines coherent
-        after edits are applied through the first one: artifacts do not
-        depend on ``cycle_parallelism``, so sharing them across engines
-        whose configs differ only in window partitioning is exact.
-        """
-        self.netlist = other.netlist
-        self.annotation = other.annotation
-        self._journal = other._journal
-        self._base_compile_key = other._base_compile_key
-        if other._artifacts is not None:
-            self._install_artifacts(other._artifacts, cache_hit=True)
-
     def resimulate(
         self,
         receipt: EditReceipt,
@@ -632,13 +615,19 @@ class GatspiEngine:
                 return False
         return True
 
-    def _retain(
+    def retain(
         self,
         stimulus: Mapping[str, Waveform],
         duration: int,
         result: SimulationResult,
     ) -> None:
-        if not (self.retain_results and self.config.store_waveforms):
+        """Keep a whole-horizon run as the rerun base of the current state.
+
+        :meth:`simulate` and :meth:`resimulate` call this themselves; the
+        sharded session runs its shares with ``retain=False`` and retains
+        the merged full-range result here instead.
+        """
+        if not self.config.store_waveforms:
             return
         key = self._journal.fingerprint()
         self._retained[key] = _RetainedRun(
@@ -656,19 +645,24 @@ class GatspiEngine:
         stimulus: Mapping[str, Waveform],
         cycles: Optional[int] = None,
         duration: Optional[int] = None,
+        *,
+        retain: bool = True,
     ) -> SimulationResult:
         """Re-simulate the combinational logic for the given testbench.
 
         ``stimulus`` must provide a waveform for every source net (primary
         input or sequential-element output).  ``duration`` defaults to
         ``cycles * clock_period``; one of the two must be given.
+        ``retain=False`` keeps the run out of the rerun-base store — for
+        callers whose stimulus is a slice or a fusion of the real horizon.
         """
         cycles, duration = normalize_horizon(
             cycles, duration, self.config.clock_period
         )
         validate_stimulus(self.netlist, stimulus)
         return self._run_plan(
-            self._full_plan(), stimulus, stimulus, cycles, duration
+            self._full_plan(), stimulus, stimulus, cycles, duration,
+            retain=retain,
         )
 
     def _run_plan(
@@ -679,6 +673,7 @@ class GatspiEngine:
         cycles: int,
         duration: int,
         previous: Optional[SimulationResult] = None,
+        retain: bool = True,
     ) -> SimulationResult:
         """Execute ``plan`` over the whole horizon and assemble the result.
 
@@ -736,7 +731,8 @@ class GatspiEngine:
             self.netlist, result.toggle_counts
         )
         timings.readback += time.perf_counter() - start
-        self._retain(stimulus, duration, result)
+        if retain:
+            self.retain(stimulus, duration, result)
         return result
 
     def run_cycles(

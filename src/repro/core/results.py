@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Tuple
 
 from .waveform import Waveform
@@ -37,6 +37,13 @@ class PhaseTimings:
             + self.readback
             + self.dump
         )
+
+    def add(self, other: "PhaseTimings") -> None:
+        """Sum ``other`` into this: the serial-equivalent cost of parts."""
+        for phase in fields(self):
+            setattr(
+                self, phase.name, getattr(self, phase.name) + getattr(other, phase.name)
+            )
 
     def as_dict(self) -> Dict[str, float]:
         return {

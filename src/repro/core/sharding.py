@@ -2,18 +2,13 @@
 
 The paper's scaling story (Section 5) fans the cycle-parallel window axis
 out across devices: with ``n`` GPUs the testbench is carved into ``n``
-contiguous shares and each device simulates its share independently.  Two
-consumers in this repository need exactly that carve-and-merge shape:
-
-* :func:`~repro.core.multi_gpu.simulate_multi_gpu`, the modelled
-  multi-device distributor (shares run back to back through one session,
-  per-share runtimes feed the slowest-device-plus-overhead model);
-* the ``gatspi-sharded`` backend (:mod:`repro.api.sharded`), which runs
-  the shares concurrently on a worker pool and merges them into a result
-  **bit-identical** to a single-session run.
-
-This module holds the pieces both share, so the slice bounds, settle
-margins, and seam rules cannot drift apart:
+contiguous shares and each device simulates its share independently.  The
+``gatspi-sharded`` backend (:mod:`repro.api.sharded`) is the one consumer:
+it runs the shares in the parent or on process workers and merges them
+into a result **bit-identical** to a single-session run; the paper-table
+benches measure per-share kernel seconds over the same plan
+(:func:`repro.bench.runner.share_kernel_seconds`).  This module holds the
+slice bounds, settle margins and seam rules:
 
 * :func:`plan_shards` — contiguous cover of ``[0, duration)`` with
   per-shard settle margins (the same margin the engine prepends to its
@@ -23,8 +18,7 @@ margins, and seam rules cannot drift apart:
   (the final shard keeps its tail, since nothing follows it);
 * :func:`merge_shard_waveforms` — stitch trimmed per-shard waveforms into
   one full-run waveform through the engine's own seam rules
-  (:func:`~repro.core.restructure.stitch_windows`);
-* :func:`accumulate_toggle_counts` — the additive toggle-count merge.
+  (:func:`~repro.core.restructure.stitch_windows`).
 
 Bit-identity of the sharded merge rests on the engine's windowing
 invariant: with a settle margin covering the critical path (the default),
@@ -85,27 +79,22 @@ def plan_shards(
     duration: int,
     max_shards: int,
     *,
-    min_length: int = 1,
     overlap: int = 0,
 ) -> List[Shard]:
     """Carve ``[0, duration)`` into at most ``max_shards`` contiguous shards.
 
-    Shard length is the ceiling split, floored at ``min_length`` (the
-    multi-device distributor floors at one clock period so a share is
-    never sub-cycle) — short horizons therefore yield *fewer* than
-    ``max_shards`` shards rather than empty ones.  ``overlap`` is the
-    settle margin each shard's simulation is extended backwards by,
+    Shard length is the ceiling split — short horizons therefore yield
+    *fewer* than ``max_shards`` shards rather than empty ones.  ``overlap``
+    is the settle margin each shard's simulation is extended backwards by,
     clamped at the run start exactly like the engine's window margins.
     """
     if max_shards < 1:
         raise ValueError("max_shards must be at least 1")
     if duration < 1:
         raise ValueError("duration must be positive")
-    if min_length < 1:
-        raise ValueError("min_length must be at least 1")
     if overlap < 0:
         raise ValueError("overlap must be non-negative")
-    length = max(min_length, -(-duration // max_shards))
+    length = -(-duration // max_shards)
     shards: List[Shard] = []
     start = 0
     index = 0
@@ -179,14 +168,6 @@ def merge_shard_waveforms(
         else hnp.zeros(0, dtype=hnp.int64)
     )
     return stitch_windows(window_starts, establish, counts, times)
-
-
-def accumulate_toggle_counts(
-    total: Dict[str, int], share: Dict[str, int]
-) -> None:
-    """Add one share's per-net toggle counts into a running total."""
-    for net, count in share.items():
-        total[net] = total.get(net, 0) + count
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,10 @@ With the cycle-parallel workload distribution, the kernel runtime follows
 ``t = t1 / n + ovr`` where ``t1`` is the single-GPU runtime and ``ovr`` the
 stream-synchronize + kernel-launch overhead.  Deviations from linear scaling
 come from uneven activity between the distributed windows — which the
-measured :func:`repro.core.simulate_multi_gpu` path exposes directly and this
-model captures with an imbalance factor.
+measured per-share kernel seconds
+(:func:`repro.bench.runner.share_kernel_seconds`, max / mean over the
+``gatspi-sharded`` partition) expose directly and this model captures with
+an imbalance factor.
 """
 
 from __future__ import annotations

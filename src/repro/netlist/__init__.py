@@ -24,7 +24,6 @@ from .yosys import (
     read_yosys_json,
 )
 from .graph import CompiledGate, CompiledGraph, compile_netlist, to_networkx
-from .validate import ValidationReport, validate_netlist
 
 __all__ = [
     "Instance",
@@ -53,6 +52,4 @@ __all__ = [
     "CompiledGraph",
     "compile_netlist",
     "to_networkx",
-    "ValidationReport",
-    "validate_netlist",
 ]

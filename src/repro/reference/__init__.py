@@ -1,15 +1,12 @@
-"""Reference simulators: the event-driven baseline, zero-delay functional
-simulation, and the partitioned (OpenMP-style) CPU baseline."""
+"""Reference simulators: the event-driven baseline and zero-delay functional
+simulation."""
 
 from .event_sim import EventDrivenSimulator, simulate_reference
 from .zero_delay import ZeroDelaySimulator, functional_toggle_counts
-from .threaded import PartitionedCpuSimulator, PartitionedRunReport
 
 __all__ = [
     "EventDrivenSimulator",
     "simulate_reference",
     "ZeroDelaySimulator",
     "functional_toggle_counts",
-    "PartitionedCpuSimulator",
-    "PartitionedRunReport",
 ]

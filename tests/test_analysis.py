@@ -2,9 +2,8 @@
 
 Pathological designs each assert the exact rule id + severity that catches
 them; the prepare-path wiring (strict/warn/off), the fingerprint-keyed
-report cache, the serving front door's eager rejection, the legacy
-``validate_netlist`` shim, and the ``python -m repro.analysis`` CLI are all
-exercised here.
+report cache, the serving front door's eager rejection, and the
+``python -m repro.analysis`` CLI are all exercised here.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.api import get_backend
 from repro.bench.designs import array_multiplier
 from repro.core.config import SimConfig
 from repro.core.waveform import EOW
-from repro.netlist import Netlist, NetlistBuilder, NetlistError, validate_netlist
+from repro.netlist import Netlist, NetlistBuilder, NetlistError
 from repro.sdf.types import SdfCell, SdfFile, SdfIoPath
 from repro.serve import DesignRejectedError, ServeRequest, SimulationService
 from repro.waveforms import TestbenchSpec, stimulus_for_netlist
@@ -372,7 +371,7 @@ class TestPrepareWiring:
 
     def test_every_builtin_backend_attaches_report(self):
         design = clean_design()
-        for name in ("gatspi", "event", "zero-delay", "threaded-cpu"):
+        for name in ("gatspi", "gatspi-sharded", "event", "zero-delay"):
             session = get_backend(name).prepare(design, config=CONFIG)
             assert session.analysis_report is not None, name
 
@@ -493,37 +492,6 @@ class TestServeAdmission:
             assert response.result.duration > 0
         finally:
             service.close()
-
-
-# ----------------------------------------------------------------------
-# Legacy validate_netlist shim
-# ----------------------------------------------------------------------
-class TestValidateShim:
-    def test_dangling_nets_now_affect_cleanliness(self):
-        builder = NetlistBuilder("dangle")
-        a = builder.input("a")
-        builder.gate("INV", [a], name="u_dead")
-        builder.output("y")
-        builder.gate("BUF", [a], output_net="y", name="u_live")
-        report = validate_netlist(builder.build())
-        assert report.dangling_nets
-        assert not report.is_clean  # the old asymmetry: this used to be clean
-        assert not report.has_fatal
-        assert report.warnings  # surfaced, not silently carried
-        report.raise_if_fatal()  # still not fatal
-
-    def test_loop_reported_with_members(self):
-        report = validate_netlist(multi_level_loop_design())
-        assert report.combinational_loop
-        assert report.loop_instances == ["u0", "u1", "u2"]
-        with pytest.raises(NetlistError, match="loop"):
-            report.raise_if_fatal()
-
-    def test_shim_hits_analysis_cache(self):
-        design = clean_design()
-        validate_netlist(design)
-        validate_netlist(design)
-        assert analysis_cache_info()["runs"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.testing import build_random_netlist, build_random_stimulus
 DURATION = 4000
 CONFIG = SimConfig(clock_period=500, cycle_parallelism=4)
 BUILTIN_BACKENDS = (
-    "event", "gatspi", "gatspi-sharded", "threaded-cpu", "zero-delay"
+    "event", "gatspi", "gatspi-oracle", "gatspi-sharded", "zero-delay"
 )
 
 
@@ -36,10 +36,7 @@ def design():
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = available_backends()
-        for name in BUILTIN_BACKENDS:
-            assert name in names
-        assert names == tuple(sorted(names))
+        assert available_backends() == BUILTIN_BACKENDS
 
     def test_unknown_backend_error_lists_available(self):
         with pytest.raises(UnknownBackendError) as excinfo:
@@ -137,35 +134,63 @@ class TestSessionContract:
         assert get_backend("event").capabilities.glitch_accurate
         assert not get_backend("zero-delay").capabilities.delay_aware
 
-    def test_sharded_backend_adapts_to_available_parallelism(self, design):
-        """``shards`` is a cap: the default width follows ``os.cpu_count``.
+    def test_bare_sharded_backend_is_the_passthrough(self, design, monkeypatch):
+        """No option means no partitioning, whatever the machine looks like.
 
-        Pinning ``workers`` forces the requested partition count, which
-        is how the differential suite exercises real sharding anywhere.
+        Regression: the backend used to default to ``min(4, cpu_count)``
+        thread shards, which measured 0.29–0.46x of ``gatspi``.
         """
         import os
 
-        netlist, annotation, _ = design
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        netlist, annotation, stimulus = design
         backend = get_backend("gatspi-sharded")
-        adaptive = backend.prepare(netlist, annotation=annotation, config=CONFIG)
-        assert adaptive.requested_shards == 4
-        assert adaptive.shard_count == min(4, os.cpu_count() or 1)
-        assert adaptive.worker_count == adaptive.shard_count
+        bare = backend.prepare(netlist, annotation=annotation, config=CONFIG)
+        assert bare.shard_count == 1
+        assert bare.worker_count == 0
+        assert bare.run(stimulus, duration=DURATION).stats.shards == 1
+        # ``shards=S`` is exactly S in-parent partitions, not a cap.
         pinned = backend.prepare(
-            netlist, annotation=annotation, config=CONFIG, shards=4, workers=2
+            netlist, annotation=annotation, config=CONFIG, shards=4
         )
         assert pinned.shard_count == 4
-        assert pinned.worker_count == 2
+        assert pinned.worker_count == 0
+        assert pinned.run(stimulus, duration=DURATION).stats.shards == 4
+        with pytest.raises(ValueError, match="shards"):
+            backend.prepare(netlist, annotation=annotation, config=CONFIG, shards=0)
 
-    def test_threaded_cpu_session_keeps_report(self, design):
-        netlist, annotation, stimulus = design
-        session = get_backend("threaded-cpu").prepare(
-            netlist, annotation=annotation, config=CONFIG, num_workers=4
-        )
-        assert session.last_report is None
-        session.run(stimulus, cycles=4)
-        assert session.last_report is not None
-        assert session.last_report.num_workers == 4
+    def test_scale_out_knobs_are_gone(self, design):
+        """One scale-out path: the thread pool and its duplicates left."""
+        import importlib
+
+        import repro
+        from repro.core import GatspiEngine
+
+        netlist, annotation, _ = design
+        sharded = get_backend("gatspi-sharded")
+        for workers in (2, 1, "thread", "thread:2"):
+            with pytest.raises(ValueError, match="workers=process:N"):
+                sharded.prepare(
+                    netlist, annotation=annotation, config=CONFIG,
+                    shards=2, workers=workers,
+                )
+        with pytest.raises(UnknownBackendError) as excinfo:
+            get_backend("threaded-cpu")
+        assert all(name in str(excinfo.value) for name in BUILTIN_BACKENDS)
+        assert len(available_backends()) == 5
+        for module, name in (
+            ("repro", "simulate_multi_gpu"),
+            ("repro.core", "simulate_multi_gpu"),
+            ("repro.core", "MultiGpuResult"),
+            ("repro.reference", "PartitionedCpuSimulator"),
+            ("repro.netlist", "validate_netlist"),
+        ):
+            assert not hasattr(importlib.import_module(module), name), name
+        for gone in ("core.multi_gpu", "reference.threaded", "netlist.validate"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(f"repro.{gone}")
+        assert not hasattr(GatspiEngine, "adopt")
+        assert not hasattr(repro.api.ShardedGatspiSession, "worker_mode")
 
 
 @pytest.mark.concurrency

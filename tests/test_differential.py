@@ -28,11 +28,16 @@ widens it automatically.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import resolve_backend
-from repro.core import SimConfig
+from repro.core import SimConfig, Waveform, plan_shards
 from repro.core.xp import available_array_backends
-from repro.sdf import SyntheticDelayModel, annotation_from_design_delays
+from repro.sdf import (
+    SyntheticDelayModel,
+    UnitDelayModel,
+    annotation_from_design_delays,
+)
 from repro.testing import (
     build_boundary_stimulus,
     build_random_netlist,
@@ -322,15 +327,14 @@ SHARD_COUNTS = (1, 2, 4)
 
 def _sharded_pair(netlist, annotation, stimulus, shards, config=None,
                   duration=DURATION):
-    # ``workers`` is pinned so the requested partition count is exercised
-    # for real on any machine (the adaptive default narrows to the
-    # available cores, down to a single-session passthrough).
+    # ``shards=S`` is exactly S partitions, run one after another in the
+    # parent: the deterministic executor on any machine.
     reference = _run(
         "gatspi", netlist, annotation, stimulus, config=config,
         duration=duration,
     )
     candidate = _run(
-        f"gatspi-sharded:shards={shards},workers={shards}",
+        f"gatspi-sharded:shards={shards}",
         netlist, annotation, stimulus, config=config, duration=duration,
     )
     return reference, candidate
@@ -406,11 +410,124 @@ def test_sharded_backend_without_stored_waveforms():
         config=config.with_updates(store_waveforms=True),
     )
     candidate = _run(
-        "gatspi-sharded:shards=4,workers=4", netlist, annotation, stimulus,
+        "gatspi-sharded:shards=4", netlist, annotation, stimulus,
         config=config,
     )
     assert not candidate.waveforms
     assert candidate.toggle_counts == exact.toggle_counts
+
+
+@given(
+    duration=st.integers(1, 100_000),
+    shards=st.integers(1, 12),
+    overlap=st.integers(0, 20_000),
+)
+def test_plan_shards_tiles_the_horizon_exactly(duration, shards, overlap):
+    """Shares cover ``[0, duration)`` once, margins clamped at the run start."""
+    plan = plan_shards(duration, shards, overlap=overlap)
+    assert 1 <= len(plan) <= shards
+    assert plan[0].start == 0 and plan[-1].end == duration
+    assert all(left.end == right.start for left, right in zip(plan, plan[1:]))
+    for index, shard in enumerate(plan):
+        assert shard.index == index
+        assert shard.length >= 1
+        assert shard.margin == min(overlap, shard.start)
+        assert shard.ext_start >= 0
+        assert shard.run_duration == shard.length + shard.margin
+
+
+def _settled_before_edges(stimulus, period, overlap):
+    """Drop source toggles in ``[kT - 2*overlap, kT - overlap)`` for every k.
+
+    A window starting at ``kT`` is simulated from ``kT - overlap`` out of a
+    *settled* initial state; that is exact when nothing is still in flight
+    there, i.e. no source toggled within one critical path before it.
+    Outside that contract the partition is visible even to plain
+    ``gatspi`` — inertial filtering decisions depend on the in-flight
+    history (found by this property: bursts with 3–40 unit gaps make
+    ``gatspi`` at 32 windows disagree with ``event`` and with itself at 8).
+    """
+    settled = {}
+    for net, wave in stimulus.items():
+        times = wave.timestamps[1:]
+        phase = times % period
+        in_flight = (phase >= period - 2 * overlap) & (phase < period - overlap)
+        settled[net] = Waveform.from_toggle_array(
+            wave.initial_value, times[~in_flight]
+        )
+    return settled
+
+
+def _assert_sharded_equals_gatspi(
+    spec, seed, shards, kind, unit_delays, windows_per_share=2, **config_kw
+):
+    """One generated design × stimulus through ``spec`` vs plain gatspi.
+
+    The horizon is ``shards * windows_per_share`` windows of one clock
+    period ``T`` each, so every window and share of both sessions starts
+    on a multiple of ``T`` and :func:`_settled_before_edges` puts the
+    stimulus inside the exactness contract.  ``boundary`` toggles sources
+    on/±1 around every multiple of ``T``; with unit delays the first
+    logic level then toggles exactly *on* the seams.  ``sparse`` leaves
+    most windows empty and a third of the nets constant.
+    """
+    netlist = build_random_netlist(num_inputs=4, num_gates=14, seed=seed)
+    model = UnitDelayModel(delay=1) if unit_delays else SyntheticDelayModel(seed=seed)
+    annotation = annotation_from_design_delays(netlist, model.build(netlist))
+    config = SimConfig(
+        cycle_parallelism=shards * windows_per_share, **config_kw
+    )
+    reference_session = resolve_backend("gatspi")[0].prepare(
+        netlist, annotation=annotation, config=config
+    )
+    overlap = reference_session.engine.window_overlap
+    period = 3 * overlap + 4
+    duration = config.cycle_parallelism * period
+    if kind == "boundary":
+        stimulus = build_boundary_stimulus(netlist, duration, period, seed=seed)
+    else:
+        stimulus = build_sparse_stimulus(netlist, duration, seed=seed)
+    stimulus = _settled_before_edges(stimulus, period, overlap)
+    reference = reference_session.run(stimulus, duration=duration)
+    backend, options = resolve_backend(spec)
+    session = backend.prepare(
+        netlist, annotation=annotation, config=config, **options
+    )
+    try:
+        candidate = session.run(stimulus, duration=duration)
+    finally:
+        session.close()
+    assert candidate.stats.shards == shards
+    _assert_bit_identical(
+        reference, candidate, f"{spec} seed={seed} stimulus={kind}"
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    shards=st.integers(1, 5),
+    kind=st.sampled_from(("boundary", "sparse")),
+    unit_delays=st.booleans(),
+    windows_per_share=st.integers(1, 3),
+)
+def test_sharded_backend_equals_gatspi_on_generated_designs(
+    seed, shards, kind, unit_delays, windows_per_share
+):
+    """The one remaining seam, generated: any design, 1–5 in-parent shares."""
+    _assert_sharded_equals_gatspi(
+        f"gatspi-sharded:shards={shards}",
+        seed, shards, kind, unit_delays, windows_per_share,
+    )
+
+
+@pytest.mark.concurrency
+def test_sharded_backend_equals_gatspi_on_process_workers():
+    """The same check with the shares on two spawned workers (host-only)."""
+    _assert_sharded_equals_gatspi(
+        "gatspi-sharded:shards=3,workers=process:2", 5, 3, "boundary", True,
+        device="numpy",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +535,9 @@ def test_sharded_backend_without_stored_waveforms():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("spec", [
     "gatspi-sharded:shards=1",            # single-session passthrough
-    "gatspi-sharded:shards=2,workers=2",  # fused run, then 2-way sharded
+    pytest.param(                         # fused run, then 2-way sharded
+        "gatspi-sharded:shards=2", id="gatspi-sharded:shards=2,workers=2"
+    ),
 ])
 def test_run_many_fusion_bit_identical_to_standalone(spec):
     """A fused batch slices apart into the standalone per-request results.
@@ -491,7 +610,7 @@ def test_sharded_backend_degrades_to_passthrough_with_pinned_overlap(overlap):
     netlist, annotation = _prepare_design(8, num_gates=24)
     stimulus = build_random_stimulus(netlist, 12_000, seed=9)
     config = SimConfig(window_overlap=overlap, cycle_parallelism=8)
-    backend, options = resolve_backend("gatspi-sharded:shards=4,workers=4")
+    backend, options = resolve_backend("gatspi-sharded:shards=4")
     session = backend.prepare(netlist, annotation=annotation, config=config, **options)
     assert session.shard_count == 1
     candidate = session.run(stimulus, duration=12_000)
@@ -527,7 +646,7 @@ def test_sharded_backend_saif_criterion_against_event():
     netlist, annotation = _prepare_design(3, num_gates=28)
     stimulus = build_random_stimulus(netlist, DURATION, seed=21)
     sharded = _run(
-        "gatspi-sharded:shards=4,workers=4", netlist, annotation, stimulus
+        "gatspi-sharded:shards=4", netlist, annotation, stimulus
     )
     event = _run("event", netlist, annotation, stimulus)
     assert sharded.matches_toggle_counts(event), sharded.differing_nets(event)

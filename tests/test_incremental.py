@@ -46,11 +46,16 @@ DURATION = 24_000
 #: The oracle engine.  Its parametrize id is the one it had while it was a
 #: config knob, so test ids stay comparable across the knob's removal.
 ORACLE = pytest.param("gatspi-oracle", id="gatspi:kernel=scalar")
+#: Two in-parent shares; same story for its id (``workers=2`` was a thread
+#: pool over the same two shares).
+SHARDED = pytest.param(
+    "gatspi-sharded:shards=2", id="gatspi-sharded:shards=2,workers=2"
+)
 #: Session flavors that must all support bit-identical incremental rerun.
 SPECS = (
     "gatspi",
     ORACLE,
-    "gatspi-sharded:shards=2,workers=2",
+    SHARDED,
 )
 DEVICES = available_array_backends()
 
@@ -310,7 +315,7 @@ class TestAnalysisGating:
         netlist, annotation = _prepare_design(seed=11)
         stimulus = build_random_stimulus(netlist, DURATION, seed=110)
         session = _session(
-            "gatspi-sharded:shards=2,workers=2", netlist, annotation,
+            "gatspi-sharded:shards=2", netlist, annotation,
             config=SimConfig(analysis="strict"),
         )
         session.run(stimulus, duration=DURATION)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import analyze_design
 from repro.cells import DEFAULT_LIBRARY
 from repro.netlist import (
     Netlist,
@@ -12,8 +13,16 @@ from repro.netlist import (
     levelize,
     parse_verilog,
     to_networkx,
-    validate_netlist,
     write_verilog,
+)
+
+#: The structural subset of the rule registry (what levelization needs).
+STRUCTURAL_RULES = (
+    "undriven-input",
+    "multi-driven-net",
+    "unconnected-output",
+    "combinational-loop",
+    "dangling-net",
 )
 
 
@@ -198,19 +207,18 @@ class TestVerilog:
 
 class TestValidationAndGraph:
     def test_clean_netlist(self, small_netlist):
-        report = validate_netlist(small_netlist)
+        report = analyze_design(small_netlist, rules=STRUCTURAL_RULES)
         assert report.is_clean
-        report.raise_if_fatal()
 
     def test_undriven_net_reported(self):
         netlist = Netlist("bad")
         netlist.add_input("a")
         netlist.add_output("y")
         netlist.add_instance("AND2", "u0", {"A": "a", "B": "nowhere", "Y": "y"})
-        report = validate_netlist(netlist)
-        assert "nowhere" in report.undriven_nets
-        with pytest.raises(NetlistError):
-            report.raise_if_fatal()
+        report = analyze_design(netlist, rules=STRUCTURAL_RULES)
+        assert report.has_errors
+        (finding,) = report.findings_for("undriven-input")
+        assert "nowhere" in finding.nets
 
     def test_networkx_export(self, small_netlist):
         graph = to_networkx(small_netlist)

@@ -5,8 +5,8 @@ spawned worker processes that attach the packed design tensors from a
 ``multiprocessing.shared_memory`` segment (:mod:`repro.core.shm`).  The
 contract under test:
 
-* process shards are **bit-identical** to thread shards (and therefore to
-  single-session ``gatspi``) at every shard count;
+* process shards are **bit-identical** to in-parent shards (and therefore
+  to single-session ``gatspi``) at every shard count;
 * the shared segment's lifecycle is leak-free — exported once, attached by
   every worker, unlinked exactly once by ``close()`` and accounted for in
   the module registry;
@@ -61,30 +61,28 @@ def _assert_bit_identical(reference, candidate, label):
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: process shards vs thread shards
+# Bit-identity: process shards vs in-parent shards
 # ----------------------------------------------------------------------
 @pytest.mark.concurrency
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_process_shards_bit_identical_to_thread_shards(design, shards):
-    """Every shard count merges to the thread-mode result bit for bit.
+    """Every shard count merges to the in-parent result bit for bit.
 
-    ``workers="process:2"`` pins the pool width and forces the full
-    partition count (like an integer ``workers``), so real multi-process
-    sharding is exercised regardless of the host's core count;
-    ``shards=1`` covers the in-parent passthrough, which must not spawn
-    a pool at all.
+    ``workers="process:2"`` pins the pool width and keeps the full
+    partition count, so real multi-process sharding is exercised
+    regardless of the host's core count; ``shards=1`` covers the
+    in-parent passthrough, which must not spawn a pool at all.
     """
     _, _, stimulus = design
-    thread_session = _prepare(
-        design, f"gatspi-sharded:shards={shards},workers={min(shards, 2)}"
-    )
+    parent_session = _prepare(design, f"gatspi-sharded:shards={shards}")
     process_session = _prepare(
         design, f"gatspi-sharded:shards={shards},workers=process:2"
     )
     try:
-        assert process_session.worker_mode == "process"
+        assert parent_session.worker_count == 0
+        assert process_session.worker_count == min(shards, 2)
         assert process_session.shard_count == shards
-        reference = thread_session.run(stimulus, duration=DURATION)
+        reference = parent_session.run(stimulus, duration=DURATION)
         candidate = process_session.run(stimulus, duration=DURATION)
         assert candidate.stats.shards == shards
         if shards == 1:
@@ -98,8 +96,8 @@ def test_process_shards_bit_identical_to_thread_shards(design, shards):
 def test_adaptive_process_width_never_exceeds_the_machine(design):
     """``workers="process"`` partitions only as wide as the core count.
 
-    Mirrors the thread-mode adaptive rule: per-share overheads are only
-    worth paying for shares that actually run in parallel.  On a
+    Per-share overheads are only worth paying for shares that actually
+    run in parallel.  On a
     single-core host this degrades to the passthrough (no pool, no
     segment) while staying bit-identical to single-session gatspi.
     """
@@ -107,7 +105,6 @@ def test_adaptive_process_width_never_exceeds_the_machine(design):
     session = _prepare(design, "gatspi-sharded:shards=4,workers=process")
     try:
         expected = max(1, min(4, os.cpu_count() or 1))
-        assert session.worker_mode == "process"
         assert session.shard_count == expected
         assert session.worker_count == expected
         candidate = session.run(stimulus, duration=DURATION)

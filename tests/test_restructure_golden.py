@@ -216,9 +216,7 @@ def test_sharded_backend_matches_engine_golden(shards):
     stimulus = {
         net: Waveform.from_array(arr) for net, arr in case["stimulus"].items()
     }
-    backend, options = resolve_backend(
-        f"gatspi-sharded:shards={shards},workers={shards}"
-    )
+    backend, options = resolve_backend(f"gatspi-sharded:shards={shards}")
     session = backend.prepare(
         netlist, annotation=annotation, config=SimConfig(**case["config"]),
         **options,

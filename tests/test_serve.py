@@ -101,7 +101,7 @@ class TestRequestRoundTrip:
                 )
 
     def test_sharded_backend_through_service_matches_single(self):
-        request = _request(4, backend="gatspi-sharded:shards=2,workers=2")
+        request = _request(4, backend="gatspi-sharded:shards=2")
         expected = (
             get_backend("gatspi")
             .prepare(request.netlist, annotation=request.annotation, config=CONFIG)

@@ -27,7 +27,6 @@ from repro.core import (
     pack_design,
     simulate_gate_window,
     simulate_level,
-    simulate_multi_gpu,
 )
 from repro.reference.oracle_engine import OracleEngine
 from repro.sdf import SyntheticDelayModel, annotation_from_design_delays
@@ -357,9 +356,9 @@ class TestBackendSpecs:
             "gatspi",
             {"device": "numpy"},
         )
-        name, options = parse_backend_spec("threaded-cpu:num_workers=8,barrier_overhead=0.5")
-        assert name == "threaded-cpu"
-        assert options == {"num_workers": 8, "barrier_overhead": 0.5}
+        name, options = parse_backend_spec("my-backend:num_workers=8,overhead=0.5")
+        assert name == "my-backend"
+        assert options == {"num_workers": 8, "overhead": 0.5}
 
     def test_parse_backend_spec_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -374,28 +373,3 @@ class TestBackendSpecs:
         session = get_backend("gatspi").prepare(netlist)
         assert type(session.engine) is GatspiEngine
         assert session.engine.kernel_mode == "vector"
-
-
-class TestMultiGpuPackedPartitioning:
-    def test_vector_and_scalar_shares_identical(self):
-        netlist = build_random_netlist(num_gates=35, seed=31)
-        annotation = annotation_from_design_delays(
-            netlist, SyntheticDelayModel(seed=31).build(netlist)
-        )
-        stimulus = build_random_stimulus(netlist, 8 * 500, seed=310)
-        config = SimConfig(clock_period=500, cycle_parallelism=4)
-        results = {}
-        for kernel in ("scalar", "vector"):
-            results[kernel] = simulate_multi_gpu(
-                netlist, stimulus, cycles=8, num_devices=4,
-                annotation=annotation, config=config,
-                backend={"scalar": "gatspi-oracle", "vector": "gatspi"}[kernel],
-            )
-        assert results["vector"].toggle_counts == results["scalar"].toggle_counts
-        assert results["vector"].kernel_mode == "vector"
-        assert results["scalar"].kernel_mode == "scalar"
-        # One prepared session served every share: the packed level tensors
-        # were partitioned across devices, never re-derived.
-        assert results["vector"].compiled_once
-        assert all(s.level_batches > 0 for s in results["vector"].shares)
-        assert all(s.max_batch_tasks > 0 for s in results["vector"].shares)
