@@ -5,25 +5,24 @@ engine — this bench measures the quantity the serving subsystem exists
 for: **requests per second and request latency under concurrent clients**.
 A :class:`~repro.serve.SimulationService` is driven by 1 / 4 / 16
 concurrent clients re-simulating one compiled design, once through the
-plain single-session ``gatspi`` backend (every request is a full engine
-run, serialized on the shared session) and once through
-``gatspi-sharded:shards=4,workers=process`` — the GIL-free process-shard
-mode: shares run on spawned worker processes attached to the
-shared-memory design export (:mod:`repro.core.shm`), and queued
-same-design requests execute as one fused engine run, sliced apart
-bit-exactly.  (In-parent shares are a test executor, not a serving mode,
-and have no cell here.)
+plain single-session ``gatspi`` backend (requests serialize on the shared
+session) and once through ``gatspi-sharded:shards=4,workers=process`` —
+the GIL-free process-shard mode: each request's shares run on spawned
+worker processes attached to the shared-memory design export
+(:mod:`repro.core.shm`).  Every client sends the same request, so queued
+requests coalesce onto one run rather than batching through ``run_many``
+(``fused_fraction`` stays 0).  (In-parent shares are a test executor, not
+a serving mode, and have no cell here.)
 
 The full run writes ``BENCH_serve.json`` at the repository root with
 requests/sec and p50/p99 client-observed latency for every (backend,
-concurrency) cell, plus the core-count-aware process floor, per the
-ISSUE-8 acceptance criterion: on >= 2 cores process shards must reach
-:data:`PROCESS_FLOOR_MULTI_CORE` (1.5x) of the single-session baseline
-at 4 clients — true parallelism, not just fusion — while on a 1-core
-runner the sharded session adaptively degrades to the single-shard
-passthrough and the floor relaxes to :data:`PROCESS_FLOOR_SINGLE_CORE`
-(1.0x); the report records ``cpu_count`` so the gap stays visible either
-way.
+concurrency) cell, plus the core-count-aware process floor: on >= 2
+cores process shards must reach :data:`PROCESS_FLOOR_MULTI_CORE` (1.5x)
+of the single-session baseline at 4 clients, while on a 1-core runner
+bare ``workers=process`` partitions only as wide as the machine (one
+share, the passthrough) and the floor relaxes to
+:data:`PROCESS_FLOOR_SINGLE_CORE` (1.0x); the report records
+``cpu_count`` so the gap stays visible either way.
 
 Accuracy gates throughput: every response's total switching activity must
 equal the single-session reference before any rate is recorded.
@@ -61,9 +60,9 @@ SMOKE_FLOOR = 0.0
 
 #: Process-shard throughput floors vs the single-session baseline at 4
 #: clients.  Multi-core: shares execute truly in parallel (no shared
-#: GIL), so the mode must beat the baseline outright.  Single core: the
-#: adaptive width degrades to the single-shard passthrough, so the floor
-#: is no-regression only.
+#: GIL), so the mode must beat the baseline outright.  Single core: bare
+#: ``workers=process`` partitions one share wide (the passthrough), so the
+#: floor is no-regression only.
 PROCESS_FLOOR_MULTI_CORE = 1.5
 PROCESS_FLOOR_SINGLE_CORE = 1.0
 

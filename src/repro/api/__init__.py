@@ -9,9 +9,12 @@ three-step flow, regardless of how it is implemented::
     session = backend.prepare(netlist,           # "gatspi-sharded", ...
                               annotation=annotation, config=config)
     result = session.run(stimulus, cycles=100)   # -> SimulationResult
+    results = session.run_many([RunSpec(stimulus, cycles=100), ...])
 
 ``prepare`` does all per-design compilation once; ``run`` may be called any
-number of times with different stimuli (compile-once/simulate-many).  The
+number of times with different stimuli (compile-once/simulate-many), and
+``run_many`` takes a batch at once — on ``gatspi`` the requests become the
+columns of one level loop, with results identical to one ``run`` each.  The
 benchmark harness, the glitch-optimization flow and the serving front end
 all dispatch through this registry, so swapping the engine under any of
 them is a string change.
@@ -35,7 +38,7 @@ from .registry import (
     resolve_backend,
     unregister_backend,
 )
-from .session import Session
+from .session import RunSpec, Session
 
 # Importing the adapters registers the four built-in backends; importing
 # the sharded module registers the window-axis sharded fifth.
@@ -49,11 +52,12 @@ from .adapters import (
     ZeroDelayBackend,
     ZeroDelaySession,
 )
-from .sharded import GatspiShardedBackend, RunSpec, ShardedGatspiSession
+from .sharded import GatspiShardedBackend, ShardedGatspiSession
 
 __all__ = [
     "BackendCapabilities",
     "SimBackend",
+    "RunSpec",
     "Session",
     "BackendRegistryError",
     "DuplicateBackendError",
@@ -69,7 +73,6 @@ __all__ = [
     "GatspiBackend",
     "GatspiSession",
     "GatspiShardedBackend",
-    "RunSpec",
     "ShardedGatspiSession",
     "ZeroDelayBackend",
     "ZeroDelaySession",

@@ -23,7 +23,7 @@ should reach engines exclusively through ``get_backend(name).prepare(...)``.
 from __future__ import annotations
 
 import warnings
-from typing import Any, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.config import SimConfig
 from ..core.edits import Edit, EditReceipt
@@ -125,6 +125,12 @@ class GatspiSession(Session):
         duration: int,
     ) -> SimulationResult:
         return self.engine.simulate(stimulus, duration=duration)
+
+    def _run_many(
+        self, requests: Sequence[Tuple[Mapping[str, Waveform], int, int]]
+    ) -> List[SimulationResult]:
+        # Requests are columns: one level loop over every request's windows.
+        return self.engine.simulate_many(requests)
 
     def _stream_batches(
         self,

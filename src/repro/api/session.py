@@ -4,7 +4,9 @@ A session owns one compiled design and exposes a single entry point::
 
     result = session.run(stimulus, cycles=..., duration=...)
 
-``run`` applies the shared simulation contract before dispatching to the
+(plus :meth:`Session.run_many` for a batch of :class:`RunSpec` requests,
+which every backend answers exactly as one ``run`` per request).  ``run``
+applies the shared simulation contract before dispatching to the
 backend — stimulus validation and cycles/duration normalization, which the
 individual simulators used to duplicate — and after dispatching it guarantees
 a consistently populated :class:`~repro.core.results.SimulationStats`
@@ -28,7 +30,10 @@ from __future__ import annotations
 import abc
 import threading
 import time
-from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from ..core.config import SimConfig
 from ..core.contract import fanin_weighted_toggles, normalize_horizon, validate_stimulus
@@ -51,6 +56,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: waveform mapping, or any span producer (e.g. an incremental VCD reader)
 #: for runs whose stimulus never fits in memory at once.
 StreamStimulus = Union[Mapping[str, Waveform], StreamingSourceEvents]
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One request of a batched :meth:`Session.run_many`."""
+
+    stimulus: Mapping[str, Waveform]
+    cycles: Optional[int] = None
+    duration: Optional[int] = None
 
 
 class Session(abc.ABC):
@@ -146,6 +160,37 @@ class Session(abc.ABC):
         duration: int,
     ) -> SimulationResult:
         """Backend-specific dispatch; ``cycles``/``duration`` are resolved."""
+
+    def run_many(self, requests: Sequence[RunSpec]) -> List[SimulationResult]:
+        """One result per request, in order, each equal to :meth:`run`'s.
+
+        Every request is checked before anything runs.  ``gatspi`` sessions
+        run the batch as the columns of one level loop (sharing workload
+        stats and timings evenly, ``stats.fused_requests``); other backends
+        run the requests one after another.
+        """
+        resolved: List[Tuple[Mapping[str, Waveform], int, int]] = []
+        for request in requests:
+            cycles, duration = normalize_horizon(
+                request.cycles, request.duration, self.clock_period
+            )
+            validate_stimulus(self._netlist, request.stimulus)
+            resolved.append((request.stimulus, cycles, duration))
+        with self._run_lock:
+            results = self._run_many(resolved)
+            for result, (_, cycles, _) in zip(results, resolved):
+                self._finalize_stats(result, cycles)
+            self._runs_completed += len(results)
+        return results
+
+    def _run_many(
+        self, requests: Sequence[Tuple[Mapping[str, Waveform], int, int]]
+    ) -> List[SimulationResult]:
+        """Batch dispatch over resolved ``(stimulus, cycles, duration)``."""
+        return [
+            self._run(stimulus, cycles, duration)
+            for stimulus, cycles, duration in requests
+        ]
 
     # ------------------------------------------------------------------
     # Clocked sequential runs (any backend)

@@ -32,25 +32,25 @@ Shares execute on one of two executors, picked by the ``workers`` option:
   normal ``gatspi`` engine around the attached tensors, so results stay
   bit-identical.  Bare ``"process"`` partitions only as wide as the machine
   (``min(shards, os.cpu_count())``); ``"process:N"`` pins the pool width
-  and keeps the full partition count.  Measured 0.79–1.06x of ``gatspi``
-  at 1000 cycles on 2 cores — near break-even, the only mode that can
-  scale with cores.  Process sessions are host-only (``device="numpy"``)
-  and refuse in-place edits; :meth:`ShardedGatspiSession.close` (or
-  dropping the session) shuts the pool down and unlinks the segment.
+  and keeps the full partition count.  The mode that scales with cores:
+  on 2 cores ``shards=2,workers=process:2`` measured 1.42x of ``gatspi``
+  on counts-only streamed replay of a 40-gate design (100k cycles), 1.92x
+  of a 400-gate one (20k cycles) and 1.32x on a warm 4,000-cycle whole
+  run (0.54x when that run also spawns the pool).  Process sessions are
+  host-only (``device="numpy"``) and refuse in-place edits;
+  :meth:`ShardedGatspiSession.close` (or dropping the session) shuts the
+  pool down and unlinks the segment.
 
 A user-pinned ``window_overlap`` may be smaller than the critical path, in
 which case partitioning is not exactness-preserving; such sessions always
 run the single-share passthrough.
 
-**Batched runs** (:meth:`ShardedGatspiSession.run_many`) are the other axis:
-requests for one compiled design are *fused along the time axis* — laid out
-back to back with settle pads, executed as one engine run, and sliced apart
-bit-exactly (:func:`~repro.core.sharding.plan_fusion` /
-:func:`~repro.core.sharding.fuse_stimuli` /
-:func:`~repro.core.sharding.split_fused_waveform`).  One fused run pays the
-engine's per-level-batch and per-net fixed costs once per *batch* instead
-of once per *request* (measured 1.34–1.87x over four serial runs), which is
-what micro-batched serving (:mod:`repro.serve`) rides on.
+**Batched runs** (:meth:`~repro.api.session.Session.run_many`): requests
+are columns.  At ``shards=1`` the batch runs on the engine as one level
+loop over every request's own windows
+(:meth:`~repro.core.engine.GatspiEngine.simulate_many`), exactly as on a
+plain ``gatspi`` session; with more shards each request is one
+partitioned run, one after another.
 """
 
 from __future__ import annotations
@@ -61,17 +61,11 @@ import time
 import weakref
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import shm as design_shm
 from ..core.config import SimConfig
-from ..core.contract import (
-    StimulusError,
-    fanin_weighted_toggles,
-    normalize_horizon,
-    validate_stimulus,
-)
+from ..core.contract import fanin_weighted_toggles
 from ..core.edits import Edit, EditReceipt
 from ..core.engine import GatspiEngine
 from ..core.restructure import (
@@ -86,13 +80,9 @@ from ..core.results import (
     StreamBatch,
 )
 from ..core.sharding import (
-    FusedLayout,
     Shard,
-    fuse_stimuli,
     merge_shard_waveforms,
-    plan_fusion,
     plan_shards,
-    split_fused_waveform,
     trim_shard_waveform,
 )
 from ..core.waveform import Waveform
@@ -101,15 +91,7 @@ from ..sdf.annotate import DelayAnnotation
 from .adapters import GatspiSession, _reject_unknown_options
 from .backend import BackendCapabilities, SimBackend
 from .registry import register_backend
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """One request of a batched :meth:`ShardedGatspiSession.run_many`."""
-
-    stimulus: Mapping[str, Waveform]
-    cycles: Optional[int] = None
-    duration: Optional[int] = None
+from .session import Session
 
 
 # ----------------------------------------------------------------------
@@ -229,10 +211,9 @@ class ShardedGatspiSession(GatspiSession):
             process_workers = min(process_workers, shards)
         if config.window_overlap is not None:
             # A user-pinned settle margin may be smaller than the critical
-            # path, in which case partitioning is not exactness-preserving
-            # (the same reason run_many refuses to fuse): fall back to a
-            # single full-range shard so the bit-identity contract against
-            # single-session gatspi holds for every config.
+            # path, in which case partitioning is not exactness-preserving:
+            # fall back to a single full-range shard so the bit-identity
+            # contract against single-session gatspi holds for every config.
             shards = 1
         self._shards = shards
         self._process_workers = process_workers
@@ -245,10 +226,7 @@ class ShardedGatspiSession(GatspiSession):
                 cycle_parallelism=max(1, -(-config.cycle_parallelism // shards)),
                 # Exact merging trims and stitches share outputs, which
                 # needs the per-share waveforms even when the caller only
-                # wants toggle counts.  Consequence: counts-only results
-                # are the stitched-exact (waveform-mode) counts — seam
-                # toggles counted once — not the engine's counts-only
-                # shortcut of summing per-window trimmed counts.
+                # wants toggle counts.
                 store_waveforms=True,
             ),
         )
@@ -340,6 +318,18 @@ class ShardedGatspiSession(GatspiSession):
         else:
             result.waveforms.clear()
         return result
+
+    def _run_many(
+        self, requests: Sequence[Tuple[Mapping[str, Waveform], int, int]]
+    ) -> List[SimulationResult]:
+        if self._shards > 1:
+            # One partitioned run per request.
+            return Session._run_many(self, requests)
+        results = super()._run_many(requests)
+        if not self._config.store_waveforms:
+            for result in results:
+                result.waveforms.clear()
+        return results
 
     def _execute(
         self, stimulus: Mapping[str, Waveform], duration: int
@@ -463,24 +453,8 @@ class ShardedGatspiSession(GatspiSession):
         chunk_stats: SimulationStats,
         chunk_timings: PhaseTimings,
     ) -> StreamBatch:
-        """Fold one worker chunk's workload stats into the run totals.
-
-        Additive counters sum and high-water marks take the max — the
-        same serial-equivalent accounting :meth:`_merge` applies to shards
-        (a streamed chunk carries no design descriptors to adopt).
-        """
-        stats.windows += chunk_stats.windows
-        stats.segments += chunk_stats.segments
-        stats.chunks += chunk_stats.chunks
-        stats.kernel_invocations += chunk_stats.kernel_invocations
-        stats.level_batches += chunk_stats.level_batches
-        stats.pool_words_used = max(
-            stats.pool_words_used, chunk_stats.pool_words_used
-        )
-        stats.max_batch_tasks = max(
-            stats.max_batch_tasks, chunk_stats.max_batch_tasks
-        )
-        timings.add(chunk_timings)
+        """Fold one worker chunk's workload into the run totals."""
+        _fold_workload(stats, timings, chunk_stats, chunk_timings)
         return batch
 
     def _merge(
@@ -494,37 +468,23 @@ class ShardedGatspiSession(GatspiSession):
 
         Source nets take their counts (and waveforms) from the original
         stimulus; gate outputs are trimmed to their shard's owned range
-        and stitched through the engine's seam rules.  Phase timings are
-        summed across shards — the serial-equivalent cost (wall-clock
-        parallelism is measured by callers, e.g. the serving benchmark).
+        and stitched through the engine's seam rules.
         """
         merge_start = time.perf_counter()
-        timings = PhaseTimings()
-        for share in share_results:
-            timings.add(share.timings)
-
         first = share_results[0].stats
         stats = SimulationStats(
             gate_count=first.gate_count,
             levels=first.levels,
             widest_level=first.widest_level,
-            windows=sum(share.stats.windows for share in share_results),
-            segments=sum(share.stats.segments for share in share_results),
-            kernel_invocations=sum(
-                share.stats.kernel_invocations for share in share_results
-            ),
-            pool_words_used=max(
-                share.stats.pool_words_used for share in share_results
-            ),
+            segments=0,
             kernel_mode=first.kernel_mode,
             restructure_mode=first.restructure_mode,
             device=first.device,
-            level_batches=sum(share.stats.level_batches for share in share_results),
-            max_batch_tasks=max(
-                share.stats.max_batch_tasks for share in share_results
-            ),
             shards=len(plan),
         )
+        timings = PhaseTimings()
+        for share in share_results:
+            _fold_workload(stats, timings, share.stats, share.timings)
         result = SimulationResult(duration=duration, timings=timings, stats=stats)
 
         for net in self._netlist.source_nets():
@@ -534,7 +494,8 @@ class ShardedGatspiSession(GatspiSession):
 
         overlap = self.engine.window_overlap
         total_output_transitions = 0
-        for net in self._gate_output_nets():
+        for gate in self.engine.compiled.gates.values():
+            net = gate.output_net
             trimmed = [
                 trim_shard_waveform(share.waveforms[net], shard, duration, overlap)
                 for shard, share in zip(plan, share_results)
@@ -551,141 +512,27 @@ class ShardedGatspiSession(GatspiSession):
         timings.readback += time.perf_counter() - merge_start
         return result
 
-    def _gate_output_nets(self) -> List[str]:
-        """Merge order of the gate outputs (re-read: edits change it)."""
-        return [gate.output_net for gate in self.engine.compiled.gates.values()]
 
-    # ------------------------------------------------------------------
-    # Batched execution (time-axis request fusion)
-    # ------------------------------------------------------------------
-    def run_many(self, requests: Sequence[RunSpec]) -> List[SimulationResult]:
-        """Run a batch of requests, fused into one engine run when safe.
+def _fold_workload(
+    stats: SimulationStats,
+    timings: PhaseTimings,
+    part_stats: SimulationStats,
+    part_timings: PhaseTimings,
+) -> None:
+    """Fold one share's or chunk's workload into the run totals.
 
-        Results are returned in request order and are bit-identical to
-        calling :meth:`run` once per request.  Fusion applies when the
-        settle margin is the engine's own critical-path estimate (the
-        default); with a user-pinned ``window_overlap`` — whose exactness
-        the engine cannot vouch for across arbitrary partitions — or a
-        fused horizon that would violate the ``EOW`` sentinel headroom,
-        the batch transparently falls back to sequential runs.
-
-        Fused phase timings and workload stats are attributed evenly
-        across the batch (the engine executed them jointly); counter and
-        result semantics otherwise match :meth:`run` exactly.
-        """
-        if not requests:
-            return []
-        normalized: List[Tuple[int, int, Mapping[str, Waveform]]] = []
-        for request in requests:
-            cycles, duration = normalize_horizon(
-                request.cycles, request.duration, self.clock_period
-            )
-            validate_stimulus(self._netlist, request.stimulus)
-            normalized.append((cycles, duration, request.stimulus))
-
-        fusable = (
-            len(requests) > 1
-            and self.engine.window_overlap > 0
-            and self._config.window_overlap is None
-        )
-        if fusable:
-            with self._run_lock:
-                results = self._run_fused(normalized)
-            if results is not None:
-                return results
-        return [
-            self.run(stimulus, cycles=cycles, duration=duration)
-            for cycles, duration, stimulus in normalized
-        ]
-
-    def _run_fused(
-        self, normalized: Sequence[Tuple[int, int, Mapping[str, Waveform]]]
-    ) -> Optional[List[SimulationResult]]:
-        """One fused engine run for the whole batch (or ``None`` to punt)."""
-        layout = plan_fusion(
-            [d for _, d, _ in normalized], self.engine.window_overlap
-        )
-        nets = tuple(self._netlist.source_nets())
-        fused_stimulus = fuse_stimuli(
-            nets, [stimulus for _, _, stimulus in normalized], layout
-        )
-        try:
-            fused = self._execute(fused_stimulus, layout.fused_duration)
-        except StimulusError:
-            # The fused horizon ran out of EOW sentinel headroom; the
-            # caller serializes instead.
-            return None
-        batch = layout.batch_size
-        results: List[SimulationResult] = []
-        for index, (cycles, duration, stimulus) in enumerate(normalized):
-            results.append(
-                self._split_fused_result(
-                    fused, layout, index, cycles, duration, stimulus, batch
-                )
-            )
-        # Counted only once the whole batch split successfully, so a
-        # mid-split failure (whose caller will retry serially) cannot
-        # leave partial increments behind.
-        self._runs_completed += len(results)
-        return results
-
-    def _split_fused_result(
-        self,
-        fused: SimulationResult,
-        layout: FusedLayout,
-        index: int,
-        cycles: int,
-        duration: int,
-        stimulus: Mapping[str, Waveform],
-        batch: int,
-    ) -> SimulationResult:
-        """Slice one request's standalone-equivalent result out of a fused run."""
-        share = 1.0 / batch
-        timings = PhaseTimings(
-            restructure=fused.timings.restructure * share,
-            host_to_device=fused.timings.host_to_device * share,
-            scheduling=fused.timings.scheduling * share,
-            kernel=fused.timings.kernel * share,
-            readback=fused.timings.readback * share,
-            dump=fused.timings.dump * share,
-        )
-        stats = SimulationStats(
-            gate_count=fused.stats.gate_count,
-            levels=fused.stats.levels,
-            widest_level=fused.stats.widest_level,
-            windows=fused.stats.windows // batch,
-            segments=max(1, fused.stats.segments // batch),
-            cycles=cycles,
-            kernel_invocations=fused.stats.kernel_invocations // batch,
-            pool_words_used=fused.stats.pool_words_used,
-            kernel_mode=fused.stats.kernel_mode,
-            restructure_mode=fused.stats.restructure_mode,
-            device=fused.stats.device,
-            level_batches=fused.stats.level_batches // batch,
-            max_batch_tasks=fused.stats.max_batch_tasks,
-            shards=fused.stats.shards,
-            fused_requests=batch,
-        )
-        result = SimulationResult(duration=duration, timings=timings, stats=stats)
-        store_waveforms = self._config.store_waveforms
-        for net in self._netlist.source_nets():
-            wave = stimulus[net]
-            result.toggle_counts[net] = wave.toggles_in(0, duration - 1)
-            if store_waveforms:
-                result.waveforms[net] = wave
-        total_output_transitions = 0
-        for net in self._gate_output_nets():
-            sliced = split_fused_waveform(fused.waveforms[net], layout, index)
-            if store_waveforms:
-                result.waveforms[net] = sliced
-            count = sliced.toggle_count()
-            result.toggle_counts[net] = count
-            total_output_transitions += count
-        stats.output_transitions = total_output_transitions
-        stats.input_events = fanin_weighted_toggles(
-            self._netlist, result.toggle_counts
-        )
-        return result
+    Additive counters and phase timings sum, high-water marks take the max:
+    the serial-equivalent cost (wall-clock parallelism is measured by
+    callers, e.g. the serving benchmark).
+    """
+    stats.windows += part_stats.windows
+    stats.segments += part_stats.segments
+    stats.chunks += part_stats.chunks
+    stats.kernel_invocations += part_stats.kernel_invocations
+    stats.level_batches += part_stats.level_batches
+    stats.pool_words_used = max(stats.pool_words_used, part_stats.pool_words_used)
+    stats.max_batch_tasks = max(stats.max_batch_tasks, part_stats.max_batch_tasks)
+    timings.add(part_timings)
 
 
 @register_backend("gatspi-sharded")
@@ -700,8 +547,7 @@ class GatspiShardedBackend(SimBackend):
         phase_timings=True,
         description=(
             "gatspi with the window axis sharded in the parent or across "
-            "process workers, plus batched-run fusion; bit-identical to "
-            "single-session gatspi"
+            "process workers; bit-identical to single-session gatspi"
         ),
     )
 

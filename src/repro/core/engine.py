@@ -11,7 +11,8 @@ This is the paper's simulation flow (Fig. 5) end to end:
    reuse the packed tensors.
 2. *Restructure* the testbench: slice every source waveform (primary inputs
    and sequential-element outputs) into ``cycle_parallelism`` independent
-   windows.
+   windows.  A batch of testbenches (:meth:`GatspiEngine.simulate_many`)
+   contributes each testbench's windows as further columns.
 3. *Load* the windows into the pre-allocated device-memory waveform pool.
 4. For every logic level, count → allocate → store with one kernel
    execution: the launch sizes and produces the output waveforms, their
@@ -23,7 +24,7 @@ This is the paper's simulation flow (Fig. 5) end to end:
 On a non-numpy device the vector pipeline crosses the host/device boundary
 exactly twice per run: the lowered stimulus event tensors move *in* once
 (:meth:`~repro.core.restructure.SourceEvents.to_device`, step 2) and the
-trimmed readback moves *out* once per segment batch
+trimmed readback moves *out* once per request per segment batch
 (:meth:`~repro.core.restructure.TrimmedReadback.to_host`, step 5).  Window
 descriptors (a handful of scalars per batch) ride along with the kernel
 launches, exactly like CUDA launch parameters.
@@ -68,6 +69,7 @@ from .restructure import (
     lower_stimulus,
     slice_windows,
     stitch_windows,
+    stitched_times,
     trim_readback,
 )
 from .results import PhaseTimings, SimulationResult, SimulationStats, StreamBatch
@@ -90,14 +92,39 @@ class _RetainedRun:
 
 
 @dataclass
+class _Request:
+    """One testbench of a whole run; ``sources`` adds a dirty plan's
+    clean boundary waveforms to the stimulus."""
+
+    stimulus: Mapping[str, Waveform]
+    sources: Mapping[str, Waveform]
+    cycles: int
+    duration: int
+
+
+@dataclass
 class _WindowRange:
+    """``[start, end)`` of request ``request``'s own time; ``index`` is the
+    batch-wide column."""
+
     index: int
     start: int
     end: int
+    request: int = 0
 
     @property
     def length(self) -> int:
         return self.end - self.start
+
+
+def _request_runs(windows: Sequence[_WindowRange]) -> Iterator[Tuple[int, int, int]]:
+    """``(request, lo, hi)``: windows are laid out request by request (and
+    segment batches keep that order), so each request owns one slice."""
+    lo, count = 0, len(windows)
+    for hi in range(1, count + 1):
+        if hi == count or windows[hi].request != windows[lo].request:
+            yield windows[lo].request, lo, hi
+            lo = hi
 
 
 class _ReadbackAccumulator:
@@ -170,13 +197,15 @@ class GatspiEngine:
     instantiating this class directly.
 
     The class runs one pipeline — the bulk-array restructure/load/readback
-    phases around the level-batched kernel.  The three drivers
-    (:meth:`simulate`, :meth:`resimulate`, :meth:`run_stream_chunk`) build
-    a plan, a window list and a source mapping and hand them to one
-    executor: :meth:`_execute` is the seam a subclass replaces to run the
-    same plans differently (the per-object oracle in
-    :mod:`repro.reference.oracle_engine` does), :meth:`_run_windows` the
-    array executor underneath it.
+    phases around the level-batched kernel.  The drivers
+    (:meth:`simulate` / :meth:`simulate_many`, :meth:`resimulate`,
+    :meth:`run_stream_chunk`) build a plan, a window list and per-request
+    sources and hand them to one executor: :meth:`_execute` is the seam a
+    subclass replaces to run the same plans differently (the per-object
+    oracle in :mod:`repro.reference.oracle_engine` does),
+    :meth:`_run_windows` the array executor underneath it.  A batch of
+    requests is just more windows: each request's windows are the ones
+    its standalone run would cut, tagged with the request they belong to.
     """
 
     #: Stamped on ``stats.kernel_mode`` / ``stats.restructure_mode`` of
@@ -580,8 +609,8 @@ class GatspiEngine:
             else:
                 sources[net] = previous.waveforms[net]
         return self._run_plan(
-            plan, stimulus, sources, cycles, duration, previous=previous
-        )
+            plan, [_Request(stimulus, sources, cycles, duration)], previous=previous
+        )[0]
 
     def _partial_ok(
         self,
@@ -654,44 +683,58 @@ class GatspiEngine:
         input or sequential-element output).  ``duration`` defaults to
         ``cycles * clock_period``; one of the two must be given.
         ``retain=False`` keeps the run out of the rerun-base store — for
-        callers whose stimulus is a slice or a fusion of the real horizon.
+        callers whose stimulus is a slice of the real horizon.
         """
         cycles, duration = normalize_horizon(
             cycles, duration, self.config.clock_period
         )
-        validate_stimulus(self.netlist, stimulus)
-        return self._run_plan(
-            self._full_plan(), stimulus, stimulus, cycles, duration,
-            retain=retain,
-        )
+        return self.simulate_many([(stimulus, cycles, duration)], retain=retain)[0]
+
+    def simulate_many(
+        self,
+        requests: Sequence[Tuple[Mapping[str, Waveform], int, int]],
+        *,
+        retain: bool = True,
+    ) -> List[SimulationResult]:
+        """Simulate resolved ``(stimulus, cycles, duration)`` testbenches.
+
+        Requests are columns: every request's windows are the ones its own
+        :meth:`simulate` would cut, on its own time base, all run in one
+        level loop — so each result is bit-identical to a standalone run.
+        A multi-request batch shares its timings and workload stats evenly
+        (``stats.fused_requests`` is the batch size) and is never retained
+        as a rerun base.
+        """
+        batch = [_Request(s, s, cycles, duration) for s, cycles, duration in requests]
+        for request in batch:
+            validate_stimulus(self.netlist, request.stimulus)
+        return self._run_plan(self._full_plan(), batch, retain=retain) if batch else []
 
     def _run_plan(
         self,
         plan: ExecutionPlan,
-        stimulus: Mapping[str, Waveform],
-        sources: Mapping[str, Waveform],
-        cycles: int,
-        duration: int,
+        requests: Sequence[_Request],
         previous: Optional[SimulationResult] = None,
         retain: bool = True,
-    ) -> SimulationResult:
-        """Execute ``plan`` over the whole horizon and assemble the result.
+    ) -> List[SimulationResult]:
+        """Execute ``plan`` over every request's horizon, one result each.
 
-        The one whole-run driver behind :meth:`simulate` (full plan,
-        ``sources`` is the stimulus) and :meth:`resimulate` (dirty plan,
-        ``sources`` adds the clean boundary waveforms): nets the plan does
-        not read back are carried over from ``previous``.
+        The one whole-run driver behind :meth:`simulate_many` (full plan)
+        and :meth:`resimulate` (one request, dirty plan: nets the plan
+        does not read back are carried over from ``previous``).
         """
         compiled = self.compiled
-        windows = self._window_ranges(0, duration)
-        self._check_sentinel_headroom(sources, windows, plan.source_nets)
+        windows: List[_WindowRange] = []
+        for number, request in enumerate(requests):
+            own = self._window_ranges(0, request.duration, number, len(windows))
+            self._check_sentinel_headroom(request.sources, own, plan.source_nets)
+            windows.extend(own)
         timings = PhaseTimings()
         stats = SimulationStats(
             gate_count=compiled.gate_count,
             levels=compiled.depth,
             widest_level=compiled.levelization.widest_level,
             segments=0,
-            cycles=cycles,
             kernel_mode=self.kernel_mode,
             restructure_mode=self.restructure_mode,
             device=self._xp.name,
@@ -700,40 +743,57 @@ class GatspiEngine:
             stats.incremental = True
             stats.dirty_gates = plan.dirty_gates
             stats.dirty_fraction = plan.dirty_fraction
-        outputs = self._execute(plan, sources, windows, duration, timings, stats)
+        outputs = self._execute(plan, requests, windows, timings, stats)
 
         start = time.perf_counter()
-        result = SimulationResult(duration=duration, timings=timings, stats=stats)
-        # Source nets: toggle counts (and waveforms) from the original
-        # stimulus, clipped to the simulated duration.
-        for net in self.netlist.source_nets():
-            wave = stimulus[net]
-            result.toggle_counts[net] = wave.toggles_in(0, duration - 1)
-            if self.config.store_waveforms:
-                result.waveforms[net] = wave
-        total_output_transitions = 0
-        for gate in compiled.gates.values():
-            net = gate.output_net
-            if net in outputs:
-                count, stitched = outputs[net]
-            else:
-                # A clean net of a partial plan: the base run's answer.
-                assert previous is not None
-                count = previous.toggle_counts[net]
-                stitched = previous.waveforms[net]
-            result.toggle_counts[net] = count
-            if stitched is not None:
-                result.waveforms[net] = stitched
-            total_output_transitions += count
-        stats.output_transitions = total_output_transitions
-        # Input events seen by gates = fanout-weighted net transitions.
-        stats.input_events = fanin_weighted_toggles(
-            self.netlist, result.toggle_counts
-        )
+        batch = len(requests)
+        results = []
+        for request, request_outputs in zip(requests, outputs):
+            # A batch's workload is shared evenly by its requests.
+            share = stats if batch == 1 else replace(
+                stats,
+                windows=stats.windows // batch,
+                segments=max(1, stats.segments // batch),
+                kernel_invocations=stats.kernel_invocations // batch,
+                level_batches=stats.level_batches // batch,
+                fused_requests=batch,
+            )
+            share.cycles = request.cycles
+            duration = request.duration
+            result = SimulationResult(duration=duration, stats=share)
+            # Source nets: toggle counts (and waveforms) from the original
+            # stimulus, clipped to the simulated duration.
+            for net in self.netlist.source_nets():
+                wave = request.stimulus[net]
+                result.toggle_counts[net] = wave.toggles_in(0, duration - 1)
+                if self.config.store_waveforms:
+                    result.waveforms[net] = wave
+            total_output_transitions = 0
+            for gate in compiled.gates.values():
+                net = gate.output_net
+                if net in request_outputs:
+                    count, stitched = request_outputs[net]
+                else:
+                    # A clean net of a partial plan: the base run's answer.
+                    assert previous is not None
+                    count = previous.toggle_counts[net]
+                    stitched = previous.waveforms[net]
+                result.toggle_counts[net] = count
+                if stitched is not None:
+                    result.waveforms[net] = stitched
+                total_output_transitions += count
+            share.output_transitions = total_output_transitions
+            # Input events seen by gates = fanout-weighted net transitions.
+            share.input_events = fanin_weighted_toggles(
+                self.netlist, result.toggle_counts
+            )
+            results.append(result)
         timings.readback += time.perf_counter() - start
-        if retain:
-            self.retain(stimulus, duration, result)
-        return result
+        for result in results:
+            result.timings = timings if batch == 1 else timings.scaled(1 / batch)
+        if retain and batch == 1:
+            self.retain(requests[0].stimulus, requests[0].duration, results[0])
+        return results
 
     def run_cycles(
         self,
@@ -892,8 +952,9 @@ class GatspiEngine:
         self._check_stream_headroom(windows[0].length)
         if self._stream_pool is None:
             self._stream_pool = self._make_pool(windows, plan)
-        readback = self._run_windows(
-            plan, span, windows, duration, timings, stats, pool=self._stream_pool
+        [readback] = self._run_windows(
+            plan, [span], windows, [duration], timings, stats,
+            pool=self._stream_pool,
         )
         stats.chunks += 1
         hnp = HOST
@@ -991,79 +1052,82 @@ class GatspiEngine:
     def _execute(
         self,
         plan: ExecutionPlan,
-        sources: Mapping[str, Waveform],
+        requests: Sequence[_Request],
         windows: Sequence[_WindowRange],
-        duration: int,
         timings: PhaseTimings,
         stats: SimulationStats,
-    ) -> Dict[str, Tuple[int, Optional[Waveform]]]:
-        """Run ``plan`` over ``windows`` from a ``{net: Waveform}`` mapping.
+    ) -> List[Dict[str, Tuple[int, Optional[Waveform]]]]:
+        """Run ``plan`` over ``windows`` from each request's ``sources``.
 
-        ``sources`` maps every plan source net (true stimulus sources plus,
-        for a dirty plan, clean boundary nets) to its exact absolute
-        waveform.  Returns ``(toggle_count, waveform)`` per readback net.
-        With stored waveforms the count comes from the stitched waveform,
-        so transitions landing exactly on a window seam are counted once;
-        otherwise the waveform is ``None`` and the trimmed per-window
-        counts are summed.
+        Returns, per request, ``(toggle_count, waveform)`` per readback
+        net.  The count follows the stitch seam rules (a transition landing
+        exactly on a window seam is counted once); the waveform is ``None``
+        unless waveforms are stored.
 
         This is the overridable seam: everything above it (plans, windows,
         result assembly, retention) is executor-independent.
         """
-        # Lower the stimulus once into flat event tensors; every segment
+        # Lower each stimulus once into flat event tensors; every segment
         # batch slices the same tensors.
         start = time.perf_counter()
-        events = lower_stimulus(plan.source_nets, sources)
+        events = [lower_stimulus(plan.source_nets, r.sources) for r in requests]
         timings.restructure += time.perf_counter() - start
-        readback = self._run_windows(
-            plan, events, windows, duration, timings, stats
+        durations = [request.duration for request in requests]
+        readbacks = self._run_windows(
+            plan, events, windows, durations, timings, stats
         )
         hnp = HOST
         start = time.perf_counter()
-        window_starts = hnp.asarray(
-            [window.start for window in windows], dtype=hnp.int64
-        )
-        outputs: Dict[str, Tuple[int, Optional[Waveform]]] = {}
-        for index, net in enumerate(readback.nets):
-            establish, counts, times = readback.net_series(index)
-            if self.config.store_waveforms:
-                stitched = stitch_windows(window_starts, establish, counts, times)
-                outputs[net] = (stitched.toggle_count(), stitched)
-            else:
-                outputs[net] = (int(counts.sum()), None)
+        outputs: List[Dict[str, Tuple[int, Optional[Waveform]]]] = []
+        for readback, (_, lo, hi) in zip(readbacks, _request_runs(windows)):
+            window_starts = hnp.asarray(
+                [window.start for window in windows[lo:hi]], dtype=hnp.int64
+            )
+            request_outputs: Dict[str, Tuple[int, Optional[Waveform]]] = {}
+            for index, net in enumerate(readback.nets):
+                series = (window_starts, *readback.net_series(index))
+                if self.config.store_waveforms:
+                    stitched = stitch_windows(*series)
+                    request_outputs[net] = (stitched.toggle_count(), stitched)
+                else:
+                    request_outputs[net] = (stitched_times(*series).size - 1, None)
+            outputs.append(request_outputs)
         timings.readback += time.perf_counter() - start
         return outputs
 
     def _run_windows(
         self,
         plan: ExecutionPlan,
-        events: SourceEvents,
+        events: Sequence[SourceEvents],
         windows: Sequence[_WindowRange],
-        duration: int,
+        durations: Sequence[int],
         timings: PhaseTimings,
         stats: SimulationStats,
         pool: Optional[WaveformPool] = None,
-    ) -> _ReadbackAccumulator:
+    ) -> List[_ReadbackAccumulator]:
         """The array executor: lowered events in, trimmed readback out.
 
-        Moves the event tensors to the device (the only host→device
-        transfer of the stimulus path), then runs the windows through
-        :meth:`_simulate_batch` in as many sequential segments as the pool
-        needs.  ``pool`` recycles a persistent pool across calls (the
-        streaming driver's constant-RSS path) instead of one per segment.
+        ``events[r]``/``durations[r]`` belong to the windows of request
+        ``r``, whose trimmed outputs land in the ``r``-th accumulator
+        returned.  Moves the event tensors to the device (the only
+        host→device transfer of the stimulus path), then runs the windows
+        through :meth:`_simulate_batch` in as many sequential segments as
+        the pool needs.  ``pool`` recycles a persistent pool across calls
+        (the streaming driver's constant-RSS path) instead of one per
+        segment.
         """
         start = time.perf_counter()
-        events = events.to_device(self._xp)
+        events = [e.to_device(self._xp) for e in events]
         timings.host_to_device += time.perf_counter() - start
-        readback = _ReadbackAccumulator(plan.readback_nets)
+        readbacks = [_ReadbackAccumulator(plan.readback_nets) for _ in events]
         stats.segments += self._segment_windows(
             windows,
             lambda batch: self._simulate_batch(
-                events, batch, duration, timings, stats, readback, plan, pool
+                events, batch, durations, timings, stats, readbacks, plan, pool
             ),
         )
         stats.windows += len(windows)
-        return readback
+        return readbacks
 
     def _check_sentinel_headroom(
         self,
@@ -1105,18 +1169,21 @@ class GatspiEngine:
     # ------------------------------------------------------------------
     # Window / segment management
     # ------------------------------------------------------------------
-    def _window_ranges(self, start: int, end: int) -> List[_WindowRange]:
-        """Split ``[start, end)`` into up to ``cycle_parallelism`` windows."""
+    def _window_ranges(
+        self, start: int, end: int, request: int = 0, first: int = 0
+    ) -> List[_WindowRange]:
+        """Split ``[start, end)`` into up to ``cycle_parallelism`` windows
+        of ``request``, numbered from column ``first``."""
         span = end - start
         window_length = max(1, -(-span // self.config.cycle_parallelism))
         ranges: List[_WindowRange] = []
         cursor = start
         while cursor < end:
             stop = min(cursor + window_length, end)
-            ranges.append(_WindowRange(index=len(ranges), start=cursor, end=stop))
+            ranges.append(_WindowRange(first + len(ranges), cursor, stop, request))
             cursor = stop
         if not ranges:
-            ranges.append(_WindowRange(index=0, start=start, end=max(1, end)))
+            ranges.append(_WindowRange(first, start, max(1, end), request))
         return ranges
 
     def _make_pool(
@@ -1166,12 +1233,12 @@ class GatspiEngine:
 
     def _simulate_batch(
         self,
-        events: SourceEvents,
+        events: Sequence[SourceEvents],
         windows: Sequence[_WindowRange],
-        duration: int,
+        durations: Sequence[int],
         timings: PhaseTimings,
         stats: SimulationStats,
-        readback: _ReadbackAccumulator,
+        readbacks: Sequence[_ReadbackAccumulator],
         plan: ExecutionPlan,
         pool: Optional[WaveformPool] = None,
     ) -> None:
@@ -1180,13 +1247,17 @@ class GatspiEngine:
         Restructure, load, level execution, readback — and the boundary
         phases never touch per-window :class:`Waveform` objects: slice
         bounds come from ``searchsorted`` over the lowered event tensors,
-        the pool is filled by one :meth:`WaveformPool.load_windows` call,
-        and trimmed outputs land in the accumulator as flat host arrays
-        after the one device→host transfer of the batch.
+        the pool is filled by one :meth:`WaveformPool.load_windows` call
+        per request, and trimmed outputs land in the accumulator as flat
+        host arrays after one device→host transfer per request.
 
         Each window is extended backwards by the settle margin so events
         still propagating across the window boundary are reproduced
         exactly; the margin region is trimmed from the outputs below.
+        Requests are columns: each request's windows are sliced from its
+        own event tensor into their own pool columns, run in one level
+        loop with every other request's, and trimmed against their own
+        request's duration into that request's accumulator.
 
         ``pool`` recycles a persistent pool instead of building one per
         batch (the streaming driver's constant-RSS path): every previously
@@ -1200,7 +1271,6 @@ class GatspiEngine:
         else:
             pool.release_windows()
         overlap = self.window_overlap
-        B = len(windows)
         window_indices = [window.index for window in windows]
         extended_starts = xp.asarray(
             [max(0, window.start - overlap) for window in windows], dtype=xp.int64
@@ -1212,25 +1282,32 @@ class GatspiEngine:
         # run's in-pool fanin waveforms would provide it.
         slice_ends = ends + overlap if plan.partial else ends
 
-        # Restructure: per-(net, window) slice bounds over the flat event
-        # tensor — the cycle-parallelism step without any waveform copies.
-        start = time.perf_counter()
-        slices = slice_windows(events, extended_starts, slice_ends, xp=xp)
-        timings.restructure += time.perf_counter() - start
+        runs = list(_request_runs(windows))
+        for request, lo, hi in runs:
+            request_events = events[request]
+            # Restructure: per-(net, window) slice bounds over the flat
+            # event tensor — the cycle-parallelism step without any
+            # waveform copies.
+            start = time.perf_counter()
+            slices = slice_windows(
+                request_events, extended_starts[lo:hi], slice_ends[lo:hi], xp=xp
+            )
+            timings.restructure += time.perf_counter() - start
 
-        # Load: one batched scatter writes every window into the pool.
-        start = time.perf_counter()
-        pool.load_windows(
-            events.nets,
-            window_indices,
-            slices.initial_values,
-            events.times,
-            slices.starts,
-            slices.counts,
-            extended_starts,
-            net_ids=plan.source_net_ids,
-        )
-        timings.host_to_device += time.perf_counter() - start
+            # Load: one batched scatter writes the request's windows into
+            # the pool.
+            start = time.perf_counter()
+            pool.load_windows(
+                request_events.nets,
+                window_indices[lo:hi],
+                slices.initial_values,
+                request_events.times,
+                slices.starts,
+                slices.counts,
+                extended_starts[lo:hi],
+                net_ids=plan.source_net_ids,
+            )
+            timings.host_to_device += time.perf_counter() - start
 
         self._run_levels(pool, windows, timings, stats, plan)
 
@@ -1238,45 +1315,49 @@ class GatspiEngine:
         # lift the survivors to absolute time.  The settle margin on the
         # left is discarded, and so is any propagation tail past the right
         # edge (the next window reproduces it with full knowledge of its
-        # stimulus); only the final window keeps its tail.
+        # stimulus); only each request's final window keeps its tail.
         start = time.perf_counter()
-        nets = readback.nets
-        addresses, toggle_counts = pool.window_table(
-            nets, window_indices, net_ids=plan.readback_net_ids
-        )
-        markers = xp.astype(pool.data[addresses] == INITIAL_ONE_MARKER, xp.int64)
-        task_offsets = xp.zeros(xp.size(toggle_counts) + 1, dtype=xp.int64)
-        task_offsets[1:] = xp.cumsum(toggle_counts)
-        local_times = gather_segments(
-            pool.data, addresses + markers + 1, toggle_counts, xp=xp
-        )
         margins = (
             xp.asarray([window.start for window in windows], dtype=xp.int64)
             - extended_starts
         )
-        if overlap > 0:
-            right_edges = xp.where(
-                ends < duration, ends - extended_starts, EOW - 1
+        for request, lo, hi in runs:
+            readback, B = readbacks[request], hi - lo
+            nets = readback.nets
+            addresses, toggle_counts = pool.window_table(
+                nets, window_indices[lo:hi], net_ids=plan.readback_net_ids
             )
-        else:
-            right_edges = xp.full(B, EOW - 1, dtype=xp.int64)
-        apply_trim = (margins > 0) | (right_edges != EOW - 1)
-        N = len(nets)
-        trimmed = trim_readback(
-            local_times,
-            task_offsets,
-            markers,
-            xp.tile(margins, N),
-            xp.tile(right_edges, N),
-            xp.tile(apply_trim, N),
-            extended_starts,
-            N,
-            B,
-            xp=xp,
-        )
-        # Device→host transfer point (the only one of the readback path):
-        # the trimmed batch moves to the host in one step.
-        readback.append(trimmed.to_host(xp))
+            markers = xp.astype(pool.data[addresses] == INITIAL_ONE_MARKER, xp.int64)
+            task_offsets = xp.zeros(xp.size(toggle_counts) + 1, dtype=xp.int64)
+            task_offsets[1:] = xp.cumsum(toggle_counts)
+            local_times = gather_segments(
+                pool.data, addresses + markers + 1, toggle_counts, xp=xp
+            )
+            own_starts, own_ends = extended_starts[lo:hi], ends[lo:hi]
+            if overlap > 0:
+                right_edges = xp.where(
+                    own_ends < durations[request], own_ends - own_starts, EOW - 1
+                )
+            else:
+                right_edges = xp.full(B, EOW - 1, dtype=xp.int64)
+            apply_trim = (margins[lo:hi] > 0) | (right_edges != EOW - 1)
+            N = len(nets)
+            trimmed = trim_readback(
+                local_times,
+                task_offsets,
+                markers,
+                xp.tile(margins[lo:hi], N),
+                xp.tile(right_edges, N),
+                xp.tile(apply_trim, N),
+                own_starts,
+                N,
+                B,
+                xp=xp,
+            )
+            # Device→host transfer point (the only one of the readback
+            # path): the request's trimmed windows move to the host in one
+            # step.
+            readback.append(trimmed.to_host(xp))
         stats.pool_words_used = max(stats.pool_words_used, pool.used_words)
         timings.readback += time.perf_counter() - start
 

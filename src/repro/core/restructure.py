@@ -453,10 +453,21 @@ def stitch_windows(
     Inputs are host arrays (readback has already crossed the device→host
     transfer point), so stitching always runs on the numpy backend.
     """
+    if window_starts.size == 0:
+        return _waveform_from_times(0, HOST.zeros(1, dtype=HOST.int64))
+    return _waveform_from_times(
+        int(establish_values[0]),
+        stitched_times(window_starts, establish_values, toggle_counts, times),
+    )
+
+
+def stitched_times(window_starts, establish_values, toggle_counts, times):
+    """The change times :func:`stitch_windows` keeps, window 0's
+    establishing entry first — so ``size - 1`` is the stitched toggle
+    count, which counts-only readback takes without building a waveform.
+    Needs at least one window."""
     hnp = HOST
     W = window_starts.size
-    if W == 0:
-        return _waveform_from_times(0, hnp.zeros(1, dtype=hnp.int64))
     finals = establish_values ^ (toggle_counts & 1)
     seam_consistent = bool(
         hnp.array_equal(establish_values[1:], finals[:-1])
@@ -474,7 +485,7 @@ def stitch_windows(
         all_times = hnp.empty(times.size + 1, dtype=hnp.int64)
         all_times[0] = window_starts[0]
         all_times[1:] = times
-        return _waveform_from_times(int(establish_values[0]), all_times)
+        return all_times
 
     pieces: List = []
     last_time = 0
@@ -507,7 +518,7 @@ def stitch_windows(
         last_value = v0 ^ (count & 1)
     # Window 0 always keeps its establishing entry, so pieces is non-empty
     # and the stitched waveform establishes window 0's value.
-    return _waveform_from_times(int(establish_values[0]), hnp.concatenate(pieces))
+    return hnp.concatenate(pieces)
 
 
 # ----------------------------------------------------------------------

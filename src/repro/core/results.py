@@ -45,6 +45,12 @@ class PhaseTimings:
                 self, phase.name, getattr(self, phase.name) + getattr(other, phase.name)
             )
 
+    def scaled(self, factor: float) -> "PhaseTimings":
+        """Every phase times ``factor``: one request's share of a batch."""
+        return PhaseTimings(
+            **{phase.name: getattr(self, phase.name) * factor for phase in fields(self)}
+        )
+
     def as_dict(self) -> Dict[str, float]:
         return {
             "restructure": self.restructure,
@@ -88,9 +94,10 @@ class SimulationStats:
     #: Window-axis shards the run was partitioned into (1 = unsharded; the
     #: ``gatspi-sharded`` backend sets the actual shard count).
     shards: int = 1
-    #: Requests fused into the engine run that produced this result (1 =
-    #: standalone; batched serving fuses same-design requests, and fused
-    #: workload stats/timings are attributed evenly across the batch).
+    #: Requests batched into the engine run that produced this result (1 =
+    #: standalone; ``Session.run_many`` runs same-design requests as the
+    #: columns of one level loop, and their workload stats/timings are
+    #: attributed evenly across the batch).
     fused_requests: int = 1
     #: Whether this result came from an incremental rerun (``Session.rerun``):
     #: only the cone of influence of an edit batch was re-simulated and the

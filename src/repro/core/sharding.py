@@ -25,12 +25,15 @@ invariant: with a settle margin covering the critical path (the default),
 each window's — and therefore each margin-extended shard's — output over
 its ``[start, end)`` range equals the true simulation waveform, so any
 partition of the run reconstructs the same stitched result.
+
+Batching *requests* needs none of this: requests are columns, each on its
+own time base (:meth:`~repro.core.engine.GatspiEngine.simulate_many`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from .restructure import stitch_windows
 from .waveform import EOW, Waveform
@@ -168,137 +171,3 @@ def merge_shard_waveforms(
         else hnp.zeros(0, dtype=hnp.int64)
     )
     return stitch_windows(window_starts, establish, counts, times)
-
-
-# ----------------------------------------------------------------------
-# Time-axis request fusion (micro-batching onto one run)
-# ----------------------------------------------------------------------
-#
-# Sharding splits one run into shares; *fusion* is the same carve-and-merge
-# invariant pointed the other way: several independent requests for the same
-# compiled design are laid out back to back on the time axis — separated by
-# settle pads sized like the window margin — executed as ONE engine run, and
-# sliced apart again bit-exactly.  It is what makes micro-batched serving
-# pay: the engine's per-level-batch and per-net fixed costs are paid once
-# per *batch* instead of once per *request*.
-#
-# The pad between request ``i`` and ``i+1`` is ``2 * overlap`` long: the
-# first half holds every source at request ``i``'s final value, so request
-# ``i``'s propagation tail (bounded by the critical-path margin) evolves
-# exactly as in a standalone run; the second half holds request ``i+1``'s
-# initial values, so the network settles to request ``i+1``'s initial gate
-# state before its range begins — the same settle argument the engine's
-# window margins rest on.
-
-
-@dataclass(frozen=True)
-class FusedLayout:
-    """Time-axis placement of a batch of fused requests.
-
-    Request ``i`` owns ``[offsets[i], offsets[i] + durations[i])`` of the
-    fused run; ``overlap`` is the settle-pad half-width (the engine's
-    window margin).
-    """
-
-    offsets: Tuple[int, ...]
-    durations: Tuple[int, ...]
-    overlap: int
-
-    @property
-    def batch_size(self) -> int:
-        return len(self.offsets)
-
-    @property
-    def fused_duration(self) -> int:
-        return self.offsets[-1] + self.durations[-1]
-
-
-def plan_fusion(durations: Sequence[int], overlap: int) -> FusedLayout:
-    """Lay requests out on the fused time axis with settle pads between."""
-    if not durations:
-        raise ValueError("at least one request is required")
-    if overlap <= 0:
-        raise ValueError("fusion requires a positive settle overlap")
-    offsets: List[int] = [0]
-    for duration in durations[:-1]:
-        if duration < 1:
-            raise ValueError("request durations must be positive")
-        offsets.append(offsets[-1] + duration + 2 * overlap)
-    if durations[-1] < 1:
-        raise ValueError("request durations must be positive")
-    return FusedLayout(
-        offsets=tuple(offsets), durations=tuple(durations), overlap=overlap
-    )
-
-
-def fuse_stimuli(
-    nets: Sequence[str],
-    stimuli: Sequence[Dict[str, Waveform]],
-    layout: FusedLayout,
-) -> Dict[str, Waveform]:
-    """Concatenate per-request stimuli into one fused stimulus.
-
-    Per net: request ``i``'s toggles — clipped to its horizon, exactly as
-    a standalone run's window slicing never loads events at or past the
-    duration — shift by ``offsets[i]``; where consecutive requests
-    disagree across a pad, a boundary toggle at the pad midpoint
-    (``offset[i] + duration[i] + overlap``) switches the source from
-    request ``i``'s final value to request ``i+1``'s initial value — late
-    enough that request ``i``'s kept tail region still sees its own final
-    values, early enough that the network settles before request ``i+1``
-    begins.
-    """
-    hnp = HOST
-    fused: Dict[str, Waveform] = {}
-    for net in nets:
-        pieces: List = []
-        value = stimuli[0][net].initial_value
-        initial = value
-        for index, stimulus in enumerate(stimuli):
-            wave = stimulus[net]
-            offset = layout.offsets[index]
-            if wave.initial_value != value:
-                # Pad midpoint switch into this request's initial value.
-                pieces.append(
-                    hnp.asarray([offset - layout.overlap], dtype=hnp.int64)
-                )
-                value = wave.initial_value
-            toggles = wave.timestamps[1:]
-            # Clip to the request's horizon: a standalone run ignores
-            # toggles at or past ``duration`` (its windows end there), and
-            # unclipped they would spill into the settle pad — or past the
-            # next request's offset entirely.
-            clip = int(
-                hnp.searchsorted(toggles, layout.durations[index], side="left")
-            )
-            toggles = toggles[:clip]
-            if toggles.size:
-                pieces.append(toggles + offset)
-                value ^= int(toggles.size & 1)
-        times = (
-            hnp.concatenate(pieces) if pieces
-            else hnp.zeros(0, dtype=hnp.int64)
-        )
-        fused[net] = Waveform.from_toggle_array(initial, times)
-    return fused
-
-
-def split_fused_waveform(
-    wave: Waveform, layout: FusedLayout, index: int
-) -> Waveform:
-    """Slice request ``index``'s waveform back out of a fused result.
-
-    Keeps the establishing value at the request's offset and every toggle
-    strictly inside ``(offset, offset + duration + overlap)`` — the
-    request's own range plus its propagation tail, exactly the range a
-    standalone run's final window keeps.  The pad's switch toggle sits at
-    the slice boundary and is excluded on both sides.
-    """
-    hnp = HOST
-    offset = layout.offsets[index]
-    end = offset + layout.durations[index] + layout.overlap
-    toggles = wave.timestamps[1:]
-    lo = int(hnp.searchsorted(toggles, offset, side="right"))
-    hi = int(hnp.searchsorted(toggles, end, side="left"))
-    initial = wave.initial_value ^ (lo & 1)
-    return Waveform.from_toggle_array(initial, toggles[lo:hi] - offset)

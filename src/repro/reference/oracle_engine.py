@@ -23,7 +23,7 @@ import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.config import SimConfig
-from ..core.engine import GatspiEngine, _WindowRange
+from ..core.engine import GatspiEngine, _Request, _WindowRange
 from ..core.incremental import ExecutionPlan
 from ..core.kernel import GateKernelResult, simulate_gate_window
 from ..core.memory import WaveformPool
@@ -58,33 +58,36 @@ class OracleEngine(GatspiEngine):
     def _execute(
         self,
         plan: ExecutionPlan,
-        sources: Mapping[str, Waveform],
+        requests: Sequence[_Request],
         windows: Sequence[_WindowRange],
-        duration: int,
         timings: PhaseTimings,
         stats: SimulationStats,
-    ) -> Dict[str, Tuple[int, Optional[Waveform]]]:
-        window_outputs: Dict[str, Dict[int, Waveform]] = {}
-        stats.segments += self._segment_windows(
-            windows,
-            lambda batch: self._simulate_batch_objects(
-                sources, batch, duration, timings, stats, window_outputs, plan
-            ),
-        )
-        stats.windows += len(windows)
-        # When full waveforms are kept, toggle counts come from the
-        # stitched waveform so transitions landing exactly on a window seam
-        # are counted once; otherwise the per-window counts are summed.
-        start = time.perf_counter()
-        outputs: Dict[str, Tuple[int, Optional[Waveform]]] = {}
-        for net, per_window in window_outputs.items():
-            if self.config.store_waveforms:
-                stitched = _stitch(per_window, windows)
-                outputs[net] = (stitched.toggle_count(), stitched)
-            else:
-                count = sum(w.toggle_count() for w in per_window.values())
-                outputs[net] = (count, None)
-        timings.readback += time.perf_counter() - start
+    ) -> List[Dict[str, Tuple[int, Optional[Waveform]]]]:
+        """One request after another, each over its own windows."""
+        outputs: List[Dict[str, Tuple[int, Optional[Waveform]]]] = []
+        for number, request in enumerate(requests):
+            own = [window for window in windows if window.request == number]
+            window_outputs: Dict[str, Dict[int, Waveform]] = {}
+            stats.segments += self._segment_windows(
+                own,
+                lambda batch: self._simulate_batch_objects(
+                    request.sources, batch, request.duration, timings, stats,
+                    window_outputs, plan,
+                ),
+            )
+            stats.windows += len(own)
+            # Toggle counts come from the stitched waveform, so transitions
+            # landing exactly on a window seam are counted once.
+            start = time.perf_counter()
+            request_outputs: Dict[str, Tuple[int, Optional[Waveform]]] = {}
+            for net, per_window in window_outputs.items():
+                stitched = _stitch(per_window, own)
+                request_outputs[net] = (
+                    stitched.toggle_count(),
+                    stitched if self.config.store_waveforms else None,
+                )
+            outputs.append(request_outputs)
+            timings.readback += time.perf_counter() - start
         return outputs
 
     def _simulate_batch_objects(

@@ -36,12 +36,15 @@ Request lifecycle::
   one worker task against one prepared session, so a burst of requests
   for the same design costs one ``prepare()`` and runs back to back on a
   warm session, while requests for different designs spread across the
-  pool.  When the session supports batched runs
-  (:meth:`~repro.api.sharded.ShardedGatspiSession.run_many` — the
-  ``gatspi-sharded`` backend), the whole group executes as **one fused
-  engine run** and is sliced apart bit-exactly, paying the engine's
-  per-run fixed costs once per batch instead of once per request; a
-  fused failure falls back to per-request runs so isolation is kept.
+  pool.  A group with more than one distinct full request executes as
+  one :meth:`~repro.api.session.Session.run_many` call.  Requests are
+  columns: on ``gatspi`` sessions the batch is one level loop over every
+  request's own windows, paying the engine's per-level fixed costs once
+  per batch, with results bit-identical to one run each; other backends
+  run the batch one request after another.  Each request's inputs are
+  checked first, so a bad request fails alone; an engine failure inside
+  the batch falls back to per-request runs, counted in
+  ``stats()["fused_fallbacks"]``.
 * **Session reuse.**  Prepared sessions live in a bounded LRU keyed by
   session key.  Batches for one key are serialized (per-key active
   bookkeeping), so a new design is prepared exactly once — outside the
@@ -62,12 +65,13 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..analysis import analyze_design
-from ..api import resolve_backend
+from ..api import RunSpec, resolve_backend
 from ..core.compile_cache import fingerprint_annotation, fingerprint_netlist
 from ..core.config import SimConfig
+from ..core.contract import normalize_horizon, validate_stimulus
 from ..core.edits import Edit
 from ..core.results import SimulationResult
 from ..core.waveform import Waveform
@@ -175,7 +179,8 @@ class ServeResponse:
     batch_size: int
     #: Whether the prepared session came from the service's session cache.
     session_reused: bool
-    #: Whether the request executed inside a fused (batched) engine run.
+    #: Whether the request ran as columns of a multi-request batch
+    #: (``Session.run_many`` on a ``gatspi`` session).
     fused: bool = False
     tag: Optional[str] = None
     #: Whether this request was coalesced onto another in-flight identical
@@ -741,22 +746,13 @@ class SimulationService:
             else:
                 followers.append((queued, leader))
         outcomes: Dict[int, _Outcome] = {}
-        # Delta requests are never fused either: the time-axis fusion
-        # layout cannot express the session mutation.  Distinct full
-        # requests of the batch still fuse.
+        # Distinct full requests run as one batch; delta requests never
+        # join it (each mutates the session apply -> rerun -> undo).
         full_items = [q for q in runnable if q.request.netlist is not None]
-        run_many = getattr(session, "run_many", None)
-        if run_many is not None and len(full_items) > 1:
-            fused_results = self._execute_fused(key, run_many, full_items, reused)
-            if fused_results is not None:
-                for queued, result in zip(full_items, fused_results):
-                    outcomes[id(queued)] = _Outcome(
-                        result=result,
-                        run_seconds=0.0,
-                        fused=result.stats.fused_requests > 1,
-                    )
-                runnable = [q for q in runnable if q.request.netlist is None]
+        if len(full_items) > 1:
+            if self._execute_many(key, session, full_items, reused, outcomes):
                 reused = True
+            runnable = [q for q in runnable if id(q) not in outcomes]
         for queued in runnable:
             try:
                 picked_up = time.perf_counter()
@@ -771,29 +767,12 @@ class SimulationService:
                             duration=request.duration,
                         )
                 except BaseException as exc:
-                    outcomes[id(queued)] = _Outcome(error=exc)
-                    queued.future.set_exception(exc)
-                    self._bump("failed")
+                    outcomes[id(queued)] = self._fail(queued, exc)
                     continue
-                done = time.perf_counter()
-                outcomes[id(queued)] = _Outcome(
-                    result=result, run_seconds=done - picked_up
+                outcomes[id(queued)] = self._complete(
+                    key, queued, result, picked_up,
+                    time.perf_counter() - picked_up, reused,
                 )
-                queued.future.set_result(
-                    ServeResponse(
-                        result=result,
-                        backend=request.backend,
-                        session_key=key,
-                        queue_seconds=picked_up - queued.enqueued_at,
-                        run_seconds=done - picked_up,
-                        batch_size=queued.batch_size,
-                        session_reused=reused,
-                        analysis_report=queued.analysis_report,
-                        tag=request.tag,
-                    )
-                )
-                self._record_latency(picked_up - queued.enqueued_at, done - picked_up)
-                self._bump("completed")
                 # Later requests of the batch ran on a session the batch
                 # itself warmed up.
                 reused = True
@@ -802,38 +781,21 @@ class SimulationService:
         for queued, leader in followers:
             try:
                 outcome = outcomes.get(id(leader))
-                if outcome is None or (outcome.result is None and outcome.error is None):
+                if outcome is not None and outcome.error is not None:
+                    self._fail(queued, outcome.error)
+                elif outcome is None or outcome.result is None:
                     # The leader never produced an outcome (defensive; it
                     # always should) — fail the follower loudly rather
                     # than hanging its future.
-                    queued.future.set_exception(
-                        ServiceError("coalesced leader produced no outcome")
+                    self._fail(
+                        queued, ServiceError("coalesced leader produced no outcome")
                     )
-                    self._bump("failed")
-                    continue
-                if outcome.error is not None:
-                    queued.future.set_exception(outcome.error)
-                    self._bump("failed")
-                    continue
-                now = time.perf_counter()
-                queued.future.set_result(
-                    ServeResponse(
-                        result=outcome.result,
-                        backend=queued.request.backend,
-                        session_key=key,
-                        queue_seconds=now - queued.enqueued_at,
-                        run_seconds=outcome.run_seconds,
-                        batch_size=queued.batch_size,
-                        session_reused=True,
-                        fused=outcome.fused,
+                else:
+                    self._complete(
+                        key, queued, outcome.result, time.perf_counter(),
+                        outcome.run_seconds, True, fused=outcome.fused,
                         coalesced=True,
-                        analysis_report=queued.analysis_report,
-                        tag=queued.request.tag,
                     )
-                )
-                self._record_latency(now - queued.enqueued_at, 0.0)
-                self._bump("completed")
-                self._bump("coalesced")
             finally:
                 self._inflight.release()
 
@@ -858,66 +820,105 @@ class SimulationService:
             session.apply_edits(receipt.undo_edits)
         return result
 
-    def _execute_fused(
+    def _execute_many(
         self,
         key: str,
-        run_many: Callable[..., List[SimulationResult]],
-        live: List[_QueueItem],
+        session: Any,
+        items: List[_QueueItem],
         reused: bool,
-    ) -> Optional[List[SimulationResult]]:
-        """Execute a micro-batch as one fused session run.
+        outcomes: Dict[int, _Outcome],
+    ) -> bool:
+        """Execute distinct full requests as one ``session.run_many`` call.
 
-        Returns the per-request results (request order, futures resolved,
-        permits released) on success, or ``None`` — with no future
-        resolved and no permit released — when the batched run raises, so
-        the caller can fall back to per-request execution and keep
-        failures isolated to the request that caused them.
+        Every item given an outcome here is resolved (future set, permit
+        released).  A request whose horizon or stimulus is invalid fails
+        alone before the batch runs.  When the batched run itself raises,
+        the valid items get no outcome and the caller runs them one by
+        one, so an engine failure resolves only the request that causes
+        it.  Returns whether the batch ran.
         """
-        from ..api.sharded import RunSpec
-
+        batch: List[_QueueItem] = []
+        for queued in items:
+            request = queued.request
+            try:
+                normalize_horizon(
+                    request.cycles, request.duration, session.clock_period
+                )
+                validate_stimulus(session.netlist, request.stimulus)
+            except Exception as exc:
+                outcomes[id(queued)] = self._fail(queued, exc)
+                self._inflight.release()
+                continue
+            batch.append(queued)
+        if not batch:
+            return False
         picked_up = time.perf_counter()
         try:
-            results = run_many(
+            results = session.run_many(
                 [
                     RunSpec(
                         stimulus=queued.request.stimulus,
                         cycles=queued.request.cycles,
                         duration=queued.request.duration,
                     )
-                    for queued in live
+                    for queued in batch
                 ]
             )
         except Exception:
-            # Isolation: re-run the batch serially so only the request
-            # that actually fails resolves with its exception.  Counted so
-            # a systematically failing fused path is observable in stats
-            # instead of degrading silently.
+            # Counted so a systematically failing batch path is observable
+            # in stats instead of degrading silently.
             self._bump("fused_fallbacks")
-            return None
-        wall = time.perf_counter() - picked_up
-        for queued, result in zip(live, results):
-            queue_seconds = picked_up - queued.enqueued_at
-            # The batch executed jointly; attribute the wall time evenly,
-            # matching the fused stats attribution.
-            run_seconds = wall / len(live)
-            queued.future.set_result(
-                ServeResponse(
-                    result=result,
-                    backend=queued.request.backend,
-                    session_key=key,
-                    queue_seconds=queue_seconds,
-                    run_seconds=run_seconds,
-                    batch_size=queued.batch_size,
-                    session_reused=reused,
-                    fused=result.stats.fused_requests > 1,
-                    analysis_report=queued.analysis_report,
-                    tag=queued.request.tag,
-                )
+            return False
+        # The batch executed jointly; attribute the wall time evenly,
+        # matching the engine's stats attribution.
+        run_seconds = (time.perf_counter() - picked_up) / len(batch)
+        for queued, result in zip(batch, results):
+            outcomes[id(queued)] = self._complete(
+                key, queued, result, picked_up, run_seconds, reused,
+                fused=result.stats.fused_requests > 1,
             )
-            self._record_latency(queue_seconds, run_seconds)
-            self._bump("completed")
             self._inflight.release()
-        return list(results)
+        return True
+
+    def _complete(
+        self,
+        key: str,
+        queued: _QueueItem,
+        result: SimulationResult,
+        picked_up: float,
+        run_seconds: float,
+        reused: bool,
+        fused: bool = False,
+        coalesced: bool = False,
+    ) -> _Outcome:
+        """Resolve ``queued`` with ``result`` (a coalesced follower's
+        latency records no run time of its own)."""
+        queue_seconds = picked_up - queued.enqueued_at
+        queued.future.set_result(
+            ServeResponse(
+                result=result,
+                backend=queued.request.backend,
+                session_key=key,
+                queue_seconds=queue_seconds,
+                run_seconds=run_seconds,
+                batch_size=queued.batch_size,
+                session_reused=reused,
+                fused=fused,
+                coalesced=coalesced,
+                analysis_report=queued.analysis_report,
+                tag=queued.request.tag,
+            )
+        )
+        self._record_latency(queue_seconds, 0.0 if coalesced else run_seconds)
+        self._bump("completed")
+        if coalesced:
+            self._bump("coalesced")
+        return _Outcome(result=result, run_seconds=run_seconds, fused=fused)
+
+    def _fail(self, queued: _QueueItem, error: BaseException) -> _Outcome:
+        queued.future.set_exception(error)
+        self._bump("failed")
+        return _Outcome(error=error)
 
     def _bump(self, counter: str) -> None:
         with self._stats_lock:

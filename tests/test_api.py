@@ -192,6 +192,28 @@ class TestSessionContract:
         assert not hasattr(GatspiEngine, "adopt")
         assert not hasattr(repro.api.ShardedGatspiSession, "worker_mode")
 
+    def test_time_axis_fusion_helpers_are_gone(self):
+        """Requests are columns: the fusion layout, its split and the
+        sharded session's fused path left; ``RunSpec`` and ``run_many``
+        live on the base session."""
+        import importlib
+
+        from repro.api import RunSpec, Session, ShardedGatspiSession
+
+        gone = (
+            "FusedLayout", "plan_fusion", "fuse_stimuli",
+            "split_fused_waveform", "_run_fused",
+        )
+        for module in ("repro.core.sharding", "repro.core"):
+            owner = importlib.import_module(module)
+            for name in gone:
+                assert not hasattr(owner, name), (module, name)
+        for name in ("_run_fused", "_split_fused_result"):
+            assert not hasattr(ShardedGatspiSession, name), name
+        assert RunSpec.__module__ == "repro.api.session"
+        assert "run_many" in vars(Session)
+        assert "run_many" not in vars(ShardedGatspiSession)
+
 
 @pytest.mark.concurrency
 class TestSessionConcurrency:

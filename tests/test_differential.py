@@ -309,13 +309,21 @@ def test_duration_beyond_eow_sentinel(device):
 
 @pytest.mark.parametrize("device", DEVICES)
 def test_differential_without_stored_waveforms(device):
-    """Toggle-count-only mode sums trimmed per-window counts identically."""
+    """Toggle-count-only mode counts seam toggles once, like the oracle.
+
+    Regression: counts-only runs summed the trimmed per-window counts and
+    dropped a toggle landing exactly on a window seam (6,405 toggles
+    against 6,406 here), in the engine and the per-object oracle alike,
+    so only the ``event`` comparison catches it.
+    """
     netlist, annotation = _prepare_design(11)
     stimulus = build_random_stimulus(netlist, DURATION, seed=42)
     config = SimConfig(store_waveforms=False, cycle_parallelism=8)
     reference, vector = _oracle_pair(netlist, annotation, stimulus, device, config=config)
     assert not vector.waveforms and not reference.waveforms
     assert vector.toggle_counts == reference.toggle_counts
+    event = _run("event", netlist, annotation, stimulus, config=config)
+    assert vector.matches_toggle_counts(event), vector.differing_nets(event)
 
 
 # ----------------------------------------------------------------------
@@ -398,9 +406,7 @@ def test_sharded_backend_without_stored_waveforms():
 
     The sharded backend always stitches internally (exact merging needs
     the share waveforms), so its counts-only results equal the
-    *waveform-mode* counts — seam toggles counted exactly once — rather
-    than the engine's counts-only shortcut of summing per-window trimmed
-    counts (which the engine documents as seam-approximate).
+    waveform-mode counts, seam toggles counted exactly once.
     """
     netlist, annotation = _prepare_design(11)
     stimulus = build_random_stimulus(netlist, DURATION, seed=42)
@@ -531,19 +537,22 @@ def test_sharded_backend_equals_gatspi_on_process_workers():
 
 
 # ----------------------------------------------------------------------
-# Batched-run fusion (run_many) vs standalone runs
+# Batched runs (run_many) vs standalone runs: requests are columns
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("spec", [
-    "gatspi-sharded:shards=1",            # single-session passthrough
-    pytest.param(                         # fused run, then 2-way sharded
-        "gatspi-sharded:shards=2", id="gatspi-sharded:shards=2,workers=2"
+@pytest.mark.parametrize("spec, batched", [
+    pytest.param("gatspi", True, id="gatspi"),
+    # One level loop over every request's windows, as on plain gatspi.
+    pytest.param("gatspi-sharded:shards=1", True, id="gatspi-sharded:shards=1"),
+    # More shards: one partitioned run per request.
+    pytest.param(
+        "gatspi-sharded:shards=2", False, id="gatspi-sharded:shards=2,workers=2"
     ),
 ])
-def test_run_many_fusion_bit_identical_to_standalone(spec):
-    """A fused batch slices apart into the standalone per-request results.
+def test_run_many_fusion_bit_identical_to_standalone(spec, batched):
+    """A batch returns the standalone per-request results.
 
-    Requests of different durations and initial values are laid out on
-    one time axis with settle pads; every toggle count and waveform —
+    Requests of different durations and initial values each run their
+    own windows on their own time base; every toggle count and waveform —
     including each request's propagation tail — must equal the
     single-request runs bit for bit.
     """
@@ -557,44 +566,42 @@ def test_run_many_fusion_bit_identical_to_standalone(spec):
     ]
     backend, options = resolve_backend(spec)
     session = backend.prepare(netlist, annotation=annotation, **options)
-    fused = session.run_many(
+    results = session.run_many(
         [RunSpec(stimulus=s, duration=d) for s, d in batch]
     )
-    assert [r.stats.fused_requests for r in fused] == [3, 3, 3]
+    assert [r.stats.fused_requests for r in results] == [3 if batched else 1] * 3
     single = resolve_backend("gatspi")[0].prepare(netlist, annotation=annotation)
     for index, (stimulus, duration) in enumerate(batch):
         reference = single.run(stimulus, duration=duration)
         _assert_bit_identical(
-            reference, fused[index], f"{spec} fused request {index}"
+            reference, results[index], f"{spec} batched request {index}"
         )
     assert session.runs_completed == len(batch)
 
 
 def test_run_many_fusion_clips_stimuli_longer_than_their_horizon():
-    """A reused long stimulus fuses exactly under shorter horizons.
+    """A reused long stimulus batches exactly under shorter horizons.
 
-    Standalone runs simply never load toggles at or past the duration;
-    the fused layout must clip the same way — unclipped, a request's
-    tail toggles would spill into the settle pad (silently breaking
-    bit-identity) or past the next request's offset entirely (raising
-    from the waveform constructor).  Regression for both.
+    Standalone runs never load toggles at or past the duration; a
+    request's windows end at its own horizon, so the batch clips the same
+    way (regression from time-axis fusion, whose unclipped tail toggles
+    spilled into the next request).
     """
     from repro.api import RunSpec
 
     netlist, annotation = _prepare_design(9, num_gates=24)
     long_stimulus = build_random_stimulus(netlist, DURATION, seed=44)
     short = 2_000  # far below the last stimulus toggle
-    backend, options = resolve_backend("gatspi-sharded:shards=1")
-    session = backend.prepare(netlist, annotation=annotation, **options)
-    fused = session.run_many(
+    session = resolve_backend("gatspi")[0].prepare(netlist, annotation=annotation)
+    results = session.run_many(
         [RunSpec(stimulus=long_stimulus, duration=short) for _ in range(3)]
     )
-    assert [r.stats.fused_requests for r in fused] == [3, 3, 3]
+    assert [r.stats.fused_requests for r in results] == [3, 3, 3]
     reference = _run(
         "gatspi", netlist, annotation, long_stimulus, duration=short
     )
-    for index, result in enumerate(fused):
-        _assert_bit_identical(reference, result, f"clipped fusion {index}")
+    for index, result in enumerate(results):
+        _assert_bit_identical(reference, result, f"clipped batch {index}")
 
 
 @pytest.mark.parametrize("overlap", [0, 7])
@@ -621,24 +628,116 @@ def test_sharded_backend_degrades_to_passthrough_with_pinned_overlap(overlap):
     _assert_bit_identical(reference, candidate, f"pinned overlap={overlap}")
 
 
-def test_run_many_falls_back_to_serial_with_pinned_overlap():
-    """A user-pinned settle margin disables fusion but not batching."""
+def test_run_many_batches_with_pinned_overlap():
+    """A user-pinned settle margin batches like any other config.
+
+    Each request keeps its standalone windows, so the margin's size does
+    not matter to exactness (time-axis fusion used to fall back to serial
+    runs here).
+    """
     from repro.api import RunSpec
 
     netlist, annotation = _prepare_design(7)
-    stimulus = build_random_stimulus(netlist, 12_000, seed=5)
+    stimuli = [
+        build_random_stimulus(netlist, 12_000, seed=seed) for seed in (5, 6)
+    ]
     config = SimConfig(window_overlap=64, cycle_parallelism=4)
-    backend, options = resolve_backend("gatspi-sharded:shards=1")
-    session = backend.prepare(netlist, annotation=annotation, config=config, **options)
+    session = resolve_backend("gatspi")[0].prepare(
+        netlist, annotation=annotation, config=config
+    )
     results = session.run_many(
-        [RunSpec(stimulus=stimulus, duration=12_000) for _ in range(2)]
+        [RunSpec(stimulus=stimulus, duration=12_000) for stimulus in stimuli]
     )
-    assert [r.stats.fused_requests for r in results] == [1, 1]
-    reference = _run(
-        "gatspi", netlist, annotation, stimulus, config=config, duration=12_000
+    assert [r.stats.fused_requests for r in results] == [2, 2]
+    for stimulus, result in zip(stimuli, results):
+        reference = _run(
+            "gatspi", netlist, annotation, stimulus, config=config,
+            duration=12_000,
+        )
+        _assert_bit_identical(reference, result, "pinned overlap batch")
+
+
+@st.composite
+def _run_many_batches(draw):
+    """A design seed, a config and 1–5 requests of unequal horizons."""
+    period = 1000
+    requests = []
+    for _ in range(draw(st.integers(1, 5))):
+        cycles = draw(st.integers(1, 12))
+        kind = draw(st.sampled_from(("random", "sparse", "boundary", "overrun")))
+        requests.append((kind, cycles * period, draw(st.integers(0, 10_000))))
+    return dict(
+        seed=draw(st.integers(0, 10_000)),
+        store_waveforms=draw(st.booleans()),
+        window_overlap=draw(st.sampled_from((None, None, 0, 40))),
+        cycle_parallelism=draw(st.sampled_from((1, 3, 8))),
+        requests=requests,
     )
-    for result in results:
-        _assert_bit_identical(reference, result, "serial fallback")
+
+
+def _batch_stimulus(netlist, kind, duration, seed, window_length):
+    if kind == "sparse":
+        return build_sparse_stimulus(netlist, duration, seed=seed)
+    if kind == "boundary":
+        return build_boundary_stimulus(
+            netlist, duration, max(4, window_length), seed=seed
+        )
+    # ``overrun`` keeps toggling past the request's horizon (clip case).
+    horizon = 2 * duration if kind == "overrun" else duration
+    return build_random_stimulus(netlist, horizon, seed=seed, min_gap=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(
+        ("gatspi", "gatspi-sharded:shards=1", "gatspi-sharded:shards=2", "event")
+    ),
+    case=_run_many_batches(),
+)
+def test_run_many_equals_serial_runs(spec, case):
+    """``session.run_many(specs)`` equals one ``session.run`` per spec.
+
+    Waveform for waveform and count for count, over batch sizes 1–5,
+    unequal durations, random / sparse / boundary stimuli and stimuli that
+    run past their horizon, with and without stored waveforms and with a
+    pinned settle margin.
+    """
+    from repro.api import RunSpec
+
+    seed = case["seed"]
+    netlist = build_random_netlist(num_inputs=4, num_gates=14, seed=seed)
+    annotation = annotation_from_design_delays(
+        netlist, SyntheticDelayModel(seed=seed).build(netlist)
+    )
+    config = SimConfig(
+        cycle_parallelism=case["cycle_parallelism"],
+        store_waveforms=case["store_waveforms"],
+        window_overlap=case["window_overlap"],
+    )
+    batch = [
+        (
+            _batch_stimulus(
+                netlist, kind, duration, stimulus_seed,
+                duration // config.cycle_parallelism,
+            ),
+            duration,
+        )
+        for kind, duration, stimulus_seed in case["requests"]
+    ]
+    backend, options = resolve_backend(spec)
+    session = backend.prepare(
+        netlist, annotation=annotation, config=config, **options
+    )
+    results = session.run_many(
+        [RunSpec(stimulus=stimulus, duration=duration) for stimulus, duration in batch]
+    )
+    batched = spec == "gatspi" or getattr(session, "shard_count", 0) == 1
+    assert [r.stats.fused_requests for r in results] == (
+        [len(batch) if batched else 1] * len(batch)
+    )
+    for index, (stimulus, duration) in enumerate(batch):
+        reference = session.run(stimulus, duration=duration)
+        _assert_bit_identical(reference, results[index], f"{spec} request {index}")
 
 
 def test_sharded_backend_saif_criterion_against_event():

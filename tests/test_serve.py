@@ -22,7 +22,7 @@ from repro.api import (
     register_backend,
     unregister_backend,
 )
-from repro.core import SimConfig, clear_compile_cache
+from repro.core import SimConfig, StimulusError, clear_compile_cache
 from repro.sdf import SyntheticDelayModel, annotation_from_design_delays
 from repro.serve import (
     ServeRequest,
@@ -147,18 +147,16 @@ class TestMicroBatching:
         assert ra.session_key == rb.session_key
         assert service.stats()["session_misses"] == 1
 
-    def test_same_design_burst_fuses_on_the_sharded_backend(self):
-        """Micro-batches on gatspi-sharded execute as fused engine runs.
+    def test_same_design_burst_fuses_on_gatspi(self):
+        """Micro-batches on gatspi run as one ``run_many`` column batch.
 
         A blocked worker guarantees the burst is still queued when the
         dispatcher groups it, so the batch reaches ``run_many`` together;
         every response must match the standalone run bit for bit.
         """
         netlist, annotation, _ = _design(9)
-        # Distinct stimuli per request: identical in-flight requests now
-        # coalesce onto one run instead of fusing (their own test below),
-        # so fusion is exercised with a burst that shares the design but
-        # not the stimulus.
+        # Distinct stimuli per request: identical in-flight requests
+        # coalesce onto one run instead (their own test below).
         stimuli = [
             build_random_stimulus(netlist, DURATION, seed=900 + i)
             for i in range(6)
@@ -172,7 +170,6 @@ class TestMicroBatching:
             return ServeRequest(
                 netlist=netlist,
                 stimulus=stimulus,
-                backend="gatspi-sharded",
                 annotation=annotation,
                 config=CONFIG,
                 duration=DURATION,
@@ -185,9 +182,11 @@ class TestMicroBatching:
             responses = [head.result(timeout=120)] + [
                 f.result(timeout=120) for f in burst
             ]
+            stats = service.stats()
         assert any(r.fused for r in responses), "burst never fused"
         fused = [r for r in responses if r.fused]
         assert all(r.result.stats.fused_requests > 1 for r in fused)
+        assert stats["fused_fallbacks"] == 0
         for response, reference_result in zip(responses, expected):
             assert response.result.toggle_counts == reference_result.toggle_counts
             for net in reference_result.waveforms:
@@ -376,21 +375,39 @@ class TestAdmissionControl:
 
 class TestFailureIsolationAndLifecycle:
     def test_bad_request_fails_only_its_own_future(self):
-        good = _request(15)
+        """A bad request batched with a good one fails alone.
+
+        The bad request lands in one batch with the head (dispatched
+        together) or with the good request (accumulated while the head
+        holds the design's session).  Inputs are checked per request
+        before ``run_many``, so the bad stimulus fails only its own future
+        and the batch runs without a serial fallback.
+        """
+        head = _request(15)
         netlist, annotation, _ = _design(15)
+        good = ServeRequest(
+            netlist=netlist,
+            stimulus=build_random_stimulus(netlist, DURATION, seed=515),
+            annotation=annotation, config=CONFIG, duration=DURATION,
+        )
         bad = ServeRequest(
             netlist=netlist, stimulus={}, annotation=annotation,
             config=CONFIG, duration=DURATION,
         )
-        with SimulationService(max_workers=2) as service:
+        with SimulationService(max_workers=1) as service:
+            head_future = service.submit(head)
             bad_future = service.submit(bad)
             good_future = service.submit(good)
-            with pytest.raises(Exception):
+            with pytest.raises(StimulusError):
                 bad_future.result(timeout=60)
-            assert good_future.result(timeout=60).result.total_toggles() > 0
+            response = good_future.result(timeout=60)
+            assert response.result.total_toggles() > 0
+            assert head_future.result(timeout=60).result.total_toggles() > 0
         stats = service.stats()
+        assert stats["batches"] <= 2, "the bad request never shared a batch"
         assert stats["failed"] == 1
-        assert stats["completed"] == 1
+        assert stats["completed"] == 2
+        assert stats["fused_fallbacks"] == 0
 
     def test_unknown_backend_fails_the_future_not_the_service(self):
         request = _request(16, backend="no-such-backend")
