@@ -14,7 +14,10 @@ three-step flow, regardless of how it is implemented::
 ``prepare`` does all per-design compilation once; ``run`` may be called any
 number of times with different stimuli (compile-once/simulate-many), and
 ``run_many`` takes a batch at once — on ``gatspi`` the requests become the
-columns of one level loop, with results identical to one ``run`` each.  The
+columns of one level loop, with results identical to one ``run`` each.
+``gatspi-sharded`` is ``gatspi`` with that window list split into groups
+run in the parent or on process workers, so it returns ``gatspi``'s
+results bit for bit at any shard count.  The
 benchmark harness, the glitch-optimization flow and the serving front end
 all dispatch through this registry, so swapping the engine under any of
 them is a string change.
@@ -41,7 +44,7 @@ from .registry import (
 from .session import RunSpec, Session
 
 # Importing the adapters registers the four built-in backends; importing
-# the sharded module registers the window-axis sharded fifth.
+# the sharded module registers the window-group sharded fifth.
 from . import adapters  # noqa: E402,F401
 from . import sharded  # noqa: E402,F401
 from .adapters import (

@@ -106,15 +106,8 @@ def _check_edit_analysis(engine: GatspiEngine, receipt: EditReceipt) -> None:
 class GatspiSession(Session):
     """Session over a compiled :class:`GatspiEngine` (or its oracle)."""
 
-    def __init__(
-        self,
-        engine: GatspiEngine,
-        backend_name: str = "gatspi",
-        config: Optional[SimConfig] = None,
-    ):
-        # ``config`` is what the caller prepared with when the engine runs
-        # a derived one (the sharded session's per-share parallelism).
-        super().__init__(backend_name, engine.netlist, config or engine.config)
+    def __init__(self, engine: GatspiEngine, backend_name: str = "gatspi"):
+        super().__init__(backend_name, engine.netlist, engine.config)
         self.engine = engine
         self._last_edit_receipt: Optional[EditReceipt] = None
 

@@ -21,7 +21,7 @@ run at a time, because the concrete engines keep per-run state (memory
 pools, timing accumulators) that is not re-entrant.  Callers wanting
 parallel runs over one design should prepare several sessions (the compile
 cache makes the extra ``prepare()`` calls share one compile) or run one
-session's shares on process workers (``gatspi-sharded`` with
+session's window groups on process workers (``gatspi-sharded`` with
 ``workers=process``).
 """
 

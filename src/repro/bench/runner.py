@@ -14,7 +14,8 @@ Backend strings may be full specs with prepare options
 (``backend="gatspi:device=torch"``); ``backend="gatspi-oracle"`` benchmarks
 the per-object reference executors against the array pipeline.
 :func:`share_kernel_seconds` is the measured side of the paper's
-multi-device tables (Table 3's imbalance column, Fig. 6).
+multi-device tables (Table 3's imbalance column, Fig. 6): per-group kernel
+seconds of the window groups ``gatspi-sharded`` splits a run into.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
 from ..api import GatspiSession, resolve_backend
+from ..api.sharded import run_window_group, window_groups
 from ..core.config import SimConfig
-from ..core.restructure import slice_stimulus
+from ..core.restructure import lower_stimulus
 from ..core.results import SimulationResult
-from ..core.sharding import plan_shards
 from ..core.waveform import Waveform
 from ..gpu import ApplicationModel, GpuSpec, KernelPerfModel, KernelWorkload, V100
 from ..netlist import Netlist
@@ -137,21 +138,24 @@ def share_kernel_seconds(
     duration: int,
     shares: int,
 ) -> List[float]:
-    """Kernel seconds of each of ``shares`` window-axis shares of one run.
+    """Kernel seconds of each window group ``gatspi-sharded:shards=N`` runs.
 
-    The plan ``gatspi-sharded:shards=N`` executes (margin-extended slices
-    of :func:`~repro.core.sharding.plan_shards`), run share by share on a
-    ``gatspi`` ``session`` as one device each would: ``max`` is the
-    parallel kernel runtime of the paper's ``t = t1 / n + ovr``, ``sum``
-    the serial one, ``max / mean`` the uneven-activity load imbalance.
+    The run's own windows (the ones ``session`` cuts for ``duration``)
+    split by :func:`~repro.api.sharded.window_groups`, each group timed
+    through :func:`~repro.api.sharded.run_window_group` — the step a
+    process worker runs, as one device each would: ``max`` is the parallel
+    kernel runtime of the paper's ``t = t1 / n + ovr``, ``sum`` the serial
+    one, ``max / mean`` the uneven-activity load imbalance.  At most one
+    group per window, so ``shares`` above ``cycle_parallelism`` yield
+    ``cycle_parallelism`` groups.
     """
-    plan = plan_shards(duration, shares, overlap=session.engine.window_overlap)
+    engine = session.engine
+    plan = engine._full_plan()
+    events = [lower_stimulus(plan.source_nets, stimulus)]
+    windows = engine._window_ranges(0, duration)
     return [
-        session.run(
-            slice_stimulus(stimulus, shard.ext_start, shard.end),
-            duration=shard.run_duration,
-        ).kernel_runtime
-        for shard in plan
+        run_window_group(engine, plan, events, group, [duration])[2].kernel
+        for group in window_groups(windows, shares)
     ]
 
 

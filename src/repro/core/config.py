@@ -86,7 +86,6 @@ class SimConfig:
     device_memory_gb: float = 32.0
     waveform_pool_fraction: float = 0.75
     clock_period: int = 1000
-    max_segment_retries: int = 8
     window_overlap: Optional[int] = None
     #: Cycles simulated per streaming chunk by :meth:`Session.run_stream`.
     #: Each chunk is split into ``cycle_parallelism`` windows, simulated,

@@ -141,27 +141,27 @@ class _ReadbackAccumulator:
 
     def __init__(self, nets: Tuple[str, ...]):
         self.nets = nets
-        self._batches: List[TrimmedReadback] = []
+        self.batches: List[TrimmedReadback] = []
         self._net_offsets: List = []
 
     def append(self, batch: TrimmedReadback) -> None:
         hnp = HOST
         offsets = hnp.zeros(len(self.nets) + 1, dtype=hnp.int64)
         offsets[1:] = hnp.cumsum(batch.counts.sum(axis=1))
-        self._batches.append(batch)
+        self.batches.append(batch)
         self._net_offsets.append(offsets)
 
     def net_series(self, index: int):
         """(establish_values, toggle_counts, times) of one net, all windows."""
         hnp = HOST
         establish = hnp.concatenate(
-            [batch.establish_values[index] for batch in self._batches]
+            [batch.establish_values[index] for batch in self.batches]
         )
-        counts = hnp.concatenate([batch.counts[index] for batch in self._batches])
+        counts = hnp.concatenate([batch.counts[index] for batch in self.batches])
         times = hnp.concatenate(
             [
                 batch.times[offsets[index] : offsets[index + 1]]
-                for batch, offsets in zip(self._batches, self._net_offsets)
+                for batch, offsets in zip(self.batches, self._net_offsets)
             ]
         )
         return establish, counts, times
@@ -174,8 +174,8 @@ class _ReadbackAccumulator:
         to hand a whole chunk (usually a single batch — the zero-copy fast
         path) to the online accumulator.
         """
-        if len(self._batches) == 1:
-            batch = self._batches[0]
+        if len(self.batches) == 1:
+            batch = self.batches[0]
             return batch.establish_values, batch.counts, batch.times
         hnp = HOST
         series = [self.net_series(index) for index in range(len(self.nets))]
@@ -203,9 +203,12 @@ class GatspiEngine:
     sources and hand them to one executor: :meth:`_execute` is the seam a
     subclass replaces to run the same plans differently (the per-object
     oracle in :mod:`repro.reference.oracle_engine` does),
-    :meth:`_run_windows` the array executor underneath it.  A batch of
-    requests is just more windows: each request's windows are the ones
-    its standalone run would cut, tagged with the request they belong to.
+    :meth:`_run_windows` the array executor underneath it, and
+    :meth:`_run_groups` the one step of that executor the sharded backend
+    replaces to spread the window list over the parent or process
+    workers.  A batch of requests is just more windows: each request's
+    windows are the ones its standalone run would cut, tagged with the
+    request they belong to.
     """
 
     #: Stamped on ``stats.kernel_mode`` / ``stats.restructure_mode`` of
@@ -256,8 +259,8 @@ class GatspiEngine:
         """The compile-time struct-of-arrays design tensors (vector kernel).
 
         Built once per compile, materialized on the configured array
-        backend, and reused by every run — including every window-axis
-        share of a ``gatspi-sharded`` session (process workers attach the
+        backend, and reused by every run — including every window
+        group of a ``gatspi-sharded`` session (process workers attach the
         same tensors through :mod:`~repro.core.shm`).
         """
         if self._packed is None:
@@ -650,12 +653,7 @@ class GatspiEngine:
         duration: int,
         result: SimulationResult,
     ) -> None:
-        """Keep a whole-horizon run as the rerun base of the current state.
-
-        :meth:`simulate` and :meth:`resimulate` call this themselves; the
-        sharded session runs its shares with ``retain=False`` and retains
-        the merged full-range result here instead.
-        """
+        """Keep a whole-horizon run as the rerun base of the current state."""
         if not self.config.store_waveforms:
             return
         key = self._journal.fingerprint()
@@ -674,27 +672,21 @@ class GatspiEngine:
         stimulus: Mapping[str, Waveform],
         cycles: Optional[int] = None,
         duration: Optional[int] = None,
-        *,
-        retain: bool = True,
     ) -> SimulationResult:
         """Re-simulate the combinational logic for the given testbench.
 
         ``stimulus`` must provide a waveform for every source net (primary
         input or sequential-element output).  ``duration`` defaults to
         ``cycles * clock_period``; one of the two must be given.
-        ``retain=False`` keeps the run out of the rerun-base store — for
-        callers whose stimulus is a slice of the real horizon.
         """
         cycles, duration = normalize_horizon(
             cycles, duration, self.config.clock_period
         )
-        return self.simulate_many([(stimulus, cycles, duration)], retain=retain)[0]
+        return self.simulate_many([(stimulus, cycles, duration)])[0]
 
     def simulate_many(
         self,
         requests: Sequence[Tuple[Mapping[str, Waveform], int, int]],
-        *,
-        retain: bool = True,
     ) -> List[SimulationResult]:
         """Simulate resolved ``(stimulus, cycles, duration)`` testbenches.
 
@@ -708,14 +700,13 @@ class GatspiEngine:
         batch = [_Request(s, s, cycles, duration) for s, cycles, duration in requests]
         for request in batch:
             validate_stimulus(self.netlist, request.stimulus)
-        return self._run_plan(self._full_plan(), batch, retain=retain) if batch else []
+        return self._run_plan(self._full_plan(), batch) if batch else []
 
     def _run_plan(
         self,
         plan: ExecutionPlan,
         requests: Sequence[_Request],
         previous: Optional[SimulationResult] = None,
-        retain: bool = True,
     ) -> List[SimulationResult]:
         """Execute ``plan`` over every request's horizon, one result each.
 
@@ -791,7 +782,7 @@ class GatspiEngine:
         timings.readback += time.perf_counter() - start
         for result in results:
             result.timings = timings if batch == 1 else timings.scaled(1 / batch)
-        if retain and batch == 1:
+        if batch == 1:
             self.retain(requests[0].stimulus, requests[0].duration, results[0])
         return results
 
@@ -1120,14 +1111,38 @@ class GatspiEngine:
         events = [e.to_device(self._xp) for e in events]
         timings.host_to_device += time.perf_counter() - start
         readbacks = [_ReadbackAccumulator(plan.readback_nets) for _ in events]
+        self._run_groups(
+            plan, events, windows, durations, timings, stats, readbacks, pool
+        )
+        stats.windows += len(windows)
+        return readbacks
+
+    def _run_groups(
+        self,
+        plan: ExecutionPlan,
+        events: Sequence[SourceEvents],
+        windows: Sequence[_WindowRange],
+        durations: Sequence[int],
+        timings: PhaseTimings,
+        stats: SimulationStats,
+        readbacks: Sequence[_ReadbackAccumulator],
+        pool: Optional[WaveformPool] = None,
+    ) -> None:
+        """Run ``windows`` as contiguous groups into ``readbacks``, in order.
+
+        One group here: the whole list through the segment queue.  This is
+        the step the ``gatspi-sharded`` engine
+        (:mod:`repro.api.sharded`) replaces to split the list across the
+        parent or process workers.  Groups append to the accumulators in
+        window order, exactly like segment batches, so any grouping yields
+        the same result.
+        """
         stats.segments += self._segment_windows(
             windows,
             lambda batch: self._simulate_batch(
                 events, batch, durations, timings, stats, readbacks, plan, pool
             ),
         )
-        stats.windows += len(windows)
-        return readbacks
 
     def _check_sentinel_headroom(
         self,
@@ -1216,15 +1231,15 @@ class GatspiEngine:
         """
         pending: List[Sequence[_WindowRange]] = [list(windows)]
         segments = 0
-        retries = 0
         while pending:
             batch = pending.pop(0)
             try:
                 simulate_batch(batch)
                 segments += 1
             except DeviceMemoryError:
-                retries += 1
-                if len(batch) <= 1 or retries > self.config.max_segment_retries:
+                # Bisection ends on its own: at most ``len(windows) - 1``
+                # splits, and a one-window batch that does not fit re-raises.
+                if len(batch) <= 1:
                     raise
                 middle = len(batch) // 2
                 pending.insert(0, batch[middle:])

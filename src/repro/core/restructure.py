@@ -51,9 +51,9 @@ gives this trick headroom for billions of segments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
-from .waveform import EOW, INITIAL_ONE_MARKER, POOL_DTYPE, Waveform, WaveformError
+from .waveform import EOW, INITIAL_ONE_MARKER, POOL_DTYPE, Waveform
 from .xp import HOST, ArrayBackend, is_host
 
 
@@ -519,29 +519,3 @@ def stitched_times(window_starts, establish_values, toggle_counts, times):
     # Window 0 always keeps its establishing entry, so pieces is non-empty
     # and the stitched waveform establishes window 0's value.
     return hnp.concatenate(pieces)
-
-
-# ----------------------------------------------------------------------
-# Whole-stimulus slicing (multi-device share distribution)
-# ----------------------------------------------------------------------
-def slice_stimulus(
-    stimulus: Mapping[str, Waveform], t_start: int, t_end: int
-) -> Dict[str, Waveform]:
-    """Vectorized ``{net: wave.window(t_start, t_end, rebase=True)}``.
-
-    Used by the multi-device distributor to carve each device's share of
-    the testbench without per-event Python loops; bit-identical to calling
-    :meth:`Waveform.window` per net.  Host-side (it produces
-    :class:`Waveform` objects).
-    """
-    hnp = HOST
-    if t_end <= t_start:
-        raise WaveformError("window end must be after window start")
-    sliced: Dict[str, Waveform] = {}
-    for net, wave in stimulus.items():
-        toggles = wave.timestamps[1:]
-        lo = int(hnp.searchsorted(toggles, t_start, side="right"))
-        hi = int(hnp.searchsorted(toggles, t_end, side="left"))
-        initial = wave.initial_value ^ (lo & 1)
-        sliced[net] = Waveform.from_toggle_array(initial, toggles[lo:hi] - t_start)
-    return sliced

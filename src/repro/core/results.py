@@ -91,8 +91,8 @@ class SimulationStats:
     level_batches: int = 0
     #: Largest single batch, in (gate, window) tasks.
     max_batch_tasks: int = 0
-    #: Window-axis shards the run was partitioned into (1 = unsharded; the
-    #: ``gatspi-sharded`` backend sets the actual shard count).
+    #: Window groups the run's window list was split into (1 = unsharded;
+    #: the ``gatspi-sharded`` backend sets the actual group count).
     shards: int = 1
     #: Requests batched into the engine run that produced this result (1 =
     #: standalone; ``Session.run_many`` runs same-design requests as the

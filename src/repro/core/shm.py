@@ -1,7 +1,7 @@
 """Shared-memory views over the packed design tensors.
 
 The ``workers=process`` mode of the ``gatspi-sharded`` backend runs each
-window-axis share in a separate OS process so shares execute truly in
+window group in a separate OS process so groups execute truly in
 parallel (no GIL).  The compiled design's heavy payload — the flat
 truth-table/delay tensors and the per-level gate/pin matrices of
 :class:`~repro.core.vector_kernel.PackedDesign` — would otherwise be

@@ -4,10 +4,10 @@ With the cycle-parallel workload distribution, the kernel runtime follows
 ``t = t1 / n + ovr`` where ``t1`` is the single-GPU runtime and ``ovr`` the
 stream-synchronize + kernel-launch overhead.  Deviations from linear scaling
 come from uneven activity between the distributed windows — which the
-measured per-share kernel seconds
+measured per-group kernel seconds
 (:func:`repro.bench.runner.share_kernel_seconds`, max / mean over the
-``gatspi-sharded`` partition) expose directly and this model captures with
-an imbalance factor.
+window groups ``gatspi-sharded`` splits a run into) expose directly and
+this model captures with an imbalance factor.
 """
 
 from __future__ import annotations

@@ -192,6 +192,27 @@ class TestSessionContract:
         assert not hasattr(GatspiEngine, "adopt")
         assert not hasattr(repro.api.ShardedGatspiSession, "worker_mode")
 
+    def test_horizon_sharding_is_gone(self):
+        """Shares are window groups: the horizon planner, its slicer and
+        trim/merge, the retry cap and the derived-config hook left."""
+        import dataclasses
+        import importlib
+        import inspect
+
+        from repro.api import GatspiSession
+        from repro.core import restructure
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.sharding")
+        core = importlib.import_module("repro.core")
+        for name in ("Shard", "plan_shards", "trim_shard_waveform",
+                     "merge_shard_waveforms", "slice_stimulus"):
+            assert not hasattr(core, name), name
+        assert not hasattr(restructure, "slice_stimulus")
+        fields = {field.name for field in dataclasses.fields(SimConfig)}
+        assert "max_segment_retries" not in fields and len(fields) == 17
+        assert "config" not in inspect.signature(GatspiSession).parameters
+
     def test_time_axis_fusion_helpers_are_gone(self):
         """Requests are columns: the fusion layout, its split and the
         sharded session's fused path left; ``RunSpec`` and ``run_many``
@@ -204,10 +225,9 @@ class TestSessionContract:
             "FusedLayout", "plan_fusion", "fuse_stimuli",
             "split_fused_waveform", "_run_fused",
         )
-        for module in ("repro.core.sharding", "repro.core"):
-            owner = importlib.import_module(module)
-            for name in gone:
-                assert not hasattr(owner, name), (module, name)
+        owner = importlib.import_module("repro.core")
+        for name in gone:
+            assert not hasattr(owner, name), name
         for name in ("_run_fused", "_split_fused_result"):
             assert not hasattr(ShardedGatspiSession, name), name
         assert RunSpec.__module__ == "repro.api.session"

@@ -31,7 +31,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import resolve_backend
-from repro.core import SimConfig, Waveform, plan_shards
+from repro.api.sharded import window_groups
+from repro.core import SimConfig
 from repro.core.xp import available_array_backends
 from repro.sdf import (
     SyntheticDelayModel,
@@ -255,6 +256,37 @@ def test_pool_overflow_segment_splits(seed, device):
     _assert_bit_identical(reference, vector, f"segments seed={seed}")
 
 
+@pytest.mark.parametrize("words, segments", [(2_014, 11), (671, 32), (575, None)])
+def test_segment_bisection_runs_any_budget_one_window_fits(words, segments):
+    """Bisection has no retry cap: it stops at one window on its own.
+
+    Regression: a cap of 8 failed attempts across the whole bisection
+    made the 2,014-word budget raise although the run fits in 11
+    segments (the full run takes 16,116 pool words).  At 575 words one
+    window no longer fits, and that one-window batch re-raises.
+    """
+    from repro.core import DeviceMemoryError
+
+    netlist, annotation = _prepare_design(3, num_inputs=8, num_gates=40)
+    stimulus = build_random_stimulus(netlist, 32_000, seed=5)
+    config = SimConfig(
+        cycle_parallelism=32,
+        device_memory_gb=words * 4 / 1e9,
+        waveform_pool_fraction=1.0,
+    )
+    if segments is None:
+        with pytest.raises(DeviceMemoryError):
+            _run("gatspi", netlist, annotation, stimulus, config=config,
+                 duration=32_000)
+        return
+    reference = _run("gatspi", netlist, annotation, stimulus, duration=32_000,
+                     config=SimConfig(cycle_parallelism=32))
+    budgeted = _run("gatspi", netlist, annotation, stimulus, config=config,
+                    duration=32_000)
+    assert budgeted.stats.segments == segments
+    _assert_bit_identical(reference, budgeted, f"{words}-word budget")
+
+
 @pytest.mark.parametrize("device", DEVICES)
 @pytest.mark.parametrize("seed", range(3))
 def test_empty_windows_and_constant_nets(seed, device):
@@ -266,23 +298,6 @@ def test_empty_windows_and_constant_nets(seed, device):
         _assert_bit_identical(reference, result, f"sparse seed={seed} {spec}")
     event = _run("event", netlist, annotation, stimulus)
     assert reference.matches_toggle_counts(event)
-
-
-@pytest.mark.parametrize("bounds", [(0, 6_000), (5_999, 6_001), (3_000, DURATION)])
-def test_slice_stimulus_matches_reference_windowing(bounds):
-    """The multi-device share slicer equals per-net ``Waveform.window``."""
-    from repro.core import slice_stimulus
-
-    netlist, _ = _prepare_design(5)
-    window_length = -(-DURATION // 8)
-    start, end = bounds
-    for stimulus in (
-        build_random_stimulus(netlist, DURATION, seed=23),
-        build_boundary_stimulus(netlist, DURATION, window_length, seed=24),
-    ):
-        sliced = slice_stimulus(stimulus, start, end)
-        for net, wave in stimulus.items():
-            assert sliced[net] == wave.window(start, end, rebase=True), net
 
 
 @pytest.mark.parametrize("device", DEVICES)
@@ -335,8 +350,8 @@ SHARD_COUNTS = (1, 2, 4)
 
 def _sharded_pair(netlist, annotation, stimulus, shards, config=None,
                   duration=DURATION):
-    # ``shards=S`` is exactly S partitions, run one after another in the
-    # parent: the deterministic executor on any machine.
+    # ``shards=S`` is exactly S window groups, run one after another in
+    # the parent: the deterministic executor on any machine.
     reference = _run(
         "gatspi", netlist, annotation, stimulus, config=config,
         duration=duration,
@@ -351,10 +366,10 @@ def _sharded_pair(netlist, annotation, stimulus, shards, config=None,
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("seed", range(3))
 def test_sharded_backend_bit_identical_random_designs(seed, shards):
-    """``gatspi-sharded`` merges shares back to the single-session result.
+    """``gatspi-sharded`` runs gatspi's own windows in groups.
 
-    Shares are margin-extended, trimmed, and stitched through the
-    engine's own seam rules, so toggle counts *and* waveforms must be
+    Group outputs are accumulated and stitched by the engine exactly like
+    segment batches, so toggle counts *and* waveforms must be
     bit-identical at every shard count on the random-stimulus zoo.
     """
     netlist, annotation = _prepare_design(seed)
@@ -368,7 +383,7 @@ def test_sharded_backend_bit_identical_random_designs(seed, shards):
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_sharded_backend_boundary_events(shards):
-    """Events on/±1 around shard *and* window boundaries stay exact."""
+    """Events on/±1 around group *and* window boundaries stay exact."""
     netlist, annotation = _prepare_design(4, num_gates=30)
     config = SimConfig(cycle_parallelism=8)
     window_length = -(-DURATION // config.cycle_parallelism)
@@ -381,7 +396,7 @@ def test_sharded_backend_boundary_events(shards):
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_sharded_backend_sparse_and_constant_nets(shards):
-    """Empty shards and constant nets merge exactly."""
+    """Empty groups and constant nets merge exactly."""
     netlist, annotation = _prepare_design(6, num_gates=30)
     stimulus = build_sparse_stimulus(netlist, DURATION, seed=6)
     reference, candidate = _sharded_pair(netlist, annotation, stimulus, shards)
@@ -390,7 +405,7 @@ def test_sharded_backend_sparse_and_constant_nets(shards):
 
 @pytest.mark.parametrize("shards", (2, 4))
 def test_sharded_backend_segment_splits(shards):
-    """Pool overflow inside a share splits segments without divergence."""
+    """Pool overflow inside a group splits segments without divergence."""
     netlist, annotation = _prepare_design(1, num_gates=24)
     stimulus = build_random_stimulus(netlist, DURATION, seed=6)
     config = SimConfig(cycle_parallelism=16, device_memory_gb=2e-5)
@@ -402,11 +417,10 @@ def test_sharded_backend_segment_splits(shards):
 
 
 def test_sharded_backend_without_stored_waveforms():
-    """Counts-only mode merges through exact share stitching.
+    """Counts-only mode counts seam toggles once across groups.
 
-    The sharded backend always stitches internally (exact merging needs
-    the share waveforms), so its counts-only results equal the
-    waveform-mode counts, seam toggles counted exactly once.
+    Groups feed the engine's own counts-only assembly, so the results
+    equal the waveform-mode counts, seam toggles counted exactly once.
     """
     netlist, annotation = _prepare_design(11)
     stimulus = build_random_stimulus(netlist, DURATION, seed=42)
@@ -423,78 +437,44 @@ def test_sharded_backend_without_stored_waveforms():
     assert candidate.toggle_counts == exact.toggle_counts
 
 
-@given(
-    duration=st.integers(1, 100_000),
-    shards=st.integers(1, 12),
-    overlap=st.integers(0, 20_000),
-)
-def test_plan_shards_tiles_the_horizon_exactly(duration, shards, overlap):
-    """Shares cover ``[0, duration)`` once, margins clamped at the run start."""
-    plan = plan_shards(duration, shards, overlap=overlap)
-    assert 1 <= len(plan) <= shards
-    assert plan[0].start == 0 and plan[-1].end == duration
-    assert all(left.end == right.start for left, right in zip(plan, plan[1:]))
-    for index, shard in enumerate(plan):
-        assert shard.index == index
-        assert shard.length >= 1
-        assert shard.margin == min(overlap, shard.start)
-        assert shard.ext_start >= 0
-        assert shard.run_duration == shard.length + shard.margin
+@given(windows=st.integers(1, 200), shards=st.integers(1, 12))
+def test_window_groups_tile_the_window_list_in_order(windows, shards):
+    """Groups cover the window list once, in order, sizes within one."""
+    from repro.core.engine import _WindowRange
+
+    window_list = [_WindowRange(k, 10 * k, 10 * k + 10) for k in range(windows)]
+    groups = window_groups(window_list, shards)
+    assert len(groups) == min(shards, windows)
+    assert [w for group in groups for w in group] == window_list
+    sizes = {len(group) for group in groups}
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
-def _settled_before_edges(stimulus, period, overlap):
-    """Drop source toggles in ``[kT - 2*overlap, kT - overlap)`` for every k.
-
-    A window starting at ``kT`` is simulated from ``kT - overlap`` out of a
-    *settled* initial state; that is exact when nothing is still in flight
-    there, i.e. no source toggled within one critical path before it.
-    Outside that contract the partition is visible even to plain
-    ``gatspi`` — inertial filtering decisions depend on the in-flight
-    history (found by this property: bursts with 3–40 unit gaps make
-    ``gatspi`` at 32 windows disagree with ``event`` and with itself at 8).
-    """
-    settled = {}
-    for net, wave in stimulus.items():
-        times = wave.timestamps[1:]
-        phase = times % period
-        in_flight = (phase >= period - 2 * overlap) & (phase < period - overlap)
-        settled[net] = Waveform.from_toggle_array(
-            wave.initial_value, times[~in_flight]
-        )
-    return settled
-
-
-def _assert_sharded_equals_gatspi(
-    spec, seed, shards, kind, unit_delays, windows_per_share=2, **config_kw
-):
+def _assert_sharded_equals_gatspi(spec, seed, shards, kind, unit_delays,
+                                  duration, **config_kw):
     """One generated design × stimulus through ``spec`` vs plain gatspi.
 
-    The horizon is ``shards * windows_per_share`` windows of one clock
-    period ``T`` each, so every window and share of both sessions starts
-    on a multiple of ``T`` and :func:`_settled_before_edges` puts the
-    stimulus inside the exactness contract.  ``boundary`` toggles sources
-    on/±1 around every multiple of ``T``; with unit delays the first
-    logic level then toggles exactly *on* the seams.  ``sparse`` leaves
-    most windows empty and a third of the nets constant.
+    Shards are groups of gatspi's own windows, so the candidate must
+    equal gatspi whatever the windowing itself gets wrong: any duration,
+    any stimulus, any settle margin.  ``boundary`` toggles sources on/±1
+    around every window edge; with unit delays the first logic level then
+    toggles exactly *on* the seams.  ``sparse`` leaves most windows empty
+    and a third of the nets constant.
     """
     netlist = build_random_netlist(num_inputs=4, num_gates=14, seed=seed)
     model = UnitDelayModel(delay=1) if unit_delays else SyntheticDelayModel(seed=seed)
     annotation = annotation_from_design_delays(netlist, model.build(netlist))
-    config = SimConfig(
-        cycle_parallelism=shards * windows_per_share, **config_kw
-    )
-    reference_session = resolve_backend("gatspi")[0].prepare(
-        netlist, annotation=annotation, config=config
-    )
-    overlap = reference_session.engine.window_overlap
-    period = 3 * overlap + 4
-    duration = config.cycle_parallelism * period
+    config = SimConfig(**config_kw)
     if kind == "boundary":
-        stimulus = build_boundary_stimulus(netlist, duration, period, seed=seed)
+        window_length = max(4, -(-duration // config.cycle_parallelism))
+        stimulus = build_boundary_stimulus(
+            netlist, duration, window_length, seed=seed
+        )
     else:
         stimulus = build_sparse_stimulus(netlist, duration, seed=seed)
-    stimulus = _settled_before_edges(stimulus, period, overlap)
-    reference = reference_session.run(stimulus, duration=duration)
+    reference = resolve_backend("gatspi")[0].prepare(
+        netlist, annotation=annotation, config=config
+    ).run(stimulus, duration=duration)
     backend, options = resolve_backend(spec)
     session = backend.prepare(
         netlist, annotation=annotation, config=config, **options
@@ -503,7 +483,8 @@ def _assert_sharded_equals_gatspi(
         candidate = session.run(stimulus, duration=duration)
     finally:
         session.close()
-    assert candidate.stats.shards == shards
+    assert candidate.stats.shards == min(shards, candidate.stats.windows)
+    assert candidate.stats.windows == reference.stats.windows
     _assert_bit_identical(
         reference, candidate, f"{spec} seed={seed} stimulus={kind}"
     )
@@ -515,24 +496,47 @@ def _assert_sharded_equals_gatspi(
     shards=st.integers(1, 5),
     kind=st.sampled_from(("boundary", "sparse")),
     unit_delays=st.booleans(),
-    windows_per_share=st.integers(1, 3),
+    duration=st.integers(1, 30_000),
+    cycle_parallelism=st.sampled_from((1, 3, 8, 32)),
+    window_overlap=st.sampled_from((None, 0, 40)),
+    store_waveforms=st.booleans(),
 )
 def test_sharded_backend_equals_gatspi_on_generated_designs(
-    seed, shards, kind, unit_delays, windows_per_share
+    seed, shards, kind, unit_delays, duration, cycle_parallelism,
+    window_overlap, store_waveforms,
 ):
-    """The one remaining seam, generated: any design, 1–5 in-parent shares."""
+    """Generated: any design, duration and margin, 1–5 in-parent shards."""
     _assert_sharded_equals_gatspi(
         f"gatspi-sharded:shards={shards}",
-        seed, shards, kind, unit_delays, windows_per_share,
+        seed, shards, kind, unit_delays, duration,
+        cycle_parallelism=cycle_parallelism,
+        window_overlap=window_overlap,
+        store_waveforms=store_waveforms,
     )
 
 
 @pytest.mark.concurrency
 def test_sharded_backend_equals_gatspi_on_process_workers():
-    """The same check with the shares on two spawned workers (host-only)."""
+    """The same check with the groups on two spawned workers (host-only)."""
     _assert_sharded_equals_gatspi(
         "gatspi-sharded:shards=3,workers=process:2", 5, 3, "boundary", True,
-        device="numpy",
+        6_000, cycle_parallelism=6, device="numpy",
+    )
+
+
+@pytest.mark.parametrize("shards", (2, 4))
+def test_sharded_backend_equals_gatspi_where_windowing_is_inexact(shards):
+    """Regression: shards used to re-cut the horizon and diverge.
+
+    On this case plain gatspi at 32 windows already differs from
+    ``event`` (a source burst straddles a window's settle start), and the
+    old horizon shares, re-windowed at ``ceil(32 / S)`` with their own
+    margins, differed from gatspi as well.  Groups of gatspi's own
+    windows reproduce gatspi's answer exactly.
+    """
+    _assert_sharded_equals_gatspi(
+        f"gatspi-sharded:shards={shards}", 1327, shards, "sparse", False,
+        8_000, cycle_parallelism=32,
     )
 
 
@@ -543,9 +547,9 @@ def test_sharded_backend_equals_gatspi_on_process_workers():
     pytest.param("gatspi", True, id="gatspi"),
     # One level loop over every request's windows, as on plain gatspi.
     pytest.param("gatspi-sharded:shards=1", True, id="gatspi-sharded:shards=1"),
-    # More shards: one partitioned run per request.
+    # More shards: the batch's window list is split into groups.
     pytest.param(
-        "gatspi-sharded:shards=2", False, id="gatspi-sharded:shards=2,workers=2"
+        "gatspi-sharded:shards=2", True, id="gatspi-sharded:shards=2,workers=2"
     ),
 ])
 def test_run_many_fusion_bit_identical_to_standalone(spec, batched):
@@ -606,22 +610,21 @@ def test_run_many_fusion_clips_stimuli_longer_than_their_horizon():
 
 @pytest.mark.parametrize("overlap", [0, 7])
 def test_sharded_backend_degrades_to_passthrough_with_pinned_overlap(overlap):
-    """A user-pinned settle margin disables partitioning entirely.
+    """A user-pinned settle margin shards like any other config.
 
-    A margin below the critical path makes window results
-    partition-dependent, so sharding under it would silently diverge
-    from single-session gatspi with the identical config (regression) —
-    the session must fall back to the single-shard passthrough and stay
-    bit-identical.
+    (The name is historical: horizon shares re-cut the run, so a margin
+    below the critical path made them diverge and the session fell back
+    to one shard.)  Groups of gatspi's own windows make the margin's size
+    irrelevant to the sharded-vs-gatspi contract.
     """
     netlist, annotation = _prepare_design(8, num_gates=24)
     stimulus = build_random_stimulus(netlist, 12_000, seed=9)
     config = SimConfig(window_overlap=overlap, cycle_parallelism=8)
     backend, options = resolve_backend("gatspi-sharded:shards=4")
     session = backend.prepare(netlist, annotation=annotation, config=config, **options)
-    assert session.shard_count == 1
+    assert session.shard_count == 4
     candidate = session.run(stimulus, duration=12_000)
-    assert candidate.stats.shards == 1
+    assert candidate.stats.shards == 4
     reference = _run(
         "gatspi", netlist, annotation, stimulus, config=config, duration=12_000
     )
@@ -731,7 +734,7 @@ def test_run_many_equals_serial_runs(spec, case):
     results = session.run_many(
         [RunSpec(stimulus=stimulus, duration=duration) for stimulus, duration in batch]
     )
-    batched = spec == "gatspi" or getattr(session, "shard_count", 0) == 1
+    batched = spec != "event"
     assert [r.stats.fused_requests for r in results] == (
         [len(batch) if batched else 1] * len(batch)
     )

@@ -86,7 +86,7 @@ def test_process_shards_bit_identical_to_thread_shards(design, shards):
         candidate = process_session.run(stimulus, duration=DURATION)
         assert candidate.stats.shards == shards
         if shards == 1:
-            assert process_session._process_pool is None
+            assert process_session.engine._process_pool is None
         _assert_bit_identical(reference, candidate, f"shards={shards}")
     finally:
         process_session.close()
