@@ -1,12 +1,12 @@
 """Benchmark: clocked sequential throughput on the Yosys LFSR fixture.
 
-The clocked update loop (:meth:`Session.run_cycles`) dispatches one
-combinational frame per cycle — frames are serially dependent on the
-register captures between them, so unlike combinational replay they
-cannot batch under ``cycle_parallelism``.  The claim this bench gates is
-that the sequential machinery (plan validation, PI/Q window assembly,
-capture, event ledger, stitch) adds only bounded overhead on top of the
-frames themselves:
+The clocked driver (:meth:`Session.run_cycles`) derives each block's
+register captures from a zero-delay settle first, so the frames of a
+block of ``cycle_parallelism`` cycles are independent and run as the
+columns of one batch.  The claim this bench gates is that the sequential
+machinery (plan validation, PI/Q window assembly, settle and capture,
+event ledger, stitch) keeps clocked throughput within a bounded factor
+of dispatching the same frames one ``run()`` at a time:
 
 * **cycles/sec** on the imported 8-bit LFSR fixture is measured and
   reported;

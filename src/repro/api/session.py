@@ -165,9 +165,10 @@ class Session(abc.ABC):
         """One result per request, in order, each equal to :meth:`run`'s.
 
         Every request is checked before anything runs.  ``gatspi`` sessions
-        run the batch as the columns of one level loop (sharing workload
-        stats and timings evenly, ``stats.fused_requests``); other backends
-        run the requests one after another.
+        run the batch as the columns of one level loop (splitting workload
+        stats and timings so the shares sum to the batch's totals,
+        ``stats.fused_requests``) and never retain it as a rerun base;
+        other backends run the requests one after another.
         """
         resolved: List[Tuple[Mapping[str, Waveform], int, int]] = []
         for request in requests:
@@ -206,11 +207,12 @@ class Session(abc.ABC):
         """Clock-step the design for ``cycles`` capture edges.
 
         The sequential counterpart of :meth:`run`: the design's registers
-        are committed at every clock edge by the shared frame-loop driver
-        (:mod:`repro.core.clocked`) and the combinational logic between
-        edges runs through this session's ordinary backend — which is why
-        clocked results are bit-identical across every backend: the
-        register semantics live in one place.
+        are committed at every clock edge by the shared clocked driver
+        (:mod:`repro.core.clocked`), and the combinational frames between
+        edges run through this session's ordinary backend, a block of
+        ``cycle_parallelism`` frames per :meth:`run_many`-style batch —
+        which is why clocked results are bit-identical across every
+        backend: the register semantics live in one place.
 
         ``stimulus`` covers the primary inputs *except* the clock (the
         driver generates it, one rising edge per ``clock_period``) and the
@@ -239,7 +241,8 @@ class Session(abc.ABC):
         )
         with self._run_lock:
             result = run_clocked(
-                plan, stimulus, cycles, lambda s, d: self._run(s, 1, d)
+                plan, stimulus, cycles, self._run_many,
+                self._config.cycle_parallelism,
             )
             self._finalize_stats(result, cycles)
             self._runs_completed += 1
@@ -258,8 +261,8 @@ class Session(abc.ABC):
         The streaming counterpart of :meth:`run_cycles`: each frame's
         waveforms are folded into online toggle/SAIF totals and discarded,
         so million-cycle sequential replays retain only O(design) state
-        (per-frame waveforms still exist transiently — the per-cycle
-        footprint is one frame, never the run).  Pair with a
+        (waveforms still exist transiently — the footprint is one block of
+        ``cycle_parallelism`` frames, never the run).  Pair with a
         :class:`~repro.core.restructure.StreamingSourceEvents` stimulus to
         keep the input side out-of-core too.  Totals are bit-identical to
         a whole-run :meth:`run_cycles`.
@@ -284,7 +287,8 @@ class Session(abc.ABC):
         )
         with self._run_lock:
             result = run_clocked_stream(
-                plan, stimulus, cycles, lambda s, d: self._run(s, 1, d)
+                plan, stimulus, cycles, self._run_many,
+                self._config.cycle_parallelism,
             )
             self._finalize_stats(result, cycles)
             self._runs_completed += 1

@@ -1,4 +1,4 @@
-"""Clocked (sequential) simulation: the shared frame-loop driver.
+"""Clocked (sequential) simulation: the shared two-phase driver.
 
 GATSPI simulates the combinational logic between register boundaries; this
 module closes the loop around it.  A clocked run of ``n`` cycles executes
@@ -15,7 +15,7 @@ each frame boundary:
   frame, where it propagates as an ordinary source event.
 * **The clock is generated analytically per frame** (low through frame 0,
   then high for the first half of every frame), never materialized over
-  the whole horizon — million-cycle replays stay O(frame).
+  the whole horizon — million-cycle replays stay O(block).
 * **A pending-event ledger carries Q transitions across frame
   boundaries**: capture and async-reset events are stored at absolute
   times and consumed by whichever frame contains them, so clk-to-q spill
@@ -25,27 +25,43 @@ each frame boundary:
   to the reset value at ``t + clk_to_q`` and dominates the next captures
   for as long as it is held.
 
-The driver is deliberately executor-agnostic: ``run_frame`` is any callable
-running one combinational frame (the vector/scalar GATSPI engine, the
-sharded session, the event-driven or zero-delay references), which is what
-keeps clocked runs bit-identical across every backend — the register
-semantics live here, once.  The one assumption inherited from the paper's
-re-simulation model is that combinational activity settles within each
-cycle: events still in flight at a frame boundary are not carried into the
-next frame.
+Register outputs are known source waveforms once the captures are known,
+so the frames of a run are independent — the paper's cycle parallelism.
+The driver walks the run in blocks of up to ``cycle_parallelism`` frames,
+in two phases per block:
+
+1. **Derive the register trace** on the host: each frame's PI window, Q
+   ledger and clock are assembled as before, and its capture samples a
+   zero-delay settle of the frame's final source values
+   (:class:`~repro.core.settle.ZeroDelaySettle`) instead of a simulation
+   result.  A frame keeps every event, so its final values *are* the
+   zero-delay values of its final sources.
+2. **Run the block**: one ``run_frames`` call simulates every frame of the
+   block (``Session._run_many``: the frames are the columns of one level
+   loop on ``gatspi``, serial runs elsewhere).  Each frame's result is then
+   checked against its derived capture — a mismatch is an invariant break
+   and raises :class:`ClockedSimulationError`, never a silent re-run — and
+   folded.
+
+The driver is executor-agnostic, which is what keeps clocked runs
+bit-identical across every backend — the register semantics live here,
+once.  The one assumption inherited from the paper's re-simulation model
+is that combinational activity settles within each cycle: a frame whose
+result toggles at or past its capture edge raises
+:class:`ClockedSimulationError` naming the frame, net and toggle time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any,
     Callable,
     Dict,
     Iterator,
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
     TYPE_CHECKING,
@@ -56,6 +72,7 @@ from .contract import StimulusError
 from .register_file import RegisterFile, build_register_file
 from .restructure import StreamingSourceEvents
 from .results import PhaseTimings, SimulationResult, SimulationStats
+from .settle import ZeroDelaySettle
 from .vector_kernel import register_next_state
 from .waveform import Waveform, concatenate_windows
 from .xp import HOST
@@ -63,10 +80,14 @@ from .xp import HOST
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..power.activity import StreamResult
 
-#: One combinational frame: ``run_frame(stimulus, duration)`` simulates the
-#: frame-local stimulus (every source net, times rebased to 0) for
-#: ``duration`` time units and returns a result with per-net waveforms.
-FrameRunner = Callable[[Mapping[str, Waveform], int], SimulationResult]
+#: One frame request: the frame-local stimulus (every source net, times
+#: rebased to 0), ``cycles`` (1) and ``duration`` (the clock period).
+FrameRequest = Tuple[Mapping[str, Waveform], int, int]
+
+#: A block of frames: ``run_frames(requests)`` returns one result with
+#: per-net waveforms per request, each equal to a standalone run of it
+#: (``Session._run_many`` / ``GatspiEngine.simulate_many``).
+FrameBatchRunner = Callable[[Sequence[FrameRequest]], List[SimulationResult]]
 
 #: Stimulus accepted by the clocked entry points: in-memory waveforms per
 #: primary input, or a span producer for out-of-core runs.
@@ -87,6 +108,8 @@ class ClockedPlan:
     #: Primary inputs the caller must provide waveforms for (every PI
     #: except the generated clock).
     pi_nets: Tuple[str, ...]
+    #: The design's combinational logic, packed for capture sampling.
+    settle: ZeroDelaySettle
 
 
 def plan_clocked_run(
@@ -95,15 +118,17 @@ def plan_clocked_run(
     clock: Optional[str] = None,
     reset: Optional[str] = None,
 ) -> ClockedPlan:
-    """Validate a design for clock-stepping and pack its register file.
+    """Validate a design for clock-stepping; pack its register file and
+    its combinational logic (the capture settle).
 
     ``clock`` (e.g. ``SimConfig.clock``) pins the clock net; when omitted
     it is inferred from the register clock pins, which must agree on a
     single net.  ``reset`` optionally asserts that every resettable
     register uses that net.  Raises :class:`ClockedSimulationError` for
-    designs the frame loop cannot step: no registers, latches, multiple
+    designs the driver cannot step: no registers, latches, multiple
     clock domains, gated (non-primary-input) clocks, non-primary-input
-    async resets, or clk-to-q delays reaching the clock period.
+    async resets, clk-to-q delays reaching the clock period, or register
+    pins on undriven nets.
     """
     register_file = build_register_file(netlist)
     if len(register_file) == 0:
@@ -176,13 +201,32 @@ def plan_clocked_run(
             f"clk-to-q delay {max_clk2q} reaches the clock period "
             f"{clock_period}; Q transitions must land within the next cycle"
         )
+    settle = ZeroDelaySettle(netlist)
+    undriven = sorted(_sampled_nets(register_file) - set(settle.net_ids))
+    if undriven:
+        raise ClockedSimulationError(
+            f"register pin nets {undriven[:10]} are driven by neither a "
+            f"primary input, a register nor a gate; captures cannot sample them"
+        )
     pi_nets = tuple(n for n in netlist.inputs if n != clock)
     return ClockedPlan(
         register_file=register_file,
         clock_net=clock,
         clock_period=clock_period,
         pi_nets=pi_nets,
+        settle=settle,
     )
+
+
+def _sampled_nets(register_file: RegisterFile) -> set:
+    """Every net a capture samples: D, and EN/RST where present."""
+    sampled = set(register_file.d_nets)
+    for nets, present in (
+        (register_file.enable_nets, register_file.has_enable),
+        (register_file.reset_nets, register_file.has_reset),
+    ):
+        sampled.update(net for net, has in zip(nets, present) if bool(has))
+    return sampled
 
 
 def validate_clocked_stimulus(
@@ -229,16 +273,38 @@ class _ClockedRun:
         plan: ClockedPlan,
         stimulus: ClockedStimulus,
         cycles: int,
-        run_frame: FrameRunner,
+        run_frames: FrameBatchRunner,
+        block: int,
     ) -> None:
         if cycles < 1:
             raise ClockedSimulationError("cycles must be at least 1")
+        if block < 1:
+            raise ClockedSimulationError("block must be at least 1")
         validate_clocked_stimulus(plan, stimulus)
         self.plan = plan
         self.cycles = cycles
-        self.run_frame = run_frame
+        self.run_frames = run_frames
+        self.block = block
         self._stimulus = stimulus
         rf = plan.register_file
+        net_ids = plan.settle.net_ids
+        null_id = plan.settle.null_id
+        # Settle-vector ids of every register's D/EN/RST pin (absent pins
+        # read the constant-0 slot; register_next_state masks them off).
+        self._d_ids = HOST.asarray([net_ids[n] for n in rf.d_nets])
+        self._en_ids = HOST.asarray(
+            [net_ids[n] if bool(h) else null_id
+             for n, h in zip(rf.enable_nets, rf.has_enable)]
+        )
+        self._rst_ids = HOST.asarray(
+            [net_ids[n] if bool(h) else null_id
+             for n, h in zip(rf.reset_nets, rf.has_reset)]
+        )
+        # Sampled nets a frame simulates (the rest are its own sources).
+        sources = set(plan.settle.source_nets)
+        self._checked: List[Tuple[str, int]] = sorted(
+            (net, net_ids[net]) for net in _sampled_nets(rf) if net not in sources
+        )
         self._state = rf.initial_state()
         self._scheduled: List[int] = [int(v) for v in HOST.to_host(self._state)]
         self._pending: List[List[Tuple[int, int]]] = [[] for _ in rf.names]
@@ -349,58 +415,27 @@ class _ClockedRun:
         return waves
 
     # ------------------------------------------------------------------
-    # Capture
+    # Phase 1: capture from the settled frame
     # ------------------------------------------------------------------
-    def _sample(
-        self,
-        net: str,
-        frame_waves: Mapping[str, Waveform],
-        result: SimulationResult,
-    ) -> int:
-        wave = frame_waves.get(net)
-        if wave is None:
-            wave = result.waveforms.get(net)
-        if wave is None:
-            raise ClockedSimulationError(
-                f"cannot sample net {net!r} at the capture edge: the frame "
-                f"result carries no waveform for it (run_cycles requires "
-                f"SimConfig(store_waveforms=True))"
-            )
-        return wave.final_value
-
-    def _capture(
-        self,
-        end: int,
-        frame_waves: Mapping[str, Waveform],
-        result: SimulationResult,
-    ) -> None:
+    def _capture(self, end: int, frame_waves: Mapping[str, Waveform]) -> object:
+        """Commit the capture at ``end`` from the frame's settled values,
+        scheduling Q transitions; returns the settle vector."""
         rf = self.plan.register_file
-        hnp = HOST
-        count = len(rf)
-        d_vals = hnp.zeros(count, dtype=hnp.int8)
-        en_vals = hnp.zeros(count, dtype=hnp.int8)
-        rst_vals = hnp.zeros(count, dtype=hnp.int8)
-        for index in range(count):
-            d_vals[index] = self._sample(rf.d_nets[index], frame_waves, result)
-            if bool(rf.has_enable[index]):
-                en_vals[index] = self._sample(
-                    rf.enable_nets[index], frame_waves, result
-                )
-            if bool(rf.has_reset[index]):
-                rst_vals[index] = self._sample(
-                    rf.reset_nets[index], frame_waves, result
-                )
+        settle = self.plan.settle
+        settled = settle.settle(
+            [frame_waves[net].final_value for net in settle.source_nets]
+        )
         next_vals = register_next_state(
             self._state,
-            d_vals,
-            en_vals,
-            rst_vals,
+            settled[self._d_ids],
+            settled[self._en_ids],
+            settled[self._rst_ids],
             has_enable=rf.has_enable,
             has_reset=rf.has_reset,
             reset_active_low=rf.reset_active_low,
             reset_values=rf.reset_values,
         )
-        for index in range(count):
+        for index in range(len(rf)):
             value = int(next_vals[index])
             if value != self._scheduled[index]:
                 delay = int(
@@ -413,6 +448,40 @@ class _ClockedRun:
         self.register_state = {
             name: int(v) for name, v in zip(rf.names, HOST.to_host(next_vals))
         }
+        return settled
+
+    # ------------------------------------------------------------------
+    # Phase 2: check the simulated frame against its capture
+    # ------------------------------------------------------------------
+    def _check(
+        self, frame_index: int, result: SimulationResult, settled: object
+    ) -> None:
+        period = self.plan.clock_period
+        start = frame_index * period
+        for net, wave in result.waveforms.items():
+            last = int(wave.data[-2])
+            if last >= period:
+                raise ClockedSimulationError(
+                    f"frame {frame_index}: net {net!r} toggles at "
+                    f"{start + last}, at or past the capture edge "
+                    f"{start + period}; combinational activity must settle "
+                    f"within the clock period"
+                )
+        for net, net_id in self._checked:
+            wave = result.waveforms.get(net)
+            if wave is None:
+                raise ClockedSimulationError(
+                    f"cannot sample net {net!r} at the capture edge: the frame "
+                    f"result carries no waveform for it (run_cycles requires "
+                    f"SimConfig(store_waveforms=True))"
+                )
+            if wave.final_value != int(settled[net_id]):
+                raise ClockedSimulationError(
+                    f"frame {frame_index}: net {net!r} ends the frame at "
+                    f"{wave.final_value} but its zero-delay settle is "
+                    f"{int(settled[net_id])}; the simulated frame does not "
+                    f"settle to its final sources"
+                )
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -430,6 +499,8 @@ class _ClockedRun:
             stats.device = frame.device
             stats.shards = frame.shards
             stats.segments = 0
+        # A batch's workload counters are split across its results so that
+        # they sum to the batch's totals: the sum is the real launch count.
         stats.windows += frame.windows
         stats.segments += frame.segments
         stats.input_events += frame.input_events
@@ -441,28 +512,33 @@ class _ClockedRun:
         self._frames_folded += 1
 
     # ------------------------------------------------------------------
-    # The frame loop
+    # The block loop
     # ------------------------------------------------------------------
     def frames(self) -> Iterator[Tuple[int, Dict[str, Waveform], SimulationResult]]:
         period = self.plan.clock_period
-        for frame_index in range(self.cycles):
-            start = frame_index * period
-            end = start + period
-            frame_waves = self._pi_frame(start, end)
-            self._scan_async_resets(start, end, frame_waves)
-            frame_waves.update(self._q_frame(start, end))
-            frame_waves[self.plan.clock_net] = _clock_frame(frame_index, period)
-            result = self.run_frame(frame_waves, period)
-            self._capture(end, frame_waves, result)
-            self._fold(result)
-            yield frame_index, frame_waves, result
+        for first in range(0, self.cycles, self.block):
+            block = []
+            for frame_index in range(first, min(first + self.block, self.cycles)):
+                start = frame_index * period
+                end = start + period
+                frame_waves = self._pi_frame(start, end)
+                self._scan_async_resets(start, end, frame_waves)
+                frame_waves.update(self._q_frame(start, end))
+                frame_waves[self.plan.clock_net] = _clock_frame(frame_index, period)
+                block.append((frame_index, frame_waves, self._capture(end, frame_waves)))
+            results = self.run_frames([(waves, 1, period) for _, waves, _ in block])
+            for (frame_index, frame_waves, settled), result in zip(block, results):
+                self._check(frame_index, result, settled)
+                self._fold(result)
+                yield frame_index, frame_waves, result
 
 
 def run_clocked(
     plan: ClockedPlan,
     stimulus: ClockedStimulus,
     cycles: int,
-    run_frame: FrameRunner,
+    run_frames: FrameBatchRunner,
+    block: int,
 ) -> SimulationResult:
     """Run ``cycles`` clocked frames and stitch full-horizon waveforms.
 
@@ -472,7 +548,7 @@ def run_clocked(
     toggle counts are derived from the stitched waveforms, and the final
     committed register state is attached as ``result.register_state``.
     """
-    run = _ClockedRun(plan, stimulus, cycles, run_frame)
+    run = _ClockedRun(plan, stimulus, cycles, run_frames, block)
     windows: Dict[str, List[Waveform]] = {}
     for _, frame_waves, result in run.frames():
         merged = dict(frame_waves)
@@ -505,22 +581,23 @@ def run_clocked_stream(
     plan: ClockedPlan,
     stimulus: ClockedStimulus,
     cycles: int,
-    run_frame: FrameRunner,
+    run_frames: FrameBatchRunner,
+    block: int,
 ) -> "StreamResult":
     """Run ``cycles`` clocked frames at constant memory.
 
     The streaming counterpart of :func:`run_clocked`: each frame's
     waveforms are folded into running toggle counts and SAIF T0/T1 totals
     and then discarded, so million-cycle sequential replays retain nothing
-    proportional to the run (pair it with a
-    :class:`~repro.core.restructure.StreamingSourceEvents` stimulus to keep
-    the input side O(frame) too).  Toggle counts and SAIF activity are
+    proportional to the run — the footprint is one block of frames (pair
+    it with a :class:`~repro.core.restructure.StreamingSourceEvents`
+    stimulus to keep the input side O(block) too).  Toggle counts and SAIF activity are
     bit-identical to a whole-run :func:`run_clocked`.
     """
     from ..power.activity import StreamResult
     from ..waveforms.saif import NetActivity
 
-    run = _ClockedRun(plan, stimulus, cycles, run_frame)
+    run = _ClockedRun(plan, stimulus, cycles, run_frames, block)
     period = plan.clock_period
     counts: Dict[str, int] = {}
     high: Dict[str, int] = {}

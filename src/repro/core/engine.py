@@ -117,6 +117,11 @@ class _WindowRange:
         return self.end - self.start
 
 
+def _share(total: int, batch: int, index: int) -> int:
+    """Request ``index``'s part of a batch counter; the parts sum to it."""
+    return total // batch + int(index < total % batch)
+
+
 def _request_runs(windows: Sequence[_WindowRange]) -> Iterator[Tuple[int, int, int]]:
     """``(request, lo, hi)``: windows are laid out request by request (and
     segment batches keep that order), so each request owns one slice."""
@@ -611,9 +616,11 @@ class GatspiEngine:
                 sources[net] = wave
             else:
                 sources[net] = previous.waveforms[net]
-        return self._run_plan(
+        result = self._run_plan(
             plan, [_Request(stimulus, sources, cycles, duration)], previous=previous
         )[0]
+        self.retain(stimulus, duration, result)
+        return result
 
     def _partial_ok(
         self,
@@ -677,12 +684,15 @@ class GatspiEngine:
 
         ``stimulus`` must provide a waveform for every source net (primary
         input or sequential-element output).  ``duration`` defaults to
-        ``cycles * clock_period``; one of the two must be given.
+        ``cycles * clock_period``; one of the two must be given.  The run
+        is retained as the rerun base of the current design state.
         """
         cycles, duration = normalize_horizon(
             cycles, duration, self.config.clock_period
         )
-        return self.simulate_many([(stimulus, cycles, duration)])[0]
+        result = self.simulate_many([(stimulus, cycles, duration)])[0]
+        self.retain(stimulus, duration, result)
+        return result
 
     def simulate_many(
         self,
@@ -693,9 +703,10 @@ class GatspiEngine:
         Requests are columns: every request's windows are the ones its own
         :meth:`simulate` would cut, on its own time base, all run in one
         level loop — so each result is bit-identical to a standalone run.
-        A multi-request batch shares its timings and workload stats evenly
-        (``stats.fused_requests`` is the batch size) and is never retained
-        as a rerun base.
+        A multi-request batch shares its timings and workload stats
+        (``stats.fused_requests`` is the batch size; the shares sum to the
+        batch's totals).  A batch is never retained as a rerun base, not
+        even a one-request batch — clocked frames run through here.
         """
         batch = [_Request(s, s, cycles, duration) for s, cycles, duration in requests]
         for request in batch:
@@ -739,14 +750,15 @@ class GatspiEngine:
         start = time.perf_counter()
         batch = len(requests)
         results = []
-        for request, request_outputs in zip(requests, outputs):
-            # A batch's workload is shared evenly by its requests.
+        for number, (request, request_outputs) in enumerate(zip(requests, outputs)):
+            # A batch's workload is shared by its requests; the shares sum
+            # to the batch's totals.
             share = stats if batch == 1 else replace(
                 stats,
-                windows=stats.windows // batch,
-                segments=max(1, stats.segments // batch),
-                kernel_invocations=stats.kernel_invocations // batch,
-                level_batches=stats.level_batches // batch,
+                windows=_share(stats.windows, batch, number),
+                segments=_share(stats.segments, batch, number),
+                kernel_invocations=_share(stats.kernel_invocations, batch, number),
+                level_batches=_share(stats.level_batches, batch, number),
                 fused_requests=batch,
             )
             share.cycles = request.cycles
@@ -782,8 +794,6 @@ class GatspiEngine:
         timings.readback += time.perf_counter() - start
         for result in results:
             result.timings = timings if batch == 1 else timings.scaled(1 / batch)
-        if batch == 1:
-            self.retain(requests[0].stimulus, requests[0].duration, results[0])
         return results
 
     def run_cycles(
@@ -798,7 +808,8 @@ class GatspiEngine:
 
         Engine-level face of the shared clocked driver
         (:mod:`repro.core.clocked`): registers commit at every clock edge
-        and each inter-edge frame runs through :meth:`simulate`.  Prefer
+        and each block of ``cycle_parallelism`` inter-edge frames runs
+        through one :meth:`simulate_many` batch.  Prefer
         :meth:`Session.run_cycles <repro.api.session.Session.run_cycles>`
         in new code; this exists so direct engine users (and the engine's
         own benchmarks) need no session wrapper.
@@ -812,7 +823,7 @@ class GatspiEngine:
             reset=reset if reset is not None else self.config.reset,
         )
         return run_clocked(
-            plan, stimulus, cycles, lambda s, d: self.simulate(s, duration=d)
+            plan, stimulus, cycles, self.simulate_many, self.config.cycle_parallelism
         )
 
     # ------------------------------------------------------------------

@@ -97,7 +97,7 @@ class SimulationStats:
     #: Requests batched into the engine run that produced this result (1 =
     #: standalone; ``Session.run_many`` runs same-design requests as the
     #: columns of one level loop, and their workload stats/timings are
-    #: attributed evenly across the batch).
+    #: split across the batch so the shares sum to its totals).
     fused_requests: int = 1
     #: Whether this result came from an incremental rerun (``Session.rerun``):
     #: only the cone of influence of an edit batch was re-simulated and the
