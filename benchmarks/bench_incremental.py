@@ -6,15 +6,16 @@ single-gate delay tweak, then a 10-gate batch) and wants the re-simulated
 waveforms back.  The full path pays a cold ``prepare()`` (levelize, pack,
 compile) plus a whole-design run for every probe; ``Session.rerun(edits)``
 re-executes only the edits' cone of influence and stitches the rest from
-the retained baseline.  Writes ``BENCH_incremental.json`` at the
-repository root with wall times, speedups, and dirty-set statistics.
+the retained baseline.  The full run writes ``BENCH_incremental.json`` at
+the repository root with wall times, speedups, and dirty-set statistics.
 
 Accuracy gates the speedup claim: each batch first asserts the rerun is
 **bit-identical** to the cold full run of the edited design, then the
 single-gate speedup must beat :data:`FULL_SPEEDUP_FLOOR`.
 
 Set ``REPRO_BENCH_INCREMENTAL_SMOKE=1`` to shorten the testbench and only
-sanity-check the ordering (the CI smoke configuration).
+sanity-check the ordering (the CI smoke configuration); a smoke run writes
+nothing, so its numbers never replace a full-mode record.
 """
 
 from __future__ import annotations
@@ -179,7 +180,6 @@ def test_incremental_speedup_and_report():
     report = {
         "workload": (
             "table2:design_b/functional2"
-            + ("-smoke" if _smoke() else "")
         ),
         "design": case.name,
         "testbench": case.testbench,
@@ -188,13 +188,15 @@ def test_incremental_speedup_and_report():
         "single_gate_speedup": speedups["single-gate"],
         "batches": rows,
     }
-    RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    if not _smoke():
+        RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    target = "not written (smoke)" if _smoke() else RESULT_PATH
     for row in rows:
         print(
             f"\nBENCH_incremental: {row['batch']} ECO full "
             f"{row['full_seconds']:.3f}s, rerun "
             f"{row['incremental_seconds']:.3f}s ({row['speedup']:.1f}x, "
-            f"dirty {row['dirty_fraction']:.1%}) -> {RESULT_PATH}"
+            f"dirty {row['dirty_fraction']:.1%}) -> {target}"
         )
 
     floor = SMOKE_SPEEDUP_FLOOR if _smoke() else FULL_SPEEDUP_FLOOR

@@ -19,12 +19,13 @@ high-water mark, unresettable within a process — measures that point
 alone.  The stimulus is a closed-form periodic toggle source (every
 input toggles at its own co-prime-ish period), generated span by span in
 O(chunk): an in-memory waveform mapping would itself be O(run) and
-defeat the measurement.  Writes ``BENCH_replay.json`` at the repository
-root.
+defeat the measurement.  The full run writes ``BENCH_replay.json`` at the
+repository root.
 
 Set ``REPRO_BENCH_REPLAY_SMOKE=1`` to shrink the sweep and only
 sanity-check the ratios (the CI smoke configuration — shared runners are
-too noisy to gate real floors).
+too noisy to gate real floors); a smoke run writes nothing, so its numbers
+never replace a full-mode record.
 """
 
 from __future__ import annotations
@@ -218,7 +219,6 @@ def test_streaming_replay_scaling_and_report():
         "workload": (
             f"random netlist ({NUM_GATES} gates, {NUM_INPUTS} inputs, "
             f"seed {SEED}), periodic stimulus, chunk={CHUNK_CYCLES} cycles"
-            + ("-smoke" if _smoke() else "")
         ),
         "bit_identity_cycles": cycles,
         "sweep": rows,
@@ -231,13 +231,15 @@ def test_streaming_replay_scaling_and_report():
             SMOKE_RSS_RATIO_CEILING if _smoke() else RSS_RATIO_CEILING
         ),
     }
-    RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    if not _smoke():
+        RESULT_PATH.write_text(json.dumps(report, indent=2) + "\n")
+    target = "not written (smoke)" if _smoke() else RESULT_PATH
     for row in rows:
         print(
             f"\nBENCH_replay: {row['cycles']:>9,} cycles in "
             f"{row['seconds']:.2f}s ({row['cycles_per_second']:,.0f} cyc/s, "
             f"peak RSS {row['peak_rss_kb'] / 1024:.0f} MB, "
-            f"{row['chunks']} chunks) -> {RESULT_PATH}"
+            f"{row['chunks']} chunks) -> {target}"
         )
     print(
         f"BENCH_replay: throughput ratio {throughput_ratio:.2f} "

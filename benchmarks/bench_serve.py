@@ -6,21 +6,20 @@ for: **requests per second and request latency under concurrent clients**.
 A :class:`~repro.serve.SimulationService` is driven by 1 / 4 / 16
 concurrent clients re-simulating one compiled design, once through the
 plain single-session ``gatspi`` backend (requests serialize on the shared
-session) and once through ``gatspi-sharded:shards=4,workers=process`` —
-the GIL-free process-shard mode: each request's shares run on spawned
-worker processes attached to the shared-memory design export
+session) and once through ``gatspi:workers=process`` — the GIL-free
+process-worker mode: each request's window groups run on one spawned
+worker per core, attached to the shared-memory design export
 (:mod:`repro.core.shm`).  Every client sends the same request, so queued
 requests coalesce onto one run rather than batching through ``run_many``
-(``fused_fraction`` stays 0).  (In-parent shares are a test executor, not
-a serving mode, and have no cell here.)
+(``fused_fraction`` stays 0).
 
 The full run writes ``BENCH_serve.json`` at the repository root with
 requests/sec and p50/p99 client-observed latency for every (backend,
 concurrency) cell, plus the core-count-aware process floor: on >= 2
-cores process shards must reach :data:`PROCESS_FLOOR_MULTI_CORE` (1.5x)
+cores process workers must reach :data:`PROCESS_FLOOR_MULTI_CORE` (1.5x)
 of the single-session baseline at 4 clients, while on a 1-core runner
-bare ``workers=process`` partitions only as wide as the machine (one
-share, the passthrough) and the floor relaxes to
+bare ``workers=process`` is one worker (the engine's own step, no pool)
+and the floor relaxes to
 :data:`PROCESS_FLOOR_SINGLE_CORE` (1.0x); the report records
 ``cpu_count`` so the gap stays visible either way.
 
@@ -58,25 +57,25 @@ RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
 
 SMOKE_FLOOR = 0.0
 
-#: Process-shard throughput floors vs the single-session baseline at 4
-#: clients.  Multi-core: shares execute truly in parallel (no shared
+#: Process-worker throughput floors vs the single-session baseline at 4
+#: clients.  Multi-core: groups execute truly in parallel (no shared
 #: GIL), so the mode must beat the baseline outright.  Single core: bare
-#: ``workers=process`` partitions one share wide (the passthrough), so the
+#: ``workers=process`` is one worker (the engine's own step), so the
 #: floor is no-regression only.
 PROCESS_FLOOR_MULTI_CORE = 1.5
 PROCESS_FLOOR_SINGLE_CORE = 1.0
 
 #: Interleaved (baseline, candidate) measurement pairs of the floored cell.
 #: The floor gates on the *max* ratio across pairs: when the true ratio sits
-#: exactly at the floor (single core, where process mode degrades to the
-#: passthrough, true ratio 1.0), a single noisy sample fails the
+#: exactly at the floor (single core, where process mode is the engine's
+#: own step, true ratio 1.0), a single noisy sample fails the
 #: gate ~half the time, while a genuine regression fails every pair.  The
 #: same max-over-interleaved-pairs discipline (mirroring the analysis
 #: bench's min-of-ratios overhead bound) is immune to co-tenant drift.
 FLOOR_PAIRS = 3
 
 SINGLE_BACKEND = "gatspi"
-PROCESS_BACKEND = "gatspi-sharded:shards=4,workers=process"
+PROCESS_BACKEND = "gatspi:workers=process"
 CONCURRENCY_LEVELS = (1, 4, 16)
 SERVICE_WORKERS = 4
 
@@ -263,7 +262,7 @@ def test_serve_throughput_and_report():
         f"gatspi throughput under 4 concurrent clients (max of "
         f"{len(floor_samples)} interleaved pairs, "
         f"floor {process_floor}x on {cpu_count} core(s)): the "
-        f"process-shard serving path regressed"
+        f"process-worker serving path regressed"
     )
 
 

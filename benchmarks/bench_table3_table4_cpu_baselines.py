@@ -6,7 +6,8 @@ algorithm on 32-64 CPUs; Table 4 against the multi-threaded mode of the
 commercial simulator.  Both baselines are modelled (paper-scale event counts
 through the CPU/GPU models); Table 3's load-imbalance column — the penalty the
 paper highlights for low-activity designs — is measured at laptop scale, as
-max / mean kernel seconds over the window-axis shares ``gatspi-sharded`` runs.
+max / mean kernel seconds over the window groups ``gatspi:workers=process:N``
+runs.
 """
 
 from repro.api import get_backend

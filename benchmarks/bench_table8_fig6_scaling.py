@@ -5,12 +5,12 @@ runtime for Design B's concatenated testbenches on 1 CPU core, a 64-core
 OpenMP run, 1/8 V100s and 1/4 A100s.  Both are regenerated from the analytic
 device models driven by the measured workloads, and the multi-device
 cycle-parallel distribution is additionally exercised with the real engine:
-per-share kernel seconds over the ``gatspi-sharded`` partition, whose merged
-toggle totals must not move with the share count.
+per-group kernel seconds over the window groups ``gatspi:workers=process:N``
+runs, whose merged toggle totals must not move with the group count.
 """
 
 from repro.api import get_backend
-from repro.bench.runner import prepare_case, share_kernel_seconds
+from repro.bench.runner import prepare_case, run_window_shares
 from repro.core import SimConfig
 from repro.gpu import (
     A100,
@@ -106,11 +106,8 @@ def test_fig6_multi_gpu_scaling(benchmark, representative_artifacts):
     )
     totals = set()
     for shares in (1, 2, 4, 8):
-        sharded = get_backend("gatspi-sharded").prepare(
-            netlist, annotation=annotation, config=config, shards=shares
-        )
-        totals.add(sharded.run(stimulus, duration=duration).total_toggles())
-        seconds = share_kernel_seconds(session, stimulus, duration, shares)
+        seconds, counts = run_window_shares(session, stimulus, duration, shares)
+        totals.add(sum(counts.values()))
         speedup = sum(seconds) / max(seconds)
         print(f"measured {shares}-share cycle-parallel distribution: "
               f"{speedup:.1f}X vs serial, "

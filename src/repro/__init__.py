@@ -17,8 +17,9 @@ All simulation engines are served through one unified entry point, the
     session = get_backend("gatspi").prepare(netlist, annotation, config)
     result = session.run(stimulus, cycles=100)
 
-Backends ``"gatspi"``, ``"gatspi-oracle"``, ``"gatspi-sharded"``, ``"event"``
-and ``"zero-delay"`` ship built in; the benchmark harness
+Backends ``"gatspi"`` (``"gatspi:workers=process:N"`` runs its window groups
+on spawned workers), ``"gatspi-oracle"``, ``"event"`` and ``"zero-delay"``
+ship built in; the benchmark harness
 (:mod:`repro.bench`), the glitch-optimization flow (:mod:`repro.opt`) and the
 serving front end (:mod:`repro.serve`) all accept backend names, never
 concrete classes.

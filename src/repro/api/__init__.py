@@ -6,7 +6,7 @@ three-step flow, regardless of how it is implemented::
     from repro.api import get_backend
 
     backend = get_backend("gatspi")              # or "event", "zero-delay",
-    session = backend.prepare(netlist,           # "gatspi-sharded", ...
+    session = backend.prepare(netlist,           # "gatspi-oracle"
                               annotation=annotation, config=config)
     result = session.run(stimulus, cycles=100)   # -> SimulationResult
     results = session.run_many([RunSpec(stimulus, cycles=100), ...])
@@ -15,9 +15,9 @@ three-step flow, regardless of how it is implemented::
 number of times with different stimuli (compile-once/simulate-many), and
 ``run_many`` takes a batch at once — on ``gatspi`` the requests become the
 columns of one level loop, with results identical to one ``run`` each.
-``gatspi-sharded`` is ``gatspi`` with that window list split into groups
-run in the parent or on process workers, so it returns ``gatspi``'s
-results bit for bit at any shard count.  The
+``prepare(..., workers="process:N")`` (spec ``"gatspi:workers=process:N"``)
+splits that window list into groups run on spawned workers, and returns
+the same results bit for bit at any worker count.  The
 benchmark harness, the glitch-optimization flow and the serving front end
 all dispatch through this registry, so swapping the engine under any of
 them is a string change.
@@ -43,10 +43,8 @@ from .registry import (
 )
 from .session import RunSpec, Session
 
-# Importing the adapters registers the four built-in backends; importing
-# the sharded module registers the window-group sharded fifth.
+# Importing the adapters registers the four built-in backends.
 from . import adapters  # noqa: E402,F401
-from . import sharded  # noqa: E402,F401
 from .adapters import (
     EventBackend,
     EventSession,
@@ -55,7 +53,6 @@ from .adapters import (
     ZeroDelayBackend,
     ZeroDelaySession,
 )
-from .sharded import GatspiShardedBackend, ShardedGatspiSession
 
 __all__ = [
     "BackendCapabilities",
@@ -75,8 +72,6 @@ __all__ = [
     "EventSession",
     "GatspiBackend",
     "GatspiSession",
-    "GatspiShardedBackend",
-    "ShardedGatspiSession",
     "ZeroDelayBackend",
     "ZeroDelaySession",
 ]

@@ -5,7 +5,9 @@ Name               Engine
 =================  ==================================================
 ``gatspi``         :class:`~repro.core.engine.GatspiEngine` — levelized
                    count → allocate → store re-simulator, one kernel
-                   execution per level (the paper's system)
+                   execution per level (the paper's system); with
+                   ``workers=process:N`` its window list runs in groups
+                   on spawned workers (:mod:`repro.core.workers`)
 ``gatspi-oracle``  :class:`~repro.reference.oracle_engine.OracleEngine`
                    — the same plans run per object in Python (Waveform
                    slicing, one scalar kernel call per task); the
@@ -22,6 +24,7 @@ should reach engines exclusively through ``get_backend(name).prepare(...)``.
 
 from __future__ import annotations
 
+import os
 import warnings
 from typing import Any, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -172,6 +175,31 @@ class GatspiSession(Session):
             self._runs_completed += 1
         return result
 
+    def close(self) -> None:
+        """Shut process workers down and unlink their segment (idempotent)."""
+        self.engine.close()
+
+
+def _process_workers(workers: object, config: SimConfig) -> int:
+    """The pool width ``workers`` asks for: ``"process"`` is one worker per
+    core, ``"process:N"`` is N."""
+    base, sep, width = str(workers).partition(":")
+    malformed = sep and not width.isdigit()
+    if not isinstance(workers, str) or base != "process" or malformed:
+        raise ValueError(
+            f"workers must be 'process' or 'process:N', got {workers!r}: "
+            f"window groups run on N process workers with workers=process:N"
+        )
+    if config.device != "numpy":
+        raise ValueError(
+            "workers='process' requires the numpy device: the design tensors "
+            "are shared between processes via host shared memory"
+        )
+    count = int(width) if sep else os.cpu_count() or 1
+    if count < 1:
+        raise ValueError("workers must be at least 1")
+    return count
+
 
 @register_backend("gatspi")
 class GatspiBackend(SimBackend):
@@ -195,20 +223,36 @@ class GatspiBackend(SimBackend):
         config: Optional[SimConfig] = None,
         *,
         device: Optional[str] = None,
+        workers: Optional[str] = None,
         **options: Any,
     ) -> GatspiSession:
-        """Compile the design; ``device`` picks the array backend.
+        """Compile the design; ``device`` and ``workers`` pick executors.
 
         ``device`` selects the array backend (:mod:`repro.core.xp`) the
         data plane runs on (``"numpy"`` default, ``"torch"``/``"cupy"``
         when installed) and overrides the config field, so equivalence
         harnesses can flip devices without rebuilding configs (e.g. the
-        spec ``"gatspi:device=torch"``).  Every device is bit-identical.
+        spec ``"gatspi:device=torch"``).  ``workers="process:N"`` (bare
+        ``"process"``: one per core) runs every window list as
+        ``min(N, windows)`` groups on spawned workers
+        (:mod:`repro.core.workers`; host-only, no in-place edits,
+        ``close()`` releases them).  Every device and worker count is
+        bit-identical.
         """
+        if workers is not None and self.engine_class is not GatspiEngine:
+            # The oracle's executor never reaches a worker pool: refuse
+            # rather than silently run in the parent.
+            options["workers"] = workers
         _reject_unknown_options(self.name, options)
+        config = config or SimConfig()
         if device is not None:
-            config = (config or SimConfig()).with_updates(device=device)
-        engine = self.engine_class(netlist, annotation=annotation, config=config)
+            config = config.with_updates(device=device)
+        engine_options = {}
+        if workers is not None:
+            engine_options["process_workers"] = _process_workers(workers, config)
+        engine = self.engine_class(
+            netlist, annotation=annotation, config=config, **engine_options
+        )
         engine.compile()
         return GatspiSession(engine, self.name)
 

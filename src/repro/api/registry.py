@@ -4,13 +4,15 @@ The registry is the seam between *flows* (benchmark harness, glitch
 optimization, serving, user scripts) and *engines*: a flow
 asks for a backend by name and receives an object implementing the
 :class:`~repro.api.backend.SimBackend` protocol, never a concrete simulator
-class.  New engines (sharded, cached, remote) plug in with
+class.  New engines (cached, remote) plug in with
 ``@register_backend("my-name")`` without touching any flow code.
 
 Backend *specs* extend plain names with prepare-time options so flow
 configuration (benchmark CLIs, serve requests) can select engine variants
 without code changes: ``"gatspi:device=torch"`` resolves to the ``gatspi``
-backend with ``prepare(..., device="torch")``.
+backend with ``prepare(..., device="torch")``, and
+``"gatspi:workers=process:2"`` runs its window groups on two spawned
+workers.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ class UnknownBackendError(BackendRegistryError, LookupError):
 
 
 _REGISTRY: Dict[str, SimBackend] = {}
+
+#: Retired names and where they went (specs arrive from serve requests).
+_RETIRED = {"gatspi-sharded": "use gatspi:workers=process:N"}
 
 
 def register_backend(
@@ -92,8 +97,9 @@ def get_backend(name: str) -> SimBackend:
     try:
         return _REGISTRY[name]
     except KeyError:
+        retired = f" ({name} is retired: {_RETIRED[name]})" if name in _RETIRED else ""
         raise UnknownBackendError(
-            f"unknown backend {name!r}; available backends: "
+            f"unknown backend {name!r}{retired}; available backends: "
             f"{', '.join(available_backends()) or '(none)'}"
         ) from None
 
@@ -125,7 +131,8 @@ def parse_backend_spec(spec: str) -> Tuple[str, Dict[str, Any]]:
     A bare name parses to ``(name, {})``.  Values are coerced to
     ``bool``/``int``/``float`` when they look like one, otherwise kept as
     strings — e.g. ``"gatspi:device=torch"`` or
-    ``"gatspi-sharded:shards=4,workers=process:2"``.
+    ``"gatspi:workers=process:2"`` (only the first ``:`` separates the
+    name, so option values may contain one).
     """
     if not spec or not isinstance(spec, str):
         raise ValueError("backend spec must be a non-empty string")

@@ -21,8 +21,7 @@ run at a time, because the concrete engines keep per-run state (memory
 pools, timing accumulators) that is not re-entrant.  Callers wanting
 parallel runs over one design should prepare several sessions (the compile
 cache makes the extra ``prepare()`` calls share one compile) or run one
-session's window groups on process workers (``gatspi-sharded`` with
-``workers=process``).
+session's window groups on process workers (``gatspi:workers=process:N``).
 """
 
 from __future__ import annotations
@@ -418,11 +417,11 @@ class Session(abc.ABC):
     def apply_edits(self, edits: Sequence[Edit]) -> EditReceipt:
         """Apply a batch of netlist/annotation edits to the prepared design.
 
-        Backends that support incremental re-simulation (``gatspi`` and
-        ``gatspi-sharded``) apply the edits in place, refresh only the dirty
-        slices of their compiled artifacts, and return an
-        :class:`~repro.core.edits.EditReceipt` whose ``undo_edits`` restore
-        the previous state exactly.  Other backends raise
+        Backends that support incremental re-simulation (``gatspi``
+        without process workers, ``gatspi-oracle``) apply the edits in
+        place, refresh only the dirty slices of their compiled artifacts,
+        and return an :class:`~repro.core.edits.EditReceipt` whose
+        ``undo_edits`` restore the previous state exactly.  Other backends raise
         :class:`NotImplementedError`.
         """
         raise NotImplementedError(

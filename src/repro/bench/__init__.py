@@ -8,6 +8,7 @@ from .runner import (
     prepare_case,
     run_case,
     run_suite,
+    run_window_shares,
     share_kernel_seconds,
 )
 from .tables import TABLE2_HEADER, format_rows, format_table2, table2_rows
@@ -24,6 +25,7 @@ __all__ = [
     "prepare_case",
     "run_case",
     "run_suite",
+    "run_window_shares",
     "share_kernel_seconds",
     "TABLE2_HEADER",
     "format_rows",

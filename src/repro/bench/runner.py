@@ -9,26 +9,27 @@ paper-scale speedup estimates for the same workload shape.
 
 Backends are resolved through the :mod:`repro.api` registry, so any
 registered engine can be benchmarked against any other:
-``run_case(case, backend="gatspi-sharded:shards=4", baseline_backend="event")``.
+``run_case(case, backend="gatspi:workers=process:4", baseline_backend="event")``.
 Backend strings may be full specs with prepare options
 (``backend="gatspi:device=torch"``); ``backend="gatspi-oracle"`` benchmarks
 the per-object reference executors against the array pipeline.
 :func:`share_kernel_seconds` is the measured side of the paper's
 multi-device tables (Table 3's imbalance column, Fig. 6): per-group kernel
-seconds of the window groups ``gatspi-sharded`` splits a run into.
+seconds of the window groups ``gatspi:workers=process:N`` splits a run into.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..api import GatspiSession, resolve_backend
-from ..api.sharded import run_window_group, window_groups
 from ..core.config import SimConfig
 from ..core.restructure import lower_stimulus
-from ..core.results import SimulationResult
+from ..core.engine import _ReadbackAccumulator
+from ..core.results import PhaseTimings, SimulationResult, SimulationStats
+from ..core.workers import append_groups, run_window_group, window_groups
 from ..core.waveform import Waveform
 from ..gpu import ApplicationModel, GpuSpec, KernelPerfModel, KernelWorkload, V100
 from ..netlist import Netlist
@@ -65,7 +66,7 @@ class BenchmarkRow:
     level_batches: int = 0
     max_batch_tasks: int = 0
     mean_batch_tasks: float = 0.0
-    #: Window-axis shards of the primary backend (1 unless gatspi-sharded).
+    #: Window groups of the primary backend (1 unless on process workers).
     shards: int = 1
     # Per-phase application timings of the primary backend (Table 5 shape).
     restructure_mode: str = ""
@@ -132,31 +133,49 @@ def prepare_case(case: BenchmarkCase):
     return netlist, annotation, stimulus
 
 
+def run_window_shares(
+    session: GatspiSession,
+    stimulus: Mapping[str, Waveform],
+    duration: int,
+    shares: int,
+) -> Tuple[List[float], Dict[str, int]]:
+    """Kernel seconds of each window group ``gatspi:workers=process:N``
+    runs, plus the toggle counts those same group outputs assemble to.
+
+    The run's own windows (the ones ``session`` cuts for ``duration``)
+    split by :func:`~repro.core.workers.window_groups`, each group timed
+    through :func:`~repro.core.workers.run_window_group` — the step a
+    process worker runs, as one device each would: ``max`` is the parallel
+    kernel runtime of the paper's ``t = t1 / n + ovr``, ``sum`` the serial
+    one, ``max / mean`` the uneven-activity load imbalance.  At most one
+    group per window, so ``shares`` above ``cycle_parallelism`` yield
+    ``cycle_parallelism`` groups.  The groups are appended in window order
+    and stitched as a run's would be, so the counts must not move with
+    ``shares``.
+    """
+    engine = session.engine
+    plan = engine._full_plan()
+    events = [lower_stimulus(plan.source_nets, stimulus)]
+    windows = engine._window_ranges(0, duration)
+    outputs = [
+        run_window_group(engine, plan, events, group, [duration])
+        for group in window_groups(windows, shares)
+    ]
+    readbacks = [_ReadbackAccumulator(plan.readback_nets)]
+    append_groups(outputs, PhaseTimings(), SimulationStats(), readbacks)
+    [assembled] = engine._assemble(readbacks, windows, PhaseTimings())
+    counts = {net: count for net, (count, _) in assembled.items()}
+    return [timings.kernel for _, _, timings in outputs], counts
+
+
 def share_kernel_seconds(
     session: GatspiSession,
     stimulus: Mapping[str, Waveform],
     duration: int,
     shares: int,
 ) -> List[float]:
-    """Kernel seconds of each window group ``gatspi-sharded:shards=N`` runs.
-
-    The run's own windows (the ones ``session`` cuts for ``duration``)
-    split by :func:`~repro.api.sharded.window_groups`, each group timed
-    through :func:`~repro.api.sharded.run_window_group` — the step a
-    process worker runs, as one device each would: ``max`` is the parallel
-    kernel runtime of the paper's ``t = t1 / n + ovr``, ``sum`` the serial
-    one, ``max / mean`` the uneven-activity load imbalance.  At most one
-    group per window, so ``shares`` above ``cycle_parallelism`` yield
-    ``cycle_parallelism`` groups.
-    """
-    engine = session.engine
-    plan = engine._full_plan()
-    events = [lower_stimulus(plan.source_nets, stimulus)]
-    windows = engine._window_ranges(0, duration)
-    return [
-        run_window_group(engine, plan, events, group, [duration])[2].kernel
-        for group in window_groups(windows, shares)
-    ]
+    """Kernel seconds of each window group (see :func:`run_window_shares`)."""
+    return run_window_shares(session, stimulus, duration, shares)[0]
 
 
 def run_case(

@@ -31,13 +31,15 @@ launches, exactly like CUDA launch parameters.
 
 If the waveform pool cannot hold a full run, the windows are split into
 sequential segments and the engine is invoked once per segment, exactly as
-the paper describes for testbenches that exceed device memory.
+the paper describes for testbenches that exceed device memory; with
+``process_workers`` it runs as one group per worker (:mod:`repro.core.workers`).
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -209,9 +211,9 @@ class GatspiEngine:
     subclass replaces to run the same plans differently (the per-object
     oracle in :mod:`repro.reference.oracle_engine` does),
     :meth:`_run_windows` the array executor underneath it, and
-    :meth:`_run_groups` the one step of that executor the sharded backend
-    replaces to spread the window list over the parent or process
-    workers.  A batch of requests is just more windows: each request's
+    :meth:`_run_groups` the one step of that executor that spreads the
+    window list over ``process_workers`` spawned workers when there are
+    any.  A batch of requests is just more windows: each request's
     windows are the ones its standalone run would cut, tagged with the
     request they belong to.
     """
@@ -226,10 +228,14 @@ class GatspiEngine:
         netlist: Netlist,
         annotation: Optional[DelayAnnotation] = None,
         config: Optional[SimConfig] = None,
+        process_workers: Optional[int] = None,
     ):
         self.netlist = netlist
         self.annotation = annotation or default_annotation(netlist)
         self.config = config or SimConfig()
+        #: Worker processes window groups run on (``None``: in this process).
+        self.process_workers = process_workers
+        self._workers = None  # the spawned repro.core.workers.WorkerPool
         self._compiled: Optional[CompiledGraph] = None
         self._gate_inputs: Dict[str, GateKernelInputs] = {}
         self._packed: Optional[PackedDesign] = None
@@ -246,8 +252,8 @@ class GatspiEngine:
         #: Completed runs kept as incremental-rerun bases (LRU, see
         #: :data:`RETAINED_RUN_CAPACITY`); written by :meth:`retain`.
         self._retained: "OrderedDict[str, _RetainedRun]" = OrderedDict()
-        #: Recycled pool for :meth:`run_stream_chunk` (sharded streaming
-        #: workers); dropped whenever compiled artifacts change.
+        #: Recycled pool for :meth:`run_stream_chunk` (streaming, also on
+        #: process workers); dropped whenever compiled artifacts change.
         self._stream_pool: Optional[WaveformPool] = None
 
     # ------------------------------------------------------------------
@@ -264,9 +270,8 @@ class GatspiEngine:
         """The compile-time struct-of-arrays design tensors (vector kernel).
 
         Built once per compile, materialized on the configured array
-        backend, and reused by every run — including every window
-        group of a ``gatspi-sharded`` session (process workers attach the
-        same tensors through :mod:`~repro.core.shm`).
+        backend, and reused by every run — process workers attach the
+        same tensors through :mod:`~repro.core.shm`.
         """
         if self._packed is None:
             self.compile()
@@ -294,7 +299,7 @@ class GatspiEngine:
         ``SimConfig(compile_cache=False)``.
 
         ``packed`` injects pre-built design tensors (shared-memory views in
-        a process-shard worker) in place of re-packing; see
+        a process worker) in place of re-packing; see
         :meth:`_build_artifacts`.
         """
         start = time.perf_counter()
@@ -359,7 +364,7 @@ class GatspiEngine:
         and materialize the packed tensors on the configured backend.
 
         ``packed`` injects pre-built design tensors (e.g. shared-memory
-        views attached by a process-shard worker, :mod:`repro.core.shm`)
+        views attached by a process worker, :mod:`repro.core.shm`)
         instead of re-packing — the rest of the compile is unchanged, so
         the artifacts flow through the normal compile cache and backends.
         """
@@ -466,6 +471,12 @@ class GatspiEngine:
         ``undo_edits`` reverse the batch (via another ``apply_edits`` call)
         and whose seeds drive :meth:`resimulate`.
         """
+        if self.process_workers is not None:
+            # Worker engines cannot be re-synced after an in-place edit.
+            raise NotImplementedError(
+                "process-worker sessions do not support in-place edits; "
+                "prepare a new session for the edited design"
+            )
         if self._compiled is None:
             self.compile()
         parent = self._journal.fingerprint()
@@ -863,6 +874,15 @@ class GatspiEngine:
         if stats is None:
             stats = SimulationStats()
         stats.segments = 0
+        if (self.process_workers or 0) >= 2:
+            try:
+                yield from self._worker_pool().stream(
+                    self, source, duration, chunk_cycles, timings, stats
+                )
+            except BrokenProcessPool:
+                self.close()
+                raise
+            return
         for span, index, start, end in self.pull_spans(
             source, duration, chunk_cycles, timings
         ):
@@ -880,7 +900,7 @@ class GatspiEngine:
         """Pull ``(span, chunk_index, chunk_start, chunk_end)`` per chunk.
 
         The sequential half of a streamed run (spans must be pulled in
-        order), shared by :meth:`stream` and the sharded backend's chunk
+        order), shared by :meth:`stream` and the process workers' chunk
         pipeline; every yielded tuple is one :meth:`run_stream_chunk` call.
         Spans come back in the design's source-net order.
         """
@@ -929,9 +949,9 @@ class GatspiEngine:
 
         ``span`` must cover ``(max(0, chunk_start - max(window_overlap, 1)),
         chunk_end)`` with nets in the design's source order (what
-        :meth:`pull_spans` yields).  The sharded backend's parent session
-        owns the stimulus stream and ships each chunk's span to a shard
-        worker, which calls this.  Each engine keeps one private stream
+        :meth:`pull_spans` yields).  With process workers the parent owns
+        the stimulus stream and ships each chunk's span to a worker, which
+        calls this.  Each engine keeps one private stream
         pool recycled across calls — every chunk releases the previous
         chunk's window columns and reuses the same words — so RSS stays
         flat no matter how many chunks it executes.
@@ -1078,6 +1098,15 @@ class GatspiEngine:
         readbacks = self._run_windows(
             plan, events, windows, durations, timings, stats
         )
+        return self._assemble(readbacks, windows, timings)
+
+    def _assemble(
+        self,
+        readbacks: Sequence[_ReadbackAccumulator],
+        windows: Sequence[_WindowRange],
+        timings: PhaseTimings,
+    ) -> List[Dict[str, Tuple[int, Optional[Waveform]]]]:
+        """Stitch each request's accumulated windows into its outputs."""
         hnp = HOST
         start = time.perf_counter()
         outputs: List[Dict[str, Tuple[int, Optional[Waveform]]]] = []
@@ -1128,6 +1157,21 @@ class GatspiEngine:
         stats.windows += len(windows)
         return readbacks
 
+    def _worker_pool(self):
+        """Export the packed design and spawn the workers (once)."""
+        if self._workers is None:
+            from .workers import WorkerPool
+
+            self._workers = WorkerPool(self, self.process_workers)
+        return self._workers
+
+    def close(self) -> None:
+        """Shut the worker pool down and unlink its segment (idempotent);
+        the next split run spawns a fresh pool."""
+        workers, self._workers = self._workers, None
+        if workers is not None:
+            workers.close()
+
     def _run_groups(
         self,
         plan: ExecutionPlan,
@@ -1141,13 +1185,23 @@ class GatspiEngine:
     ) -> None:
         """Run ``windows`` as contiguous groups into ``readbacks``, in order.
 
-        One group here: the whole list through the segment queue.  This is
-        the step the ``gatspi-sharded`` engine
-        (:mod:`repro.api.sharded`) replaces to split the list across the
-        parent or process workers.  Groups append to the accumulators in
-        window order, exactly like segment batches, so any grouping yields
-        the same result.
+        With ``process_workers`` the list splits into one group per worker
+        (:class:`~repro.core.workers.WorkerPool`); otherwise, and for a
+        single window or a stream chunk on its recycled ``pool``, it is one
+        group through the segment queue.  Groups append to the
+        accumulators in window order, exactly like segment batches, so any
+        grouping yields the same result.  A dead worker breaks the pool:
+        it is released (:meth:`close`) so the next run spawns a fresh one.
         """
+        if pool is None and min(self.process_workers or 1, len(windows)) > 1:
+            try:
+                self._worker_pool().run_groups(
+                    events, windows, durations, timings, stats, readbacks
+                )
+            except BrokenProcessPool:
+                self.close()
+                raise
+            return
         stats.segments += self._segment_windows(
             windows,
             lambda batch: self._simulate_batch(

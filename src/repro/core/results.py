@@ -91,8 +91,9 @@ class SimulationStats:
     level_batches: int = 0
     #: Largest single batch, in (gate, window) tasks.
     max_batch_tasks: int = 0
-    #: Window groups the run's window list was split into (1 = unsharded;
-    #: the ``gatspi-sharded`` backend sets the actual group count).
+    #: Window groups the run ran as: ``min(N, windows)`` on a whole run
+    #: with ``workers=process:N``, the worker width on a streamed one, and
+    #: 1 on every run that stays in this process.
     shards: int = 1
     #: Requests batched into the engine run that produced this result (1 =
     #: standalone; ``Session.run_many`` runs same-design requests as the

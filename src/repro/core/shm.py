@@ -1,6 +1,6 @@
 """Shared-memory views over the packed design tensors.
 
-The ``workers=process`` mode of the ``gatspi-sharded`` backend runs each
+``gatspi:workers=process:N`` (:mod:`repro.core.workers`) runs each
 window group in a separate OS process so groups execute truly in
 parallel (no GIL).  The compiled design's heavy payload — the flat
 truth-table/delay tensors and the per-level gate/pin matrices of
@@ -148,12 +148,6 @@ class SharedDesign:
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
 
-    def __enter__(self) -> "SharedDesign":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 class AttachedDesign:
     """Worker-side attachment: the rebuilt design plus the mapping.
@@ -190,7 +184,7 @@ def _require_host_array(name: str, value: object) -> np.ndarray:
     if not isinstance(value, np.ndarray):
         raise ShmError(
             f"packed tensor {name!r} is not a host numpy array; "
-            f"process shards require the numpy device"
+            f"process workers require the numpy device"
         )
     return np.ascontiguousarray(array)
 
@@ -210,7 +204,7 @@ def export_packed_design(packed: PackedDesign) -> SharedDesign:
     if packed.device != "numpy":
         raise ShmError(
             f"cannot export a packed design materialized on "
-            f"{packed.device!r}; process shards require the numpy device"
+            f"{packed.device!r}; process workers require the numpy device"
         )
 
     plan: List[Tuple[str, np.ndarray]] = [

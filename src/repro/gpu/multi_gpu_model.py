@@ -6,7 +6,7 @@ stream-synchronize + kernel-launch overhead.  Deviations from linear scaling
 come from uneven activity between the distributed windows — which the
 measured per-group kernel seconds
 (:func:`repro.bench.runner.share_kernel_seconds`, max / mean over the
-window groups ``gatspi-sharded`` splits a run into) expose directly and
+window groups ``gatspi:workers=process:N`` splits a run into) expose directly and
 this model captures with an imbalance factor.
 """
 

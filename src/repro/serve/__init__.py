@@ -4,15 +4,15 @@ A :class:`SimulationService` accepts many concurrent re-simulation
 requests through a bounded queue, micro-batches requests that share a
 compiled-design fingerprint onto one prepared session, coalesces
 identical in-flight requests onto one engine run, and executes them
-on a worker pool — any registered backend spec, including the sharded
-``"gatspi-sharded:shards=4"``::
+on a worker pool — any registered backend spec, including
+``"gatspi:workers=process:4"`` (window groups on spawned workers)::
 
     from repro.serve import ServeRequest, SimulationService
 
     with SimulationService(max_workers=4) as service:
         future = service.submit(ServeRequest(
             netlist=netlist, stimulus=stimulus,
-            backend="gatspi-sharded:shards=4",
+            backend="gatspi:workers=process:4",
             annotation=annotation, cycles=100,
         ))
         response = future.result()       # -> ServeResponse

@@ -1,4 +1,4 @@
-"""The sharded/batched simulation serving front end.
+"""The batched simulation serving front end.
 
 The ROADMAP's scale item asks for "an async/batched serving front end for
 many concurrent sessions": this module is that subsystem, built directly
@@ -131,7 +131,7 @@ class ServeRequest:
 
     **Full request** (the default): provide ``netlist`` and ``stimulus``;
     ``backend`` is a registry spec (``"gatspi"``,
-    ``"gatspi-sharded:shards=4"``, ``"event"``, ...); one of ``cycles`` /
+    ``"gatspi:workers=process:4"``, ``"event"``, ...); one of ``cycles`` /
     ``duration`` must be given, exactly as for :meth:`Session.run`.
 
     **Delta request**: provide ``base_key`` (the ``session_key`` echoed on

@@ -25,7 +25,7 @@ from repro.analysis import (
     available_rules,
     clear_analysis_cache,
 )
-from repro.api import get_backend
+from repro.api import get_backend, resolve_backend
 from repro.bench.designs import array_multiplier
 from repro.core.config import SimConfig
 from repro.core.waveform import EOW
@@ -371,9 +371,10 @@ class TestPrepareWiring:
 
     def test_every_builtin_backend_attaches_report(self):
         design = clean_design()
-        for name in ("gatspi", "gatspi-sharded", "event", "zero-delay"):
-            session = get_backend(name).prepare(design, config=CONFIG)
-            assert session.analysis_report is not None, name
+        for spec in ("gatspi", "gatspi:workers=process:2", "event", "zero-delay"):
+            backend, options = resolve_backend(spec)
+            session = backend.prepare(design, config=CONFIG, **options)
+            assert session.analysis_report is not None, spec
 
     def test_invalid_analysis_mode_rejected(self):
         with pytest.raises(ValueError, match="analysis"):

@@ -11,6 +11,7 @@ from repro.api import (
     available_backends,
     get_backend,
     register_backend,
+    resolve_backend,
     unregister_backend,
 )
 from repro.core import SimConfig, SimulationResult, StimulusError
@@ -19,9 +20,17 @@ from repro.testing import build_random_netlist, build_random_stimulus
 
 DURATION = 4000
 CONFIG = SimConfig(clock_period=500, cycle_parallelism=4)
-BUILTIN_BACKENDS = (
-    "event", "gatspi", "gatspi-oracle", "gatspi-sharded", "zero-delay"
+BUILTIN_BACKENDS = ("event", "gatspi", "gatspi-oracle", "zero-delay")
+#: Every built-in backend plus gatspi on process workers, which keeps the
+#: id of the ``gatspi-sharded`` backend it replaced.
+SESSION_SPECS = BUILTIN_BACKENDS + (
+    pytest.param("gatspi:workers=process:2", id="gatspi-sharded"),
 )
+
+
+def _prepare(spec, netlist, annotation):
+    backend, options = resolve_backend(spec)
+    return backend.prepare(netlist, annotation=annotation, config=CONFIG, **options)
 
 
 @pytest.fixture(scope="module")
@@ -74,12 +83,15 @@ class TestRegistry:
 
 
 class TestSessionContract:
-    @pytest.mark.parametrize("backend_name", BUILTIN_BACKENDS)
-    def test_prepare_run_returns_uniform_result(self, backend_name, design):
+    @pytest.mark.parametrize("spec", SESSION_SPECS)
+    def test_prepare_run_returns_uniform_result(self, spec, design):
         netlist, annotation, stimulus = design
-        backend = get_backend(backend_name)
-        session = backend.prepare(netlist, annotation=annotation, config=CONFIG)
-        result = session.run(stimulus, cycles=8)
+        session = _prepare(spec, netlist, annotation)
+        try:
+            result = session.run(stimulus, cycles=8)
+        finally:
+            if spec.startswith("gatspi"):
+                session.close()
         assert isinstance(result, SimulationResult)
         assert result.duration == 8 * CONFIG.clock_period
         # Stats are uniformly populated, whichever engine ran.
@@ -87,24 +99,20 @@ class TestSessionContract:
         assert result.stats.gate_count == netlist.gate_count
         assert result.stats.input_events > 0
         assert result.total_toggles() > 0
-        assert session.backend_name == backend_name
+        assert session.backend_name == spec.partition(":")[0]
         assert session.runs_completed == 1
 
-    @pytest.mark.parametrize("backend_name", BUILTIN_BACKENDS)
-    def test_missing_stimulus_rejected(self, backend_name, design):
+    @pytest.mark.parametrize("spec", SESSION_SPECS)
+    def test_missing_stimulus_rejected(self, spec, design):
         netlist, annotation, _ = design
-        session = get_backend(backend_name).prepare(
-            netlist, annotation=annotation, config=CONFIG
-        )
+        session = _prepare(spec, netlist, annotation)
         with pytest.raises(StimulusError):
             session.run({}, cycles=2)
 
-    @pytest.mark.parametrize("backend_name", BUILTIN_BACKENDS)
-    def test_cycles_or_duration_required(self, backend_name, design):
+    @pytest.mark.parametrize("spec", SESSION_SPECS)
+    def test_cycles_or_duration_required(self, spec, design):
         netlist, annotation, stimulus = design
-        session = get_backend(backend_name).prepare(
-            netlist, annotation=annotation, config=CONFIG
-        )
+        session = _prepare(spec, netlist, annotation)
         with pytest.raises(ValueError):
             session.run(stimulus)
 
@@ -137,27 +145,39 @@ class TestSessionContract:
     def test_bare_sharded_backend_is_the_passthrough(self, design, monkeypatch):
         """No option means no partitioning, whatever the machine looks like.
 
-        Regression: the backend used to default to ``min(4, cpu_count)``
-        thread shards, which measured 0.29–0.46x of ``gatspi``.
+        Regression: the scale-out backend used to default to
+        ``min(4, cpu_count)`` thread shards, which measured 0.29–0.46x of
+        ``gatspi``.  Bare ``gatspi`` and a one-worker pool both take the
+        engine's own step and spawn nothing.
         """
         import os
 
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         netlist, annotation, stimulus = design
-        backend = get_backend("gatspi-sharded")
-        bare = backend.prepare(netlist, annotation=annotation, config=CONFIG)
-        assert bare.shard_count == 1
-        assert bare.worker_count == 0
+        bare = _prepare("gatspi", netlist, annotation)
+        assert bare.engine.process_workers is None
         assert bare.run(stimulus, duration=DURATION).stats.shards == 1
-        # ``shards=S`` is exactly S in-parent partitions, not a cap.
-        pinned = backend.prepare(
-            netlist, annotation=annotation, config=CONFIG, shards=4
-        )
-        assert pinned.shard_count == 4
-        assert pinned.worker_count == 0
-        assert pinned.run(stimulus, duration=DURATION).stats.shards == 4
-        with pytest.raises(ValueError, match="shards"):
-            backend.prepare(netlist, annotation=annotation, config=CONFIG, shards=0)
+        one = _prepare("gatspi:workers=process:1", netlist, annotation)
+        assert one.run(stimulus, duration=DURATION).stats.shards == 1
+        assert one.engine._workers is None
+        with pytest.raises(TypeError, match="shards"):
+            _prepare("gatspi:shards=4", netlist, annotation)
+
+    @pytest.mark.parametrize("spec, error, match", [
+        ("gatspi:workers=2", ValueError, "workers=process:N"),
+        ("gatspi:workers=thread", ValueError, "workers=process:N"),
+        ("gatspi:workers=process:0", ValueError, "at least 1"),
+        ("gatspi:device=torch,workers=process", ValueError, "numpy"),
+        ("gatspi-oracle:workers=process:2", TypeError, "workers"),
+        ("gatspi-sharded:shards=4", UnknownBackendError,
+         "gatspi:workers=process:N"),
+    ])
+    def test_bad_scale_out_specs_fail_at_prepare(self, spec, error, match, design):
+        """Every malformed or retired scale-out spec raises its typed error
+        before anything runs (no engine, no pool)."""
+        netlist, annotation, _ = design
+        with pytest.raises(error, match=match):
+            _prepare(spec, netlist, annotation)
 
     def test_scale_out_knobs_are_gone(self, design):
         """One scale-out path: the thread pool and its duplicates left."""
@@ -167,17 +187,17 @@ class TestSessionContract:
         from repro.core import GatspiEngine
 
         netlist, annotation, _ = design
-        sharded = get_backend("gatspi-sharded")
+        gatspi = get_backend("gatspi")
         for workers in (2, 1, "thread", "thread:2"):
             with pytest.raises(ValueError, match="workers=process:N"):
-                sharded.prepare(
+                gatspi.prepare(
                     netlist, annotation=annotation, config=CONFIG,
-                    shards=2, workers=workers,
+                    workers=workers,
                 )
         with pytest.raises(UnknownBackendError) as excinfo:
             get_backend("threaded-cpu")
         assert all(name in str(excinfo.value) for name in BUILTIN_BACKENDS)
-        assert len(available_backends()) == 5
+        assert len(available_backends()) == 4
         for module, name in (
             ("repro", "simulate_multi_gpu"),
             ("repro.core", "simulate_multi_gpu"),
@@ -190,7 +210,10 @@ class TestSessionContract:
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(f"repro.{gone}")
         assert not hasattr(GatspiEngine, "adopt")
-        assert not hasattr(repro.api.ShardedGatspiSession, "worker_mode")
+        for name in ("ShardedGatspiSession", "GatspiShardedBackend"):
+            assert not hasattr(repro.api, name), name
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.api.sharded")
 
     def test_horizon_sharding_is_gone(self):
         """Shares are window groups: the horizon planner, its slicer and
@@ -219,7 +242,7 @@ class TestSessionContract:
         live on the base session."""
         import importlib
 
-        from repro.api import RunSpec, Session, ShardedGatspiSession
+        from repro.api import GatspiSession, RunSpec, Session
 
         gone = (
             "FusedLayout", "plan_fusion", "fuse_stimuli",
@@ -229,10 +252,10 @@ class TestSessionContract:
         for name in gone:
             assert not hasattr(owner, name), name
         for name in ("_run_fused", "_split_fused_result"):
-            assert not hasattr(ShardedGatspiSession, name), name
+            assert not hasattr(GatspiSession, name), name
         assert RunSpec.__module__ == "repro.api.session"
         assert "run_many" in vars(Session)
-        assert "run_many" not in vars(ShardedGatspiSession)
+        assert "run_many" not in vars(GatspiSession)
 
 
 @pytest.mark.concurrency

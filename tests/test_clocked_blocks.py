@@ -193,9 +193,13 @@ def _alu_stimulus():
     return netlist, stimulus
 
 
-@pytest.mark.parametrize(
-    "spec", ["gatspi-sharded:shards=2", "gatspi-sharded:shards=2,workers=process:2"]
-)
+@pytest.mark.parametrize("spec", [
+    # One worker: the engine's own step, no pool.
+    pytest.param("gatspi:workers=process:1", id="gatspi-sharded:shards=2"),
+    pytest.param(
+        "gatspi:workers=process:2", id="gatspi-sharded:shards=2,workers=process:2"
+    ),
+])
 def test_sharded_clocked_blocks_equal_gatspi(spec):
     netlist, stimulus = _alu_stimulus()
     cycles = 9
@@ -205,10 +209,13 @@ def test_sharded_clocked_blocks_equal_gatspi(spec):
     session = _session(spec, netlist, cycle_parallelism=4)
     try:
         result = session.run_cycles(stimulus, cycles)
+        streamed = session.run_cycles_stream(stimulus, cycles)
     finally:
         session.close()
     assert result.register_state == reference.register_state
     assert result.toggle_counts == reference.toggle_counts
+    assert streamed.register_state == reference.register_state
+    assert streamed.toggle_counts == reference.toggle_counts
     for net, wave in reference.waveforms.items():
         assert result.waveforms[net] == wave, net
 

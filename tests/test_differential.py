@@ -31,8 +31,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import resolve_backend
-from repro.api.sharded import window_groups
 from repro.core import SimConfig
+from repro.core.workers import append_groups, run_window_group, window_groups
 from repro.core.xp import available_array_backends
 from repro.sdf import (
     SyntheticDelayModel,
@@ -342,23 +342,53 @@ def test_differential_without_stored_waveforms(device):
 
 
 # ----------------------------------------------------------------------
-# The window-axis sharded backend vs the single-session pipeline
+# Window groups: S groups appended in order equal the one-group run
 # ----------------------------------------------------------------------
-#: Shard counts the sharded backend is held bit-identical at.
+#: Group counts the pinned cases run at (the generated property draws 1–5).
 SHARD_COUNTS = (1, 2, 4)
 
 
-def _sharded_pair(netlist, annotation, stimulus, shards, config=None,
+def _grouped_session(netlist, annotation, groups, config=None):
+    """A ``gatspi`` session whose runs split their window list into
+    ``groups`` contiguous groups, each run by :func:`run_window_group` and
+    appended in order by :func:`append_groups`.
+
+    That is the step process workers run (``gatspi:workers=process:N``)
+    and the paper-table benches time, executed here in this process so
+    the append contract is checked deterministically on any machine.
+    """
+    session, worker = (
+        resolve_backend("gatspi")[0].prepare(
+            netlist, annotation=annotation, config=config
+        )
+        for _ in range(2)
+    )
+
+    def run_groups(plan, events, windows, durations, timings, stats,
+                   readbacks, pool=None):
+        assert pool is None, "grouped sessions do not stream"
+        append_groups(
+            (
+                run_window_group(worker.engine, plan, events, group, durations)
+                for group in window_groups(windows, groups)
+            ),
+            timings, stats, readbacks,
+        )
+
+    # Like a process worker, a second plain engine runs each group.
+    session.engine._run_groups = run_groups
+    return session
+
+
+def _grouped_pair(netlist, annotation, stimulus, groups, config=None,
                   duration=DURATION):
-    # ``shards=S`` is exactly S window groups, run one after another in
-    # the parent: the deterministic executor on any machine.
+    """(one-group ``gatspi`` run, the same run in ``groups`` groups)."""
     reference = _run(
         "gatspi", netlist, annotation, stimulus, config=config,
         duration=duration,
     )
-    candidate = _run(
-        f"gatspi-sharded:shards={shards}",
-        netlist, annotation, stimulus, config=config, duration=duration,
+    candidate = _grouped_session(netlist, annotation, groups, config).run(
+        stimulus, duration=duration
     )
     return reference, candidate
 
@@ -366,18 +396,18 @@ def _sharded_pair(netlist, annotation, stimulus, shards, config=None,
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("seed", range(3))
 def test_sharded_backend_bit_identical_random_designs(seed, shards):
-    """``gatspi-sharded`` runs gatspi's own windows in groups.
+    """Window groups append exactly on the random-stimulus zoo.
 
     Group outputs are accumulated and stitched by the engine exactly like
     segment batches, so toggle counts *and* waveforms must be
-    bit-identical at every shard count on the random-stimulus zoo.
+    bit-identical at every group count.
     """
     netlist, annotation = _prepare_design(seed)
     stimulus = build_random_stimulus(netlist, DURATION, seed=seed + 70)
-    reference, candidate = _sharded_pair(netlist, annotation, stimulus, shards)
+    reference, candidate = _grouped_pair(netlist, annotation, stimulus, shards)
     assert candidate.stats.shards == shards
     _assert_bit_identical(
-        reference, candidate, f"sharded seed={seed} shards={shards}"
+        reference, candidate, f"groups seed={seed} groups={shards}"
     )
 
 
@@ -388,10 +418,10 @@ def test_sharded_backend_boundary_events(shards):
     config = SimConfig(cycle_parallelism=8)
     window_length = -(-DURATION // config.cycle_parallelism)
     stimulus = build_boundary_stimulus(netlist, DURATION, window_length, seed=3)
-    reference, candidate = _sharded_pair(
+    reference, candidate = _grouped_pair(
         netlist, annotation, stimulus, shards, config=config
     )
-    _assert_bit_identical(reference, candidate, f"sharded boundary shards={shards}")
+    _assert_bit_identical(reference, candidate, f"groups boundary {shards}")
 
 
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
@@ -399,8 +429,8 @@ def test_sharded_backend_sparse_and_constant_nets(shards):
     """Empty groups and constant nets merge exactly."""
     netlist, annotation = _prepare_design(6, num_gates=30)
     stimulus = build_sparse_stimulus(netlist, DURATION, seed=6)
-    reference, candidate = _sharded_pair(netlist, annotation, stimulus, shards)
-    _assert_bit_identical(reference, candidate, f"sharded sparse shards={shards}")
+    reference, candidate = _grouped_pair(netlist, annotation, stimulus, shards)
+    _assert_bit_identical(reference, candidate, f"groups sparse {shards}")
 
 
 @pytest.mark.parametrize("shards", (2, 4))
@@ -409,11 +439,11 @@ def test_sharded_backend_segment_splits(shards):
     netlist, annotation = _prepare_design(1, num_gates=24)
     stimulus = build_random_stimulus(netlist, DURATION, seed=6)
     config = SimConfig(cycle_parallelism=16, device_memory_gb=2e-5)
-    reference, candidate = _sharded_pair(
+    reference, candidate = _grouped_pair(
         netlist, annotation, stimulus, shards, config=config
     )
     assert candidate.stats.segments >= shards
-    _assert_bit_identical(reference, candidate, f"sharded segments shards={shards}")
+    _assert_bit_identical(reference, candidate, f"groups segments {shards}")
 
 
 def test_sharded_backend_without_stored_waveforms():
@@ -429,9 +459,8 @@ def test_sharded_backend_without_stored_waveforms():
         "gatspi", netlist, annotation, stimulus,
         config=config.with_updates(store_waveforms=True),
     )
-    candidate = _run(
-        "gatspi-sharded:shards=4", netlist, annotation, stimulus,
-        config=config,
+    candidate = _grouped_session(netlist, annotation, 4, config).run(
+        stimulus, duration=DURATION
     )
     assert not candidate.waveforms
     assert candidate.toggle_counts == exact.toggle_counts
@@ -450,16 +479,13 @@ def test_window_groups_tile_the_window_list_in_order(windows, shards):
     assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
-def _assert_sharded_equals_gatspi(spec, seed, shards, kind, unit_delays,
-                                  duration, **config_kw):
-    """One generated design × stimulus through ``spec`` vs plain gatspi.
+def _generated_case(seed, kind, unit_delays, duration, **config_kw):
+    """One generated design × stimulus: (netlist, annotation, config,
+    stimulus, plain ``gatspi`` result).
 
-    Shards are groups of gatspi's own windows, so the candidate must
-    equal gatspi whatever the windowing itself gets wrong: any duration,
-    any stimulus, any settle margin.  ``boundary`` toggles sources on/±1
-    around every window edge; with unit delays the first logic level then
-    toggles exactly *on* the seams.  ``sparse`` leaves most windows empty
-    and a third of the nets constant.
+    ``boundary`` toggles sources on/±1 around every window edge; with unit
+    delays the first logic level then toggles exactly *on* the seams.
+    ``sparse`` leaves most windows empty and a third of the nets constant.
     """
     netlist = build_random_netlist(num_inputs=4, num_gates=14, seed=seed)
     model = UnitDelayModel(delay=1) if unit_delays else SyntheticDelayModel(seed=seed)
@@ -475,18 +501,24 @@ def _assert_sharded_equals_gatspi(spec, seed, shards, kind, unit_delays,
     reference = resolve_backend("gatspi")[0].prepare(
         netlist, annotation=annotation, config=config
     ).run(stimulus, duration=duration)
-    backend, options = resolve_backend(spec)
-    session = backend.prepare(
-        netlist, annotation=annotation, config=config, **options
+    return netlist, annotation, config, stimulus, reference
+
+
+def _assert_groups_equal_gatspi(seed, shards, kind, unit_delays, duration,
+                                **config_kw):
+    """Groups are gatspi's own windows, so the grouped run must equal
+    gatspi whatever the windowing itself gets wrong: any duration, any
+    stimulus, any settle margin."""
+    netlist, annotation, config, stimulus, reference = _generated_case(
+        seed, kind, unit_delays, duration, **config_kw
     )
-    try:
-        candidate = session.run(stimulus, duration=duration)
-    finally:
-        session.close()
+    candidate = _grouped_session(netlist, annotation, shards, config).run(
+        stimulus, duration=duration
+    )
     assert candidate.stats.shards == min(shards, candidate.stats.windows)
     assert candidate.stats.windows == reference.stats.windows
     _assert_bit_identical(
-        reference, candidate, f"{spec} seed={seed} stimulus={kind}"
+        reference, candidate, f"groups={shards} seed={seed} stimulus={kind}"
     )
 
 
@@ -505,9 +537,8 @@ def test_sharded_backend_equals_gatspi_on_generated_designs(
     seed, shards, kind, unit_delays, duration, cycle_parallelism,
     window_overlap, store_waveforms,
 ):
-    """Generated: any design, duration and margin, 1–5 in-parent shards."""
-    _assert_sharded_equals_gatspi(
-        f"gatspi-sharded:shards={shards}",
+    """Generated: any design, duration and margin, 1–5 window groups."""
+    _assert_groups_equal_gatspi(
         seed, shards, kind, unit_delays, duration,
         cycle_parallelism=cycle_parallelism,
         window_overlap=window_overlap,
@@ -518,10 +549,19 @@ def test_sharded_backend_equals_gatspi_on_generated_designs(
 @pytest.mark.concurrency
 def test_sharded_backend_equals_gatspi_on_process_workers():
     """The same check with the groups on two spawned workers (host-only)."""
-    _assert_sharded_equals_gatspi(
-        "gatspi-sharded:shards=3,workers=process:2", 5, 3, "boundary", True,
-        6_000, cycle_parallelism=6, device="numpy",
+    netlist, annotation, config, stimulus, reference = _generated_case(
+        5, "boundary", True, 6_000, cycle_parallelism=6, device="numpy"
     )
+    backend, options = resolve_backend("gatspi:workers=process:2")
+    session = backend.prepare(
+        netlist, annotation=annotation, config=config, **options
+    )
+    try:
+        candidate = session.run(stimulus, duration=6_000)
+    finally:
+        session.close()
+    assert candidate.stats.shards == 2
+    _assert_bit_identical(reference, candidate, "process workers")
 
 
 @pytest.mark.parametrize("shards", (2, 4))
@@ -534,9 +574,8 @@ def test_sharded_backend_equals_gatspi_where_windowing_is_inexact(shards):
     margins, differed from gatspi as well.  Groups of gatspi's own
     windows reproduce gatspi's answer exactly.
     """
-    _assert_sharded_equals_gatspi(
-        f"gatspi-sharded:shards={shards}", 1327, shards, "sparse", False,
-        8_000, cycle_parallelism=32,
+    _assert_groups_equal_gatspi(
+        1327, shards, "sparse", False, 8_000, cycle_parallelism=32,
     )
 
 
@@ -545,11 +584,11 @@ def test_sharded_backend_equals_gatspi_where_windowing_is_inexact(shards):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("spec, batched", [
     pytest.param("gatspi", True, id="gatspi"),
-    # One level loop over every request's windows, as on plain gatspi.
-    pytest.param("gatspi-sharded:shards=1", True, id="gatspi-sharded:shards=1"),
-    # More shards: the batch's window list is split into groups.
+    # One worker: the engine's own step, no pool.
+    pytest.param("gatspi:workers=process:1", True, id="gatspi-sharded:shards=1"),
+    # Two workers: the batch's window list is split into groups.
     pytest.param(
-        "gatspi-sharded:shards=2", True, id="gatspi-sharded:shards=2,workers=2"
+        "gatspi:workers=process:2", True, id="gatspi-sharded:shards=2,workers=2"
     ),
 ])
 def test_run_many_fusion_bit_identical_to_standalone(spec, batched):
@@ -570,9 +609,12 @@ def test_run_many_fusion_bit_identical_to_standalone(spec, batched):
     ]
     backend, options = resolve_backend(spec)
     session = backend.prepare(netlist, annotation=annotation, **options)
-    results = session.run_many(
-        [RunSpec(stimulus=s, duration=d) for s, d in batch]
-    )
+    try:
+        results = session.run_many(
+            [RunSpec(stimulus=s, duration=d) for s, d in batch]
+        )
+    finally:
+        session.close()
     assert [r.stats.fused_requests for r in results] == [3 if batched else 1] * 3
     single = resolve_backend("gatspi")[0].prepare(netlist, annotation=annotation)
     for index, (stimulus, duration) in enumerate(batch):
@@ -610,24 +652,20 @@ def test_run_many_fusion_clips_stimuli_longer_than_their_horizon():
 
 @pytest.mark.parametrize("overlap", [0, 7])
 def test_sharded_backend_degrades_to_passthrough_with_pinned_overlap(overlap):
-    """A user-pinned settle margin shards like any other config.
+    """A user-pinned settle margin groups like any other config.
 
     (The name is historical: horizon shares re-cut the run, so a margin
     below the critical path made them diverge and the session fell back
     to one shard.)  Groups of gatspi's own windows make the margin's size
-    irrelevant to the sharded-vs-gatspi contract.
+    irrelevant to the grouped-vs-gatspi contract.
     """
     netlist, annotation = _prepare_design(8, num_gates=24)
     stimulus = build_random_stimulus(netlist, 12_000, seed=9)
     config = SimConfig(window_overlap=overlap, cycle_parallelism=8)
-    backend, options = resolve_backend("gatspi-sharded:shards=4")
-    session = backend.prepare(netlist, annotation=annotation, config=config, **options)
-    assert session.shard_count == 4
-    candidate = session.run(stimulus, duration=12_000)
-    assert candidate.stats.shards == 4
-    reference = _run(
-        "gatspi", netlist, annotation, stimulus, config=config, duration=12_000
+    reference, candidate = _grouped_pair(
+        netlist, annotation, stimulus, 4, config=config, duration=12_000
     )
+    assert candidate.stats.shards == 4
     _assert_bit_identical(reference, candidate, f"pinned overlap={overlap}")
 
 
@@ -692,9 +730,7 @@ def _batch_stimulus(netlist, kind, duration, seed, window_length):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    spec=st.sampled_from(
-        ("gatspi", "gatspi-sharded:shards=1", "gatspi-sharded:shards=2", "event")
-    ),
+    spec=st.sampled_from(("gatspi", "gatspi, 2 window groups", "event")),
     case=_run_many_batches(),
 )
 def test_run_many_equals_serial_runs(spec, case):
@@ -703,7 +739,8 @@ def test_run_many_equals_serial_runs(spec, case):
     Waveform for waveform and count for count, over batch sizes 1–5,
     unequal durations, random / sparse / boundary stimuli and stimuli that
     run past their horizon, with and without stored waveforms and with a
-    pinned settle margin.
+    pinned settle margin.  The grouped ``gatspi`` session runs every window
+    list (the batch's and each serial run's) as two window groups.
     """
     from repro.api import RunSpec
 
@@ -727,10 +764,12 @@ def test_run_many_equals_serial_runs(spec, case):
         )
         for kind, duration, stimulus_seed in case["requests"]
     ]
-    backend, options = resolve_backend(spec)
-    session = backend.prepare(
-        netlist, annotation=annotation, config=config, **options
-    )
+    if spec == "gatspi, 2 window groups":
+        session = _grouped_session(netlist, annotation, 2, config)
+    else:
+        session = resolve_backend(spec)[0].prepare(
+            netlist, annotation=annotation, config=config
+        )
     results = session.run_many(
         [RunSpec(stimulus=stimulus, duration=duration) for stimulus, duration in batch]
     )
@@ -744,11 +783,11 @@ def test_run_many_equals_serial_runs(spec, case):
 
 
 def test_sharded_backend_saif_criterion_against_event():
-    """The paper's accuracy criterion holds through the sharded path."""
+    """The paper's accuracy criterion holds through window groups."""
     netlist, annotation = _prepare_design(3, num_gates=28)
     stimulus = build_random_stimulus(netlist, DURATION, seed=21)
-    sharded = _run(
-        "gatspi-sharded:shards=4", netlist, annotation, stimulus
+    grouped = _grouped_session(netlist, annotation, 4).run(
+        stimulus, duration=DURATION
     )
     event = _run("event", netlist, annotation, stimulus)
-    assert sharded.matches_toggle_counts(event), sharded.differing_nets(event)
+    assert grouped.matches_toggle_counts(event), grouped.differing_nets(event)

@@ -8,7 +8,7 @@ buffer insertion/removal), edits that land on deduplicated truth/delay
 rows, edits at the first and last logic levels, empty-edit no-op reruns,
 undo round trips (journal returns to the base fingerprint), the array
 engine and the per-object oracle engine (``gatspi-oracle``, which inherits
-the rerun machinery), window-axis sharded execution, every available array
+the rerun machinery), every available array
 backend, strict-mode analysis gating with rollback, the glitch-ECO flow
 equivalence, and serve-layer delta requests.
 """
@@ -46,11 +46,9 @@ DURATION = 24_000
 #: The oracle engine.  Its parametrize id is the one it had while it was a
 #: config knob, so test ids stay comparable across the knob's removal.
 ORACLE = pytest.param("gatspi-oracle", id="gatspi:kernel=scalar")
-#: Two in-parent shares; same story for its id (``workers=2`` was a thread
-#: pool over the same two shares).
-SHARDED = pytest.param(
-    "gatspi-sharded:shards=2", id="gatspi-sharded:shards=2,workers=2"
-)
+#: Plain gatspi under the id of the in-parent sharded backend it replaced
+#: (process-worker sessions refuse edits, so they have no rerun to test).
+SHARDED = pytest.param("gatspi", id="gatspi-sharded:shards=2,workers=2")
 #: Session flavors that must all support bit-identical incremental rerun.
 SPECS = (
     "gatspi",
@@ -315,7 +313,7 @@ class TestAnalysisGating:
         netlist, annotation = _prepare_design(seed=11)
         stimulus = build_random_stimulus(netlist, DURATION, seed=110)
         session = _session(
-            "gatspi-sharded:shards=2", netlist, annotation,
+            "gatspi", netlist, annotation,
             config=SimConfig(analysis="strict"),
         )
         session.run(stimulus, duration=DURATION)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.api import get_backend
+from repro.api import resolve_backend
 from repro.cells import DEFAULT_LIBRARY
 from repro.core import (
     DeviceMemoryError,
@@ -237,10 +237,11 @@ class TestEngine:
         with pytest.raises(TypeError):
             SimConfig(restructure="python")
         assert not hasattr(SimConfig, "effective_device")
-        for backend in ("gatspi", "gatspi-sharded"):
+        for spec in ("gatspi", "gatspi:workers=process:2"):
+            backend, options = resolve_backend(spec)
             for option in ({"kernel": "scalar"}, {"restructure": "python"}):
                 with pytest.raises(TypeError):
-                    get_backend(backend).prepare(small_netlist, **option)
+                    backend.prepare(small_netlist, **options, **option)
 
     def test_memory_segmentation_preserves_results(self, random_netlist, random_annotation):
         stimulus = self.build_stimulus(random_netlist, duration=6000)

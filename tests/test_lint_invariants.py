@@ -175,7 +175,7 @@ class TestSliceMutationRule:
         assert linter._is_slice_sanctioned(Path("src/repro/core/vector_kernel.py"))
         assert linter._is_slice_sanctioned(Path("src/repro/core/incremental.py"))
         assert not linter._is_slice_sanctioned(Path("src/repro/core/engine.py"))
-        assert not linter._is_slice_sanctioned(Path("src/repro/api/sharded.py"))
+        assert not linter._is_slice_sanctioned(Path("src/repro/core/workers.py"))
 
     def test_sanctioned_path_not_linted(self, linter, tmp_path):
         sanctioned = tmp_path / "core" / "incremental.py"

@@ -1,15 +1,15 @@
-"""Tests for GIL-free process shards and the shared-memory design export.
+"""Tests for GIL-free process workers and the shared-memory design export.
 
-``gatspi-sharded`` with ``workers="process"`` runs window-axis shares on
+``gatspi`` with ``workers="process:N"`` runs its window list as groups on
 spawned worker processes that attach the packed design tensors from a
 ``multiprocessing.shared_memory`` segment (:mod:`repro.core.shm`).  The
 contract under test:
 
-* process shards are **bit-identical** to in-parent shards (and therefore
-  to single-session ``gatspi``) at every shard count;
+* process workers are **bit-identical** to plain ``gatspi`` at every
+  worker count;
 * the shared segment's lifecycle is leak-free — exported once, attached by
   every worker, unlinked exactly once by ``close()`` and accounted for in
-  the module registry;
+  the module registry — and a dead worker costs one run, not the session;
 * the mode's guard rails hold: host-only device, no in-place edits,
   malformed ``workers`` specs rejected at prepare time.
 """
@@ -17,6 +17,9 @@ contract under test:
 from __future__ import annotations
 
 import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
@@ -43,11 +46,11 @@ def design():
     return netlist, annotation, stimulus
 
 
-def _prepare(design, spec):
+def _prepare(design, spec, config=CONFIG):
     netlist, annotation, _ = design
     backend, options = resolve_backend(spec)
     return backend.prepare(
-        netlist, annotation=annotation, config=CONFIG, **options
+        netlist, annotation=annotation, config=config, **options
     )
 
 
@@ -61,53 +64,41 @@ def _assert_bit_identical(reference, candidate, label):
 
 
 # ----------------------------------------------------------------------
-# Bit-identity: process shards vs in-parent shards
+# Bit-identity: process workers vs plain gatspi
 # ----------------------------------------------------------------------
 @pytest.mark.concurrency
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_process_shards_bit_identical_to_thread_shards(design, shards):
-    """Every shard count merges to the in-parent result bit for bit.
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_process_shards_bit_identical_to_thread_shards(design, workers):
+    """Every worker count merges to the plain ``gatspi`` result bit for bit.
 
-    ``workers="process:2"`` pins the pool width and keeps the full
-    partition count, so real multi-process sharding is exercised
-    regardless of the host's core count; ``shards=1`` covers the
-    in-parent passthrough, which must not spawn a pool at all.
+    (The name is historical: the reference used to be in-parent groups.)
+    One group per worker; ``workers=process:1`` is the engine's own step,
+    which must not spawn a pool at all.
     """
     _, _, stimulus = design
-    parent_session = _prepare(design, f"gatspi-sharded:shards={shards}")
-    process_session = _prepare(
-        design, f"gatspi-sharded:shards={shards},workers=process:2"
-    )
+    reference = _prepare(design, "gatspi").run(stimulus, duration=DURATION)
+    session = _prepare(design, f"gatspi:workers=process:{workers}")
     try:
-        assert parent_session.worker_count == 0
-        assert process_session.worker_count == min(shards, 2)
-        assert process_session.shard_count == shards
-        reference = parent_session.run(stimulus, duration=DURATION)
-        candidate = process_session.run(stimulus, duration=DURATION)
-        assert candidate.stats.shards == shards
-        if shards == 1:
-            assert process_session.engine._process_pool is None
-        _assert_bit_identical(reference, candidate, f"shards={shards}")
+        assert session.engine.process_workers == workers
+        candidate = session.run(stimulus, duration=DURATION)
+        assert candidate.stats.shards == workers
+        if workers == 1:
+            assert session.engine._workers is None
+        _assert_bit_identical(reference, candidate, f"workers={workers}")
     finally:
-        process_session.close()
+        session.close()
 
 
 @pytest.mark.concurrency
-def test_adaptive_process_width_never_exceeds_the_machine(design):
-    """``workers="process"`` partitions only as wide as the core count.
-
-    Per-share overheads are only worth paying for shares that actually
-    run in parallel.  On a
-    single-core host this degrades to the passthrough (no pool, no
-    segment) while staying bit-identical to single-session gatspi.
-    """
+def test_adaptive_process_width_never_exceeds_the_machine(design, monkeypatch):
+    """Bare ``workers="process"`` is one worker per core."""
     netlist, annotation, stimulus = design
-    session = _prepare(design, "gatspi-sharded:shards=4,workers=process")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    session = _prepare(design, "gatspi:workers=process")
     try:
-        expected = max(1, min(4, os.cpu_count() or 1))
-        assert session.shard_count == expected
-        assert session.worker_count == expected
+        assert session.engine.process_workers == 3
         candidate = session.run(stimulus, duration=DURATION)
+        assert candidate.stats.shards == 3
         single = resolve_backend("gatspi")[0].prepare(
             netlist,
             annotation=annotation,
@@ -117,6 +108,53 @@ def test_adaptive_process_width_never_exceeds_the_machine(design):
         _assert_bit_identical(reference, candidate, "adaptive process mode")
     finally:
         session.close()
+
+
+@pytest.mark.concurrency
+def test_stats_shards_counts_the_groups_run(design):
+    """``stats.shards`` is the number of window groups a run used."""
+    _, _, stimulus = design
+    three_windows = CONFIG.with_updates(cycle_parallelism=3)
+    session = _prepare(design, "gatspi:workers=process:4", config=three_windows)
+    try:
+        # A whole run: one group per window when workers outnumber them.
+        assert session.run(stimulus, duration=DURATION).stats.shards == 3
+        # A stream: chunks are pipelined across every worker.
+        streamed = session.run_stream(stimulus, duration=DURATION, chunk_cycles=4)
+        assert streamed.stats.shards == 4
+    finally:
+        session.close()
+    for spec in ("gatspi", "gatspi:workers=process:1"):
+        plain = _prepare(design, spec)
+        assert plain.run(stimulus, duration=DURATION).stats.shards == 1, spec
+        assert plain.run_stream(stimulus, duration=DURATION).stats.shards == 1
+        assert plain.engine._workers is None
+
+
+@pytest.mark.concurrency
+def test_dead_worker_costs_one_run_not_the_session(design):
+    """A killed worker breaks one run; the engine then releases the broken
+    pool and its segment, so the next run spawns a fresh pool."""
+    _, _, stimulus = design
+    reference = _prepare(design, "gatspi").run(stimulus, duration=DURATION)
+    before = set(design_shm.active_segment_names())
+    session = _prepare(design, "gatspi:workers=process:2")
+    try:
+        session.run(stimulus, duration=DURATION)
+        executor = session.engine._workers.executor
+        os.kill(next(iter(executor._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 60
+        while not executor._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with pytest.raises(BrokenProcessPool):
+            session.run(stimulus, duration=DURATION)
+        assert session.engine._workers is None
+        recovered = session.run(stimulus, duration=DURATION)
+        assert recovered.stats.shards == 2
+        _assert_bit_identical(reference, recovered, "after a dead worker")
+    finally:
+        session.close()
+    assert set(design_shm.active_segment_names()) <= before
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +178,7 @@ def test_no_leaked_segments_after_close(design, monkeypatch):
         original(name, rtype)
 
     monkeypatch.setattr(resource_tracker, "unregister", spy)
-    session = _prepare(design, "gatspi-sharded:shards=2,workers=process:2")
+    session = _prepare(design, "gatspi:workers=process:2")
     before = design_shm.active_segment_names()
     session.run(stimulus, duration=DURATION)
     exported = [
@@ -203,7 +241,7 @@ def test_export_rejects_device_resident_designs(design):
 # ----------------------------------------------------------------------
 def test_process_mode_requires_the_numpy_device(design):
     netlist, annotation, _ = design
-    backend, _ = resolve_backend("gatspi-sharded")
+    backend, _ = resolve_backend("gatspi")
     with pytest.raises(ValueError, match="numpy"):
         backend.prepare(
             netlist,
@@ -216,7 +254,7 @@ def test_process_mode_requires_the_numpy_device(design):
 def test_process_mode_rejects_in_place_edits(design):
     """Worker engines cannot be re-synced, so edits must fail loudly."""
     netlist, _, stimulus = design
-    session = _prepare(design, "gatspi-sharded:shards=2,workers=process:2")
+    session = _prepare(design, "gatspi:workers=process:2")
     try:
         gate = next(
             instance for instance in netlist.instances.values()
@@ -225,9 +263,9 @@ def test_process_mode_rejects_in_place_edits(design):
         edit = SetPinDelay(
             gate=gate.name, pin=gate.cell.inputs[0], rise=7.0, fall=9.0
         )
-        with pytest.raises(NotImplementedError, match="process-shard"):
+        with pytest.raises(NotImplementedError, match="process-worker"):
             session.apply_edits([edit])
-        with pytest.raises(NotImplementedError, match="process-shard"):
+        with pytest.raises(NotImplementedError, match="process-worker"):
             session.rerun([edit], stimulus=stimulus, duration=DURATION)
     finally:
         session.close()
@@ -236,7 +274,7 @@ def test_process_mode_rejects_in_place_edits(design):
 @pytest.mark.parametrize("spec_workers", ["fork", "process:zero", "process:0"])
 def test_malformed_worker_specs_rejected(design, spec_workers):
     netlist, annotation, _ = design
-    backend, _ = resolve_backend("gatspi-sharded")
+    backend, _ = resolve_backend("gatspi")
     with pytest.raises(ValueError):
         backend.prepare(
             netlist, annotation=annotation, config=CONFIG, workers=spec_workers

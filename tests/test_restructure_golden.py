@@ -195,7 +195,7 @@ def test_engine_waveforms_match_golden(case, restructure, device):
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_sharded_backend_matches_engine_golden(shards):
-    """``gatspi-sharded`` reproduces the frozen end-to-end waveforms.
+    """``gatspi:workers=process:N`` reproduces the frozen waveforms.
 
     Covers the ``default_overlap`` fixture only: its settle margin is
     derived from the critical path, which is the invariant that makes
@@ -216,12 +216,16 @@ def test_sharded_backend_matches_engine_golden(shards):
     stimulus = {
         net: Waveform.from_array(arr) for net, arr in case["stimulus"].items()
     }
-    backend, options = resolve_backend(f"gatspi-sharded:shards={shards}")
+    backend, options = resolve_backend(f"gatspi:workers=process:{shards}")
     session = backend.prepare(
         netlist, annotation=annotation, config=SimConfig(**case["config"]),
         **options,
     )
-    result = session.run(stimulus, duration=case["duration"])
+    try:
+        result = session.run(stimulus, duration=case["duration"])
+    finally:
+        session.close()
+    assert result.stats.shards == min(shards, result.stats.windows)
     assert dict(sorted(result.toggle_counts.items())) == (
         case["expected_toggle_counts"]
     )

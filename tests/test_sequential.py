@@ -3,7 +3,7 @@
 The clocked update loop (:mod:`repro.core.clocked`) drives *one* shared
 frame pipeline regardless of executor, so the contract here is strict:
 
-* every gatspi variant, both sharded executors, and the streaming fold
+* every gatspi variant, process workers, and the streaming fold
   must be **bit-identical** (waveforms where available, toggle counts and
   final register state everywhere) to each other and to the ``event``
   oracle;
@@ -39,8 +39,7 @@ DEVICES = available_array_backends()
 EXACT_SPECS = (
     "gatspi",
     "gatspi-oracle",
-    "gatspi-sharded:shards=2",
-    "gatspi-sharded:shards=2,workers=process",
+    "gatspi:workers=process:2",
 )
 
 

@@ -3,8 +3,8 @@
 Covers the subsystem's contract surface — admission, micro-batching,
 session reuse, failure isolation, lifecycle — plus concurrency-marked
 stress holding concurrent mixed-design traffic to the serial reference
-results, through both the plain ``gatspi`` backend and the window-axis
-sharded ``gatspi-sharded`` backend.
+results, through both plain ``gatspi`` and ``gatspi:workers=process:2``
+(window groups on spawned workers).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 from repro.api import (
     BackendCapabilities,
     SimBackend,
+    UnknownBackendError,
     get_backend,
     register_backend,
     unregister_backend,
@@ -101,7 +102,7 @@ class TestRequestRoundTrip:
                 )
 
     def test_sharded_backend_through_service_matches_single(self):
-        request = _request(4, backend="gatspi-sharded:shards=2")
+        request = _request(4, backend="gatspi:workers=process:2")
         expected = (
             get_backend("gatspi")
             .prepare(request.netlist, annotation=request.annotation, config=CONFIG)
@@ -193,7 +194,7 @@ class TestMicroBatching:
                 assert response.result.waveforms[net] == reference_result.waveforms[net]
 
     def test_identical_inflight_requests_coalesce_onto_one_run(self):
-        request = _request(9, backend="gatspi-sharded")
+        request = _request(9, backend="gatspi")
         expected = (
             get_backend("gatspi")
             .prepare(request.netlist, annotation=request.annotation, config=CONFIG)
@@ -419,6 +420,20 @@ class TestFailureIsolationAndLifecycle:
             ok = service.run(_request(16))
             assert ok.result.total_toggles() > 0
 
+    def test_retired_backend_spec_fails_only_its_own_future(self):
+        """A request naming the retired ``gatspi-sharded`` fails with a
+        message naming its replacement; the good request beside it runs."""
+        retired = _request(18, backend="gatspi-sharded:shards=2")
+        with SimulationService(max_workers=1) as service:
+            retired_future = service.submit(retired)
+            good_future = service.submit(_request(18))
+            with pytest.raises(UnknownBackendError, match="workers=process:N"):
+                retired_future.result(timeout=60)
+            assert good_future.result(timeout=60).result.total_toggles() > 0
+        stats = service.stats()
+        assert stats["failed"] == 1
+        assert stats["completed"] == 1
+
     def test_close_drains_queued_requests(self):
         request = _request(17)
         service = SimulationService(max_workers=1)
@@ -454,7 +469,7 @@ class TestServiceConcurrency:
         def client(index: int):
             seed = seeds[index % len(seeds)]
             netlist, annotation, stimulus = designs[seed]
-            backend = "gatspi" if index % 2 == 0 else "gatspi-sharded:shards=2"
+            backend = "gatspi" if index % 2 == 0 else "gatspi:workers=process:2"
             response = service.run(
                 ServeRequest(
                     netlist=netlist, stimulus=stimulus, backend=backend,
@@ -476,7 +491,7 @@ class TestServiceConcurrency:
         assert stats["submitted"] == 24
         assert stats["completed"] == 24
         assert stats["failed"] == 0
-        # gatspi and gatspi-sharded need one prepared session per design.
+        # Each backend spec needs one prepared session per design.
         assert stats["session_misses"] == len(seeds) * 2
 
     def test_counters_conserve_under_concurrent_submit(self):

@@ -5,7 +5,7 @@ The streaming contract is **bit-identity with less memory**: a
 toggle counts and SAIF activity of one whole-run ``run`` followed by
 ``activity_from_result`` — the only thing a streamed run gives up is the
 full waveforms.  The tests here hold that contract across backends
-(``gatspi``, ``gatspi-sharded`` in the parent and on process workers), devices,
+(``gatspi``, also with ``workers=process:N``), devices,
 stimulus shapes (generic, window-boundary, sparse), and stimulus sources
 (in-memory mappings and incremental VCD streams), then unit-test the two
 load-bearing internals on their own:
@@ -101,25 +101,25 @@ class TestStreamedVsWhole:
         stimulus = build_random_stimulus(netlist, DURATION, seed=seed + 41)
         config = SimConfig(cycle_parallelism=4)
         reference = _whole_run(netlist, annotation, stimulus, config)
-        session = get_backend("gatspi-sharded").prepare(
-            netlist, annotation=annotation, config=config, shards=3
+        session = get_backend("gatspi").prepare(
+            netlist, annotation=annotation, config=config, workers="process:1"
         )
         streamed = session.run_stream(
             stimulus, duration=DURATION, chunk_cycles=CHUNK_CYCLES
         )
         _assert_stream_matches(streamed, reference)
-        # In the parent a stream is the engine's own (at the per-share
-        # window count): chunks are pipelined only across process workers.
+        # One worker has nothing to overlap: the engine's own stream, and
+        # no pool is spawned.
         assert streamed.stats.shards == 1
+        assert session.engine._workers is None
 
     def test_sharded_process_stream_bit_identical(self):
         netlist, annotation = _design(7, num_gates=20)
         stimulus = build_random_stimulus(netlist, DURATION, seed=48)
         config = SimConfig(cycle_parallelism=4)
         reference = _whole_run(netlist, annotation, stimulus, config)
-        session = get_backend("gatspi-sharded").prepare(
-            netlist, annotation=annotation, config=config,
-            shards=2, workers="process:2",
+        session = get_backend("gatspi").prepare(
+            netlist, annotation=annotation, config=config, workers="process:2"
         )
         try:
             streamed = session.run_stream(
