@@ -31,7 +31,8 @@ import threading
 import time
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Callable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple, TypeVar, Union,
 )
 
 from ..core.config import SimConfig
@@ -55,6 +56,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: waveform mapping, or any span producer (e.g. an incremental VCD reader)
 #: for runs whose stimulus never fits in memory at once.
 StreamStimulus = Union[Mapping[str, Waveform], StreamingSourceEvents]
+
+#: What a clocked driver returns: full waveforms or online totals.
+_ClockedResult = TypeVar("_ClockedResult", SimulationResult, "StreamResult")
 
 
 @dataclass(frozen=True)
@@ -220,32 +224,9 @@ class Session(abc.ABC):
         carries full stitched waveforms plus ``register_state``, the
         committed value of every register after the final capture edge.
         """
-        from ..core.clocked import (
-            ClockedSimulationError,
-            plan_clocked_run,
-            run_clocked,
-        )
+        from ..core.clocked import run_clocked
 
-        if not self._config.store_waveforms:
-            raise ClockedSimulationError(
-                "run_cycles samples register data pins from per-frame "
-                "waveforms; prepare the session with "
-                "SimConfig(store_waveforms=True)"
-            )
-        plan = plan_clocked_run(
-            self._netlist,
-            self.clock_period,
-            clock=clock if clock is not None else self._config.clock,
-            reset=reset if reset is not None else self._config.reset,
-        )
-        with self._run_lock:
-            result = run_clocked(
-                plan, stimulus, cycles, self._run_many,
-                self._config.cycle_parallelism,
-            )
-            self._finalize_stats(result, cycles)
-            self._runs_completed += 1
-        return result
+        return self._clocked(run_clocked, stimulus, cycles, clock, reset)
 
     def run_cycles_stream(
         self,
@@ -266,16 +247,26 @@ class Session(abc.ABC):
         keep the input side out-of-core too.  Totals are bit-identical to
         a whole-run :meth:`run_cycles`.
         """
-        from ..core.clocked import (
-            ClockedSimulationError,
-            plan_clocked_run,
-            run_clocked_stream,
-        )
+        from ..core.clocked import run_clocked_stream
+
+        return self._clocked(run_clocked_stream, stimulus, cycles, clock, reset)
+
+    def _clocked(
+        self,
+        driver: Callable[..., _ClockedResult],
+        stimulus: StreamStimulus,
+        cycles: int,
+        clock: Optional[str],
+        reset: Optional[str],
+    ) -> _ClockedResult:
+        """Plan a clocked run and drive it (``run_clocked`` or
+        ``run_clocked_stream``) under the session lock."""
+        from ..core.clocked import ClockedSimulationError, plan_clocked_run
 
         if not self._config.store_waveforms:
             raise ClockedSimulationError(
-                "run_cycles_stream samples register data pins from "
-                "per-frame waveforms; prepare the session with "
+                "clocked runs sample register data pins from per-frame "
+                "waveforms; prepare the session with "
                 "SimConfig(store_waveforms=True)"
             )
         plan = plan_clocked_run(
@@ -285,7 +276,7 @@ class Session(abc.ABC):
             reset=reset if reset is not None else self._config.reset,
         )
         with self._run_lock:
-            result = run_clocked_stream(
+            result = driver(
                 plan, stimulus, cycles, self._run_many,
                 self._config.cycle_parallelism,
             )
@@ -450,7 +441,9 @@ class Session(abc.ABC):
             f"backend {self._backend_name!r} does not support incremental rerun"
         )
 
-    def _finalize_stats(self, result: SimulationResult, cycles: int) -> None:
+    def _finalize_stats(
+        self, result: Union[SimulationResult, "StreamResult"], cycles: int
+    ) -> None:
         """Make ``result.stats`` uniform across backends."""
         stats = result.stats
         stats.cycles = cycles

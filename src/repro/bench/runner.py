@@ -76,11 +76,6 @@ class BenchmarkRow:
     readback_s: float = 0.0
 
     @property
-    def boundary_phase_s(self) -> float:
-        """Non-kernel restructure/load/readback time of the primary backend."""
-        return self.restructure_s + self.host_to_device_s + self.readback_s
-
-    @property
     def kernel_speedup(self) -> float:
         if self.gatspi_kernel_s == 0:
             return float("inf")

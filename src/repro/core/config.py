@@ -6,6 +6,11 @@ threads/block, and registers/thread — and fixes the simulation constraint
 parameters do not change functional results (they only feed the GPU
 performance model), while cycle parallelism controls how the testbench is
 split into independent windows.
+
+No field sizes the waveform pool: it grows on demand
+(:mod:`repro.core.memory`), ``stream_chunk_cycles`` bounds a streamed run's
+memory, and GPU memory sizes belong to the performance model
+(:mod:`repro.gpu.devices`).
 """
 
 from __future__ import annotations
@@ -67,10 +72,6 @@ class SimConfig:
         compilation happens; ``"off"`` skips analysis entirely.  Reports
         are cached process-wide by content fingerprint, so repeated
         prepares of one design analyze it once.
-    device_memory_gb / waveform_pool_fraction:
-        Model of the pre-allocated device memory chunk: of ``device_memory_gb``
-        total, ``waveform_pool_fraction`` is reserved for waveform storage
-        (the paper reserves 24 GB of a 32 GB V100).
     """
 
     cycle_parallelism: int = 32
@@ -83,8 +84,6 @@ class SimConfig:
     compile_cache: bool = True
     analysis: str = "warn"
     store_waveforms: bool = True
-    device_memory_gb: float = 32.0
-    waveform_pool_fraction: float = 0.75
     clock_period: int = 1000
     window_overlap: Optional[int] = None
     #: Cycles simulated per streaming chunk by :meth:`Session.run_stream`.
@@ -110,10 +109,6 @@ class SimConfig:
             raise ValueError("threads_per_block must be at least 1")
         if not 0.0 <= self.pathpulse_percent <= 100.0:
             raise ValueError("pathpulse_percent must be within [0, 100]")
-        if not 0.0 < self.waveform_pool_fraction <= 1.0:
-            raise ValueError("waveform_pool_fraction must be within (0, 1]")
-        if self.device_memory_gb <= 0:
-            raise ValueError("device_memory_gb must be positive")
         if self.clock_period <= 0:
             raise ValueError("clock_period must be positive")
         if self.window_overlap is not None and self.window_overlap < 0:
@@ -138,17 +133,6 @@ class SimConfig:
     def pathpulse_fraction(self) -> float:
         """Minimum pulse width as a fraction of the gate delay."""
         return self.pathpulse_percent / 100.0
-
-    @property
-    def waveform_pool_words(self) -> int:
-        """Capacity of the waveform memory pool in 4-byte words.
-
-        The paper stores waveform entries as 32-bit integers, so a 24 GB pool
-        holds 6G entries.  Scaled-down runs can pass a smaller
-        ``device_memory_gb`` to exercise the segmentation path.
-        """
-        pool_bytes = self.device_memory_gb * self.waveform_pool_fraction * 1e9
-        return int(pool_bytes // 4)
 
     def with_updates(self, **kwargs) -> "SimConfig":
         """Return a copy with selected fields replaced."""

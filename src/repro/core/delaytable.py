@@ -138,13 +138,6 @@ class GateDelayTable:
         """Delay for an observed transition; :data:`NO_DELAY` if undefined."""
         return float(self._tables[pin][input_edge, output_edge, column_index])
 
-    def lookup_by_index(
-        self, pin_index: int, input_edge: int, output_edge: int, column_index: int
-    ) -> float:
-        return self.lookup(
-            self._pins[pin_index], input_edge, output_edge, column_index
-        )
-
     def min_delay(
         self,
         switching_pins: Sequence[int],

@@ -24,15 +24,16 @@ This is the paper's simulation flow (Fig. 5) end to end:
 On a non-numpy device the vector pipeline crosses the host/device boundary
 exactly twice per run: the lowered stimulus event tensors move *in* once
 (:meth:`~repro.core.restructure.SourceEvents.to_device`, step 2) and the
-trimmed readback moves *out* once per request per segment batch
+trimmed readback moves *out* once per request per level-loop batch
 (:meth:`~repro.core.restructure.TrimmedReadback.to_host`, step 5).  Window
 descriptors (a handful of scalars per batch) ride along with the kernel
 launches, exactly like CUDA launch parameters.
 
-If the waveform pool cannot hold a full run, the windows are split into
-sequential segments and the engine is invoked once per segment, exactly as
-the paper describes for testbenches that exceed device memory; with
-``process_workers`` it runs as one group per worker (:mod:`repro.core.workers`).
+A whole run is one level-loop batch on a pool that grows on demand: the
+paper's split of oversized testbenches into sequential segments is not
+modelled, and :meth:`GatspiEngine.stream` (one recycled pool) is the memory
+bound.  With ``process_workers`` the windows split into one group per
+worker (:mod:`repro.core.workers`).
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .incremental import (
     rebuild_artifacts,
 )
 from .kernel import GateKernelInputs
-from .memory import DeviceMemoryError, WaveformPool
+from .memory import WaveformPool
 from .restructure import (
     SourceEvents,
     StreamingSourceEvents,
@@ -126,7 +127,7 @@ def _share(total: int, batch: int, index: int) -> int:
 
 def _request_runs(windows: Sequence[_WindowRange]) -> Iterator[Tuple[int, int, int]]:
     """``(request, lo, hi)``: windows are laid out request by request (and
-    segment batches keep that order), so each request owns one slice."""
+    window groups keep that order), so each request owns one slice."""
     lo, count = 0, len(windows)
     for hi in range(1, count + 1):
         if hi == count or windows[hi].request != windows[lo].request:
@@ -135,9 +136,9 @@ def _request_runs(windows: Sequence[_WindowRange]) -> Iterator[Tuple[int, int, i
 
 
 class _ReadbackAccumulator:
-    """Trimmed per-window outputs accumulated across segment batches.
+    """Trimmed per-window outputs accumulated across level-loop batches.
 
-    Batches arrive in window order (the segment queue preserves it), so
+    Batches arrive in window order (one per window group, in order), so
     concatenating a net's per-batch arrays yields its windows in run
     order — the shape :func:`~repro.core.restructure.stitch_windows`
     consumes.  Holding arrays instead of :class:`Waveform` objects is what
@@ -570,6 +571,10 @@ class GatspiEngine:
         waveform storage, or a changed stimulus/horizon.
         """
         retained = self._retained.get(receipt.parent_journal)
+        if retained is not None:
+            # Reading a base refreshes it: a probe loop's own reruns must
+            # not evict the base every probe returns to.
+            self._retained.move_to_end(receipt.parent_journal)
         if previous is None and retained is not None:
             previous = retained.result
         if stimulus is None and retained is not None:
@@ -806,36 +811,6 @@ class GatspiEngine:
         for result in results:
             result.timings = timings if batch == 1 else timings.scaled(1 / batch)
         return results
-
-    def run_cycles(
-        self,
-        stimulus: Mapping[str, Waveform],
-        cycles: int,
-        *,
-        clock: Optional[str] = None,
-        reset: Optional[str] = None,
-    ) -> SimulationResult:
-        """Clock-step the design for ``cycles`` capture edges.
-
-        Engine-level face of the shared clocked driver
-        (:mod:`repro.core.clocked`): registers commit at every clock edge
-        and each block of ``cycle_parallelism`` inter-edge frames runs
-        through one :meth:`simulate_many` batch.  Prefer
-        :meth:`Session.run_cycles <repro.api.session.Session.run_cycles>`
-        in new code; this exists so direct engine users (and the engine's
-        own benchmarks) need no session wrapper.
-        """
-        from .clocked import plan_clocked_run, run_clocked
-
-        plan = plan_clocked_run(
-            self.netlist,
-            self.config.clock_period,
-            clock=clock if clock is not None else self.config.clock,
-            reset=reset if reset is not None else self.config.reset,
-        )
-        return run_clocked(
-            plan, stimulus, cycles, self.simulate_many, self.config.cycle_parallelism
-        )
 
     # ------------------------------------------------------------------
     # Streaming (out-of-core) execution
@@ -1089,8 +1064,8 @@ class GatspiEngine:
         This is the overridable seam: everything above it (plans, windows,
         result assembly, retention) is executor-independent.
         """
-        # Lower each stimulus once into flat event tensors; every segment
-        # batch slices the same tensors.
+        # Lower each stimulus once into flat event tensors; every window
+        # group slices the same tensors.
         start = time.perf_counter()
         events = [lower_stimulus(plan.source_nets, r.sources) for r in requests]
         timings.restructure += time.perf_counter() - start
@@ -1142,10 +1117,9 @@ class GatspiEngine:
         ``r``, whose trimmed outputs land in the ``r``-th accumulator
         returned.  Moves the event tensors to the device (the only
         host→device transfer of the stimulus path), then runs the windows
-        through :meth:`_simulate_batch` in as many sequential segments as
-        the pool needs.  ``pool`` recycles a persistent pool across calls
-        (the streaming driver's constant-RSS path) instead of one per
-        segment.
+        through :meth:`_run_groups`.  ``pool`` recycles a persistent pool
+        across calls (the streaming driver's constant-RSS path) instead of
+        one per batch.
         """
         start = time.perf_counter()
         events = [e.to_device(self._xp) for e in events]
@@ -1188,10 +1162,10 @@ class GatspiEngine:
         With ``process_workers`` the list splits into one group per worker
         (:class:`~repro.core.workers.WorkerPool`); otherwise, and for a
         single window or a stream chunk on its recycled ``pool``, it is one
-        group through the segment queue.  Groups append to the
-        accumulators in window order, exactly like segment batches, so any
-        grouping yields the same result.  A dead worker breaks the pool:
-        it is released (:meth:`close`) so the next run spawns a fresh one.
+        :meth:`_simulate_batch`, counted in ``stats.segments``.  Groups
+        append to the accumulators in window order, so any grouping yields
+        the same result.  A dead worker breaks the pool: it is released
+        (:meth:`close`) so the next run spawns a fresh one.
         """
         if pool is None and min(self.process_workers or 1, len(windows)) > 1:
             try:
@@ -1202,12 +1176,10 @@ class GatspiEngine:
                 self.close()
                 raise
             return
-        stats.segments += self._segment_windows(
-            windows,
-            lambda batch: self._simulate_batch(
-                events, batch, durations, timings, stats, readbacks, plan, pool
-            ),
+        self._simulate_batch(
+            events, windows, durations, timings, stats, readbacks, plan, pool
         )
+        stats.segments += 1
 
     def _check_sentinel_headroom(
         self,
@@ -1247,7 +1219,7 @@ class GatspiEngine:
             )
 
     # ------------------------------------------------------------------
-    # Window / segment management
+    # Window / pool management
     # ------------------------------------------------------------------
     def _window_ranges(
         self, start: int, end: int, request: int = 0, first: int = 0
@@ -1277,39 +1249,10 @@ class GatspiEngine:
         ``(net, window)`` pairs through flat index tables.
         """
         return WaveformPool(
-            self.config.waveform_pool_words,
             xp=self._xp,
             net_index=plan.packed.net_index,
             window_indices=[window.index for window in windows],
         )
-
-    def _segment_windows(
-        self,
-        windows: Sequence[_WindowRange],
-        simulate_batch,
-    ) -> int:
-        """Run ``simulate_batch`` over windows, splitting on pool overflow.
-
-        The queue preserves window order across splits, so batches always
-        cover the run front to back — the invariant result assembly
-        relies on.
-        """
-        pending: List[Sequence[_WindowRange]] = [list(windows)]
-        segments = 0
-        while pending:
-            batch = pending.pop(0)
-            try:
-                simulate_batch(batch)
-                segments += 1
-            except DeviceMemoryError:
-                # Bisection ends on its own: at most ``len(windows) - 1``
-                # splits, and a one-window batch that does not fit re-raises.
-                if len(batch) <= 1:
-                    raise
-                middle = len(batch) // 2
-                pending.insert(0, batch[middle:])
-                pending.insert(0, batch[:middle])
-        return segments
 
     def _simulate_batch(
         self,
@@ -1322,7 +1265,7 @@ class GatspiEngine:
         plan: ExecutionPlan,
         pool: Optional[WaveformPool] = None,
     ) -> None:
-        """One segment batch through the bulk-array pipeline.
+        """One level-loop batch through the bulk-array pipeline.
 
         Restructure, load, level execution, readback — and the boundary
         phases never touch per-window :class:`Waveform` objects: slice

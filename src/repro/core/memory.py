@@ -28,6 +28,12 @@ prefix-sum), and :meth:`WaveformPool.store_level_outputs` writes the counted
 waveforms into them.  (The paper re-runs the kernel for the store because a
 GPU thread cannot allocate; the host can.)
 
+The pool has no modelled cap (the paper reserves 24 GB of a 32 GB V100 and
+splits testbenches that overflow it into segments): it doubles whenever an
+allocation needs more.  Streaming (``Session.run_stream``, one recycled pool)
+is the memory bound; a whole run too large for a real device ends in that
+device's own out-of-memory error.
+
 Pool dtype
 ----------
 
@@ -42,20 +48,11 @@ guards that no timestamp has reached ``EOW`` and raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .restructure import gather_segments
 from .waveform import EOW, INITIAL_ONE_MARKER, POOL_DTYPE, Waveform
 from .xp import HOST, ArrayBackend, is_host
-
-
-class DeviceMemoryError(RuntimeError):
-    """Raised when the waveform pool capacity would be exceeded.
-
-    The engine reacts the way the paper describes: the testbench windows are
-    split into segments and GATSPI is invoked sequentially on each.
-    """
 
 
 class TimestampOverflowError(RuntimeError):
@@ -67,20 +64,6 @@ class TimestampOverflowError(RuntimeError):
     """
 
 
-@dataclass
-class PoolStats:
-    """Occupancy statistics of the waveform pool."""
-
-    capacity_words: int
-    used_words: int
-
-    @property
-    def utilization(self) -> float:
-        if self.capacity_words == 0:
-            return 0.0
-        return self.used_words / self.capacity_words
-
-
 class WaveformPool:
     """Flat waveform storage with bump allocation and array registration.
 
@@ -89,23 +72,19 @@ class WaveformPool:
     ``window_indices`` lists the batch's windows in column order.  Without
     them the pool starts empty and registers names/windows lazily.  All
     storage — the data array and the three registration tables — lives on
-    ``xp``.
+    ``xp``; the data array starts at ``initial_words`` and grows on demand.
     """
 
     def __init__(
         self,
-        capacity_words: int,
         initial_words: int = 1 << 16,
         *,
         xp: Optional[ArrayBackend] = None,
         net_index: Optional[Mapping[str, int]] = None,
         window_indices: Optional[Sequence[int]] = None,
     ):
-        if capacity_words < 4:
-            raise ValueError("pool capacity must be at least 4 words")
         self._xp = xp or HOST
-        self.capacity_words = int(capacity_words)
-        size = min(self.capacity_words, max(4, int(initial_words)))
+        size = max(4, int(initial_words))
         self._data = self._xp.full(size, EOW, dtype=self._xp.int64)
         self._next_free = 0
         if net_index is not None:
@@ -225,22 +204,13 @@ class WaveformPool:
     def used_words(self) -> int:
         return self._next_free
 
-    def stats(self) -> PoolStats:
-        return PoolStats(capacity_words=self.capacity_words, used_words=self._next_free)
-
     def _ensure(self, words: int) -> None:
+        """Grow the data array (at least doubling) to fit ``words`` more."""
         xp = self._xp
         required = self._next_free + words
-        if required > self.capacity_words:
-            raise DeviceMemoryError(
-                f"waveform pool exhausted: need {required} words, capacity "
-                f"{self.capacity_words}"
-            )
         if required > xp.size(self._data):
-            new_size = min(
-                self.capacity_words, max(required, xp.size(self._data) * 2)
-            )
-            grown = xp.full(new_size, EOW, dtype=xp.int64)
+            size = max(required, xp.size(self._data) * 2)
+            grown = xp.full(size, EOW, dtype=xp.int64)
             grown[: self._next_free] = self._data[: self._next_free]
             self._data = grown
 
@@ -666,7 +636,7 @@ class WaveformPool:
             self._next_free = self._retained_words
 
     def reset(self) -> None:
-        """Free everything (used between sequential testbench segments).
+        """Free every allocation and registration.
 
         Invalidates any zero-copy views previously handed out by
         :meth:`read_waveform`; callers that keep results across a reset must

@@ -75,6 +75,8 @@ class SimulationStats:
     levels: int = 0
     widest_level: int = 0
     windows: int = 0
+    #: Level-loop batches run: one per whole run, window group or stream
+    #: chunk (the pool grows on demand, so a batch is never split).
     segments: int = 1
     cycles: int = 0
     input_events: int = 0
@@ -87,7 +89,7 @@ class SimulationStats:
     restructure_mode: str = ""
     #: Which array backend the data plane ran on ("numpy", "torch", "cupy").
     device: str = ""
-    #: Kernel launches: one per level per segment, on either kernel.
+    #: Kernel launches: one per level per batch, on either kernel.
     level_batches: int = 0
     #: Largest single batch, in (gate, window) tasks.
     max_batch_tasks: int = 0

@@ -125,10 +125,6 @@ class PackedDesign:
         """Reserved net id for padded pins (the pool's null-waveform row)."""
         return len(self.net_index)
 
-    def level_task_counts(self, windows: int) -> List[int]:
-        """Batch size (tasks) of each level for a given window count."""
-        return [level.gate_count * windows for level in self.levels]
-
     def to_device(self, xp: ArrayBackend) -> "PackedDesign":
         """Materialize every tensor on ``xp`` (identity for numpy).
 
@@ -328,10 +324,6 @@ class LevelKernelResult:
     toggle_buffer: "object"  # flat int64
     toggle_starts: "object"  # (T,) int64
     toggle_counts: "object"  # (T,) int64
-
-    @property
-    def task_count(self) -> int:
-        return int(self.initial_values.shape[0])
 
     @property
     def storage_words(self):

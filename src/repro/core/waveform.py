@@ -381,8 +381,3 @@ def concatenate_windows(windows: Sequence[Waveform], window_length: int) -> Wave
                 )
             changes.append((absolute, value))
     return Waveform.from_changes(changes)
-
-
-def merge_toggle_counts(waveforms: Iterable[Waveform]) -> int:
-    """Total toggle count across a collection of waveforms."""
-    return sum(w.toggle_count() for w in waveforms)

@@ -6,8 +6,8 @@ group of the run's cycle-parallel windows: kernel time ``t = t1/n + ovr``.
 runs exactly that: it cuts the windows it always cuts, splits the list
 into ``min(N, windows)`` contiguous groups (:func:`window_groups`) and
 runs each on a spawned OS process, GIL-free, through the engine's own
-segment step (:func:`run_window_group`).  Group outputs append to the
-readback accumulators in window order, like segment batches, so every
+level-loop batch (:func:`run_window_group`).  Group outputs append to the
+readback accumulators in window order, so every
 worker count is **bit-identical** to plain ``gatspi`` by construction.
 
 The packed design tensors are exported once into a shared-memory segment
@@ -61,7 +61,7 @@ def run_window_group(
     windows: Sequence[_WindowRange],
     durations: Sequence[int],
 ) -> GroupOutput:
-    """Run one window group through ``engine``'s segment step.
+    """Run one window group as one level-loop batch of ``engine``.
 
     ``engine`` has no process workers of its own, so the group runs here,
     into fresh accumulators whose batches come back with the group's own

@@ -39,9 +39,6 @@ class Levelization:
         """Gate count of the widest level (drives GPU thread-count estimates)."""
         return max((len(level) for level in self.levels), default=0)
 
-    def gates_at(self, level: int) -> List[str]:
-        return self.levels[level]
-
     def level_sizes(self) -> List[int]:
         return [len(level) for level in self.levels]
 
@@ -201,9 +198,3 @@ def register_crossings(netlist: Netlist) -> List[RegisterCrossing]:
         )
     crossings.sort(key=lambda c: c.instance)
     return crossings
-
-
-def critical_level_path(levelization: Levelization) -> Tuple[int, int]:
-    """Return ``(depth, widest_level_size)`` — the two numbers that bound the
-    GPU launch count and per-launch thread count respectively."""
-    return levelization.depth, levelization.widest_level

@@ -68,13 +68,11 @@ class OracleEngine(GatspiEngine):
         for number, request in enumerate(requests):
             own = [window for window in windows if window.request == number]
             window_outputs: Dict[str, Dict[int, Waveform]] = {}
-            stats.segments += self._segment_windows(
-                own,
-                lambda batch: self._simulate_batch_objects(
-                    request.sources, batch, request.duration, timings, stats,
-                    window_outputs, plan,
-                ),
+            self._simulate_batch_objects(
+                request.sources, own, request.duration, timings, stats,
+                window_outputs, plan,
             )
+            stats.segments += 1
             stats.windows += len(own)
             # Toggle counts come from the stitched waveform, so transitions
             # landing exactly on a window seam are counted once.
@@ -100,7 +98,7 @@ class OracleEngine(GatspiEngine):
         window_outputs: Dict[str, Dict[int, Waveform]],
         plan: ExecutionPlan,
     ) -> None:
-        """One segment batch, one Python object per (net, window)."""
+        """One request's level-loop batch, one Python object per (net, window)."""
         pool = self._make_pool(windows, plan)
         overlap = self.window_overlap
 

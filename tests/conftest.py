@@ -9,6 +9,7 @@ Test modules should import them explicitly::
 
 from __future__ import annotations
 
+import functools
 import sys
 from pathlib import Path
 
@@ -54,3 +55,22 @@ def random_netlist():
 def random_annotation(random_netlist):
     delays = SyntheticDelayModel(seed=7).build(random_netlist)
     return annotation_from_design_delays(random_netlist, delays)
+
+
+@pytest.fixture
+def initial_pool_words(monkeypatch):
+    """``initial_pool_words(n)`` starts every engine pool at ``n`` words.
+
+    Pools grow on demand, so a run whose waveforms exceed ``n`` words
+    must grow its pool inside its one level-loop batch.  Applies to the
+    engines of this process (not to spawned process workers).
+    """
+    from repro.core import engine, memory
+
+    def start_at(words):
+        monkeypatch.setattr(
+            engine, "WaveformPool", functools.partial(memory.WaveformPool, words)
+        )
+        return words
+
+    return start_at

@@ -241,50 +241,45 @@ def test_settle_overlap_edge_cases(overlap, device):
 
 @pytest.mark.parametrize("device", DEVICES)
 @pytest.mark.parametrize("seed", range(3))
-def test_pool_overflow_segment_splits(seed, device):
-    """A pool too small for the full run forces sequential segments.
+def test_pool_overflow_segment_splits(seed, device, initial_pool_words):
+    """A pool too small for the full run grows inside its one batch.
 
-    The segment queue re-batches windows; both pipelines must keep the
-    same segment count and stay bit-identical across the splits.
+    There is no segment split: both pipelines run the whole window list
+    as one level-loop batch on a pool that outgrows its initial words,
+    and stay bit-identical.
     """
+    words = initial_pool_words(256)
     netlist, annotation = _prepare_design(seed, num_gates=24)
     stimulus = build_random_stimulus(netlist, DURATION, seed=seed + 5)
-    config = SimConfig(cycle_parallelism=16, device_memory_gb=2e-5)
+    config = SimConfig(cycle_parallelism=16)
     reference, vector = _oracle_pair(netlist, annotation, stimulus, device, config=config)
-    assert vector.stats.segments > 1, "workload must actually split"
-    assert vector.stats.segments == reference.stats.segments
-    _assert_bit_identical(reference, vector, f"segments seed={seed}")
+    assert vector.stats.pool_words_used > words, "workload must outgrow the pool"
+    assert vector.stats.segments == reference.stats.segments == 1
+    _assert_bit_identical(reference, vector, f"pool growth seed={seed}")
 
 
 @pytest.mark.parametrize("words, segments", [(2_014, 11), (671, 32), (575, None)])
-def test_segment_bisection_runs_any_budget_one_window_fits(words, segments):
-    """Bisection has no retry cap: it stops at one window on its own.
+def test_segment_bisection_runs_any_budget_one_window_fits(
+    words, segments, initial_pool_words
+):
+    """Any initial pool size runs the whole run as one batch.
 
-    Regression: a cap of 8 failed attempts across the whole bisection
-    made the 2,014-word budget raise although the run fits in 11
-    segments (the full run takes 16,116 pool words).  At 575 words one
-    window no longer fits, and that one-window batch re-raises.
+    ``segments`` is what a ``words``-word cap once bisected this run into
+    (``None``: not even one window fit).  The cap is gone: a pool starting
+    at ``words`` grows to the full run's 16,116 words in one batch, with
+    results identical to a pool that never grows.
     """
-    from repro.core import DeviceMemoryError
-
     netlist, annotation = _prepare_design(3, num_inputs=8, num_gates=40)
     stimulus = build_random_stimulus(netlist, 32_000, seed=5)
-    config = SimConfig(
-        cycle_parallelism=32,
-        device_memory_gb=words * 4 / 1e9,
-        waveform_pool_fraction=1.0,
-    )
-    if segments is None:
-        with pytest.raises(DeviceMemoryError):
-            _run("gatspi", netlist, annotation, stimulus, config=config,
-                 duration=32_000)
-        return
+    config = SimConfig(cycle_parallelism=32)
     reference = _run("gatspi", netlist, annotation, stimulus, duration=32_000,
-                     config=SimConfig(cycle_parallelism=32))
-    budgeted = _run("gatspi", netlist, annotation, stimulus, config=config,
-                    duration=32_000)
-    assert budgeted.stats.segments == segments
-    _assert_bit_identical(reference, budgeted, f"{words}-word budget")
+                     config=config)
+    initial_pool_words(words)
+    grown = _run("gatspi", netlist, annotation, stimulus, config=config,
+                 duration=32_000)
+    assert grown.stats.segments == reference.stats.segments == 1
+    assert grown.stats.pool_words_used == reference.stats.pool_words_used > words
+    _assert_bit_identical(reference, grown, f"{words}-word initial pool")
 
 
 @pytest.mark.parametrize("device", DEVICES)
@@ -434,16 +429,18 @@ def test_sharded_backend_sparse_and_constant_nets(shards):
 
 
 @pytest.mark.parametrize("shards", (2, 4))
-def test_sharded_backend_segment_splits(shards):
-    """Pool overflow inside a group splits segments without divergence."""
+def test_sharded_backend_segment_splits(shards, initial_pool_words):
+    """Each group grows its own pool in one batch without divergence."""
+    words = initial_pool_words(256)
     netlist, annotation = _prepare_design(1, num_gates=24)
     stimulus = build_random_stimulus(netlist, DURATION, seed=6)
-    config = SimConfig(cycle_parallelism=16, device_memory_gb=2e-5)
+    config = SimConfig(cycle_parallelism=16)
     reference, candidate = _grouped_pair(
         netlist, annotation, stimulus, shards, config=config
     )
-    assert candidate.stats.segments >= shards
-    _assert_bit_identical(reference, candidate, f"groups segments {shards}")
+    assert candidate.stats.segments == shards
+    assert candidate.stats.pool_words_used > words
+    _assert_bit_identical(reference, candidate, f"groups pool growth {shards}")
 
 
 def test_sharded_backend_without_stored_waveforms():

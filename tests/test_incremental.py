@@ -248,6 +248,32 @@ def test_undo_round_trip_restores_baseline(spec):
     assert not any("glitchfix" in name for name in netlist.instances)
 
 
+def test_probe_loop_keeps_its_base_run():
+    """A what-if loop (apply → rerun → undo) never evicts its base.
+
+    Every probe reruns from the base state's retained run and retains
+    its own result; reading the base refreshes it, so more distinct
+    probes than the retained-run capacity all stay incremental (they
+    used to fall back to a full run, silently, from the fifth probe on)
+    and each equals a cold run of its edited design.
+    """
+    from repro.core.engine import RETAINED_RUN_CAPACITY
+
+    netlist, annotation = _prepare_design(seed=9)
+    stimulus = build_random_stimulus(netlist, DURATION, seed=90)
+    session = _session("gatspi", netlist, annotation)
+    session.run(stimulus, duration=DURATION)
+    for probe in range(RETAINED_RUN_CAPACITY + 2):
+        gate = _gate_with_inputs(netlist, skip=probe)
+        edits = [SetPinDelay(gate=gate.name, pin=gate.cell.inputs[0],
+                             rise=17.0 + probe, fall=23.0 + probe)]
+        reference = _cold_run("gatspi", netlist, annotation, edits, stimulus)
+        result = session.rerun(edits, stimulus=stimulus, duration=DURATION)
+        assert result.stats.incremental, f"probe {probe} fell back"
+        _assert_bit_identical(reference, result, f"probe {probe}")
+        session.apply_edits(session.last_edit_receipt.undo_edits)
+
+
 @pytest.mark.parametrize("spec", ("gatspi", ORACLE))
 def test_empty_edit_rerun_is_noop(spec):
     netlist, annotation = _prepare_design(seed=7)

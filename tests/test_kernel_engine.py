@@ -5,7 +5,6 @@ import pytest
 from repro.api import resolve_backend
 from repro.cells import DEFAULT_LIBRARY
 from repro.core import (
-    DeviceMemoryError,
     GateKernelInputs,
     GatspiEngine,
     SimConfig,
@@ -164,10 +163,15 @@ class TestWaveformPool:
         assert wave.toggle_count() == 2
 
     def test_capacity_exhaustion(self):
+        """Allocating past the initial words grows the pool; earlier
+        stores survive the growth."""
         pool = WaveformPool(8)
-        pool.allocate(6)
-        with pytest.raises(DeviceMemoryError):
-            pool.allocate(4)
+        wave = Waveform.from_initial_and_toggles(1, [5, 9])
+        pool.store_waveform("n", 0, wave)
+        address = pool.allocate(40)
+        assert address + 40 == pool.used_words > 8
+        assert pool.data.size >= pool.used_words
+        assert pool.read_waveform("n", 0) == wave
 
     def test_missing_pointer(self):
         pool = WaveformPool(64)
@@ -243,20 +247,39 @@ class TestEngine:
                 with pytest.raises(TypeError):
                     backend.prepare(small_netlist, **options, **option)
 
-    def test_memory_segmentation_preserves_results(self, random_netlist, random_annotation):
+    def test_memory_segmentation_preserves_results(
+        self, random_netlist, random_annotation, initial_pool_words
+    ):
+        """A pool too small for all windows grows in the run's one batch
+        (no sequential segments) and the results do not change."""
         stimulus = self.build_stimulus(random_netlist, duration=6000)
-        big = SimConfig(cycle_parallelism=4, clock_period=1000)
-        # A pool this small cannot hold all windows at once, forcing the
-        # engine to split the run into sequential segments (paper Section 4).
-        tiny = big.with_updates(device_memory_gb=5e-6, waveform_pool_fraction=1.0)
+        config = SimConfig(cycle_parallelism=4, clock_period=1000)
         reference = GatspiEngine(
-            random_netlist, annotation=random_annotation, config=big
+            random_netlist, annotation=random_annotation, config=config
         ).simulate(stimulus, cycles=6)
-        segmented = GatspiEngine(
-            random_netlist, annotation=random_annotation, config=tiny
+        words = initial_pool_words(64)
+        grown = GatspiEngine(
+            random_netlist, annotation=random_annotation, config=config
         ).simulate(stimulus, cycles=6)
-        assert segmented.stats.segments > 1
-        assert segmented.toggle_counts == reference.toggle_counts
+        assert grown.stats.pool_words_used > words
+        assert grown.stats.segments == 1
+        assert grown.toggle_counts == reference.toggle_counts
+        assert grown.waveforms == reference.waveforms
+
+    def test_device_memory_knobs_are_gone(self):
+        """One memory bound (streaming): no modelled device pool, no
+        capped pool error, no segment queue, no engine clocked entry."""
+        import repro.core as core
+
+        for field in ("device_memory_gb", "waveform_pool_fraction"):
+            with pytest.raises(TypeError):
+                SimConfig(**{field: 1.0})
+        assert not hasattr(SimConfig, "waveform_pool_words")
+        assert not hasattr(core, "DeviceMemoryError")
+        assert not hasattr(core, "PoolStats")
+        assert not hasattr(WaveformPool, "stats")
+        assert not hasattr(GatspiEngine, "_segment_windows")
+        assert not hasattr(GatspiEngine, "run_cycles")
 
     def test_store_waveforms_can_be_disabled(self, small_netlist, small_annotation):
         config = SimConfig(store_waveforms=False, clock_period=1000)

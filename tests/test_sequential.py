@@ -300,14 +300,15 @@ def test_stimulus_toggles_exactly_on_clock_edges():
 
 
 def test_run_cycles_engine_entry_point():
-    """GatspiEngine.run_cycles mirrors the Session-level API."""
+    """The session is the clocked entry point: the engine has none of its
+    own, and the session path commits the counter to 4 after 4 edges."""
     from repro.core.engine import GatspiEngine
 
+    assert not hasattr(GatspiEngine, "run_cycles")
     netlist = build_counter(3)
-    engine = GatspiEngine(
-        netlist, config=SimConfig(clock_period=PERIOD, store_waveforms=True)
+    result = _session("gatspi", netlist).run_cycles(
+        {"rst_n": Waveform.constant(1)}, 4
     )
-    result = engine.run_cycles({"rst_n": Waveform.constant(1)}, 4)
     value = sum(
         result.register_state[f"count_reg[{i}]"] << i for i in range(3)
     )

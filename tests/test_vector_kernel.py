@@ -268,11 +268,17 @@ class TestPoolLayout:
         assert pool.used_words == 15
 
     def test_allocate_batch_overflow_raises(self):
-        from repro.core import DeviceMemoryError
-
+        """A batch past the initial words grows the pool instead of
+        raising; earlier stores survive the growth."""
         pool = WaveformPool(16)
-        with pytest.raises(DeviceMemoryError):
-            pool.allocate_batch(np.asarray([10, 10], dtype=np.int64))
+        wave = Waveform.from_initial_and_toggles(0, [3, 4, 8])
+        pool.store_waveform("n", 0, wave)
+        base = pool.used_words + (pool.used_words & 1)
+        addresses = pool.allocate_batch(np.asarray([10, 10], dtype=np.int64))
+        assert addresses.tolist() == [base, base + 10]
+        assert pool.used_words == base + 20 > 16
+        assert pool.data.size >= pool.used_words
+        assert pool.read_waveform("n", 0) == wave
 
     def test_allocate_batch_rejects_undersized(self):
         pool = WaveformPool(1 << 12)
