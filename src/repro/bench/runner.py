@@ -21,7 +21,7 @@ seconds of the window groups ``gatspi:workers=process:N`` splits a run into.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..api import GatspiSession, resolve_backend
@@ -35,7 +35,7 @@ from ..gpu import ApplicationModel, GpuSpec, KernelPerfModel, KernelWorkload, V1
 from ..netlist import Netlist
 from ..power import summarize_activity
 from ..sdf import SyntheticDelayModel, annotation_from_design_delays
-from ..waveforms import TestbenchSpec, measured_activity_factor, stimulus_for_netlist
+from ..waveforms import TestbenchSpec, stimulus_for_netlist
 from .suites import BenchmarkCase
 
 

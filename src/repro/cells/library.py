@@ -162,9 +162,6 @@ class CellLibrary:
     def combinational_cells(self) -> Tuple[Cell, ...]:
         return tuple(c for c in self._cells.values() if not c.is_sequential)
 
-    def sequential_cells(self) -> Tuple[Cell, ...]:
-        return tuple(c for c in self._cells.values() if c.is_sequential)
-
     def truth_table(self, name: str) -> TruthTable:
         """Cached truth table for a combinational cell."""
         if name not in self._truth_tables:

@@ -41,9 +41,9 @@ build artifacts; the second ``store`` simply replaces the first with an
 equivalent value (compilation is deterministic), which is safe because
 consumers never mutate cached artifacts.
 
-The cache is enabled per-run via ``SimConfig(compile_cache=True)`` (the
-default) and can be inspected/cleared for tests via :func:`cache_info` /
-:func:`clear_compile_cache`.
+The cache is always consulted; :func:`set_compile_cache_capacity` with
+0 disables it, and :func:`cache_info` / :func:`clear_compile_cache`
+inspect and clear it for tests.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ from typing import Dict, Optional, Tuple
 #: Note the footprint is count-bounded, not byte-bounded: each entry pins
 #: one design's packed tensors *on its device* — for torch-cuda/cupy keys
 #: that is GPU memory.  Long-lived processes juggling many large designs
-#: on an accelerator should lower the capacity (or disable caching via
-#: ``SimConfig(compile_cache=False)``) with :func:`set_compile_cache_capacity`.
+#: on an accelerator should lower the capacity (0 disables caching) with
+#: :func:`set_compile_cache_capacity`.
 COMPILE_CACHE_CAPACITY = 16
 
 _capacity = COMPILE_CACHE_CAPACITY

@@ -55,13 +55,6 @@ class SimConfig:
         environment variable, falling back to ``"numpy"``.  (The
         per-object reference engine, backend ``"gatspi-oracle"``, pins
         itself to numpy whatever this field says.)
-    compile_cache:
-        When true (default), ``compile()`` results — levelized graph,
-        truth/delay lookup arrays, packed design tensors — are memoized
-        process-wide, keyed by (netlist fingerprint, annotation
-        fingerprint, ``full_sdf``, ``device``), so repeated sessions on
-        the same design reuse the compiled tensors instead of re-packing
-        them (:mod:`repro.core.compile_cache`).
     analysis:
         Design-rule analysis mode applied at ``prepare()`` time
         (:mod:`repro.analysis`).  ``"warn"`` (default) evaluates every
@@ -81,7 +74,6 @@ class SimConfig:
     enable_net_delay_filtering: bool = True
     full_sdf: bool = True
     device: str = field(default_factory=default_device)
-    compile_cache: bool = True
     analysis: str = "warn"
     store_waveforms: bool = True
     clock_period: int = 1000

@@ -296,8 +296,9 @@ class GatspiEngine:
         the reference oracle read), and the packed :class:`PackedDesign`
         tensors the level-batched kernel executes (built from the very same
         truth/delay arrays, so the two cannot diverge).  Results are memoized
-        process-wide by content fingerprint unless
-        ``SimConfig(compile_cache=False)``.
+        process-wide by content fingerprint (capacity 0 via
+        :func:`~repro.core.compile_cache.set_compile_cache_capacity`
+        disables that).
 
         ``packed`` injects pre-built design tensors (shared-memory views in
         a process worker) in place of re-packing; see
@@ -305,29 +306,24 @@ class GatspiEngine:
         """
         start = time.perf_counter()
         self._xp = get_array_backend(self.config.device)
-        artifacts = None
-        key = None
-        netlist_fp = None
-        if self.config.compile_cache:
-            # prepare() seeds the fingerprint its analysis pass already
-            # computed; outside prepare the handoff is empty and we hash.
-            netlist_fp = compile_cache.consume_netlist_fingerprint(self.netlist)
-            if netlist_fp is None:
-                netlist_fp = compile_cache.fingerprint_netlist(self.netlist)
-            key = compile_cache.compile_key(
-                self.netlist,
-                self.annotation,
-                self.config,
-                netlist_fingerprint=netlist_fp,
-            )
-            artifacts = compile_cache.lookup(key)
+        # prepare() seeds the fingerprint its analysis pass already
+        # computed; outside prepare the handoff is empty and we hash.
+        netlist_fp = compile_cache.consume_netlist_fingerprint(self.netlist)
+        if netlist_fp is None:
+            netlist_fp = compile_cache.fingerprint_netlist(self.netlist)
+        key = compile_cache.compile_key(
+            self.netlist,
+            self.annotation,
+            self.config,
+            netlist_fingerprint=netlist_fp,
+        )
+        artifacts = compile_cache.lookup(key)
         cache_hit = artifacts is not None
         if artifacts is None:
             artifacts = self._build_artifacts(
                 netlist_fingerprint=netlist_fp, packed=packed
             )
-            if key is not None:
-                compile_cache.store(key, artifacts)
+            compile_cache.store(key, artifacts)
         self._base_compile_key = key
         self._install_artifacts(artifacts, cache_hit=cache_hit)
         self._compile_time = time.perf_counter() - start
@@ -533,7 +529,7 @@ class GatspiEngine:
             self.compile()
             return
         key = None
-        if self._base_compile_key is not None and self.config.compile_cache:
+        if self._base_compile_key is not None:
             key = derive_compile_key(self._base_compile_key, self._journal)
             cached = compile_cache.lookup(key)
             if cached is not None:

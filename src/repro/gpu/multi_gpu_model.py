@@ -73,6 +73,3 @@ class MultiGpuModel:
                 )
             )
         return points
-
-    def predicted_overhead_seconds(self, workload: KernelWorkload) -> float:
-        return 2.0 * workload.levels * self.device.kernel_launch_overhead_us * 1e-6

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .netlist import Netlist, NetlistError, PORT
+from .netlist import Netlist, NetlistError
 
 
 @dataclass

@@ -11,7 +11,7 @@ treated as endpoints (paper Fig. 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cells import Cell, CellLibrary, DEFAULT_LIBRARY
 
@@ -38,9 +38,6 @@ class Net:
     @property
     def fanout(self) -> int:
         return len(self.loads)
-
-    def is_driven_by_port(self) -> bool:
-        return self.driver is not None and self.driver[0] == PORT
 
 
 @dataclass
@@ -69,9 +66,6 @@ class Instance:
 
     def output_net(self) -> str:
         return self.connections[self.cell.output]
-
-    def net_for(self, pin: str) -> str:
-        return self.connections[pin]
 
 
 class Netlist:
@@ -216,12 +210,6 @@ class Netlist:
                     continue
                 endpoints.append(inst.connections[pin])
         return endpoints
-
-    def driver_of(self, net_name: str) -> Optional[Tuple[str, str]]:
-        return self.nets[net_name].driver
-
-    def loads_of(self, net_name: str) -> List[Tuple[str, str]]:
-        return list(self.nets[net_name].loads)
 
     def fanout_of(self, net_name: str) -> int:
         return self.nets[net_name].fanout

@@ -115,9 +115,6 @@ class PowerModel:
     def leakage_w(self) -> float:
         return self._leakage_w
 
-    def net_load_cap(self, net: str) -> float:
-        return self._load_caps.get(net, 0.0)
-
     def compute(
         self,
         toggle_counts: Mapping[str, int],

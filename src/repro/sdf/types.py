@@ -8,7 +8,7 @@ modelled: ``IOPATH`` (optionally edge-qualified and ``COND``-qualified) and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -65,20 +65,11 @@ class SdfFile:
     cells: List[SdfCell] = field(default_factory=list)
     interconnects: List[SdfInterconnect] = field(default_factory=list)
 
-    def cell_for_instance(self, instance: str) -> Optional[SdfCell]:
-        for cell in self.cells:
-            if cell.instance == instance:
-                return cell
-        return None
-
     def all_interconnects(self) -> List[SdfInterconnect]:
         wires = list(self.interconnects)
         for cell in self.cells:
             wires.extend(cell.interconnects)
         return wires
-
-    def iopath_count(self) -> int:
-        return sum(len(cell.iopaths) for cell in self.cells)
 
     def conditional_iopath_count(self) -> int:
         return sum(

@@ -1,11 +1,12 @@
 """``repro.serve``: the concurrent simulation serving front end.
 
-A :class:`SimulationService` accepts many concurrent re-simulation
-requests through a bounded queue, micro-batches requests that share a
-compiled-design fingerprint onto one prepared session, coalesces
-identical in-flight requests onto one engine run, and executes them
-on a worker pool — any registered backend spec, including
-``"gatspi:workers=process:4"`` (window groups on spawned workers)::
+A :class:`SimulationService` admits many concurrent re-simulation
+requests (bounded by ``queue_size``), and for each compiled-design
+fingerprint hands one drain task to a worker pool: the drain runs every
+pending request of that design as one batch on one prepared session,
+coalescing identical requests onto one engine run — any registered
+backend spec, including ``"gatspi:workers=process:4"`` (window groups on
+spawned workers)::
 
     from repro.serve import ServeRequest, SimulationService
 

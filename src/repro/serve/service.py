@@ -1,71 +1,53 @@
-"""The batched simulation serving front end.
-
-The ROADMAP's scale item asks for "an async/batched serving front end for
-many concurrent sessions": this module is that subsystem, built directly
-on the concurrency guarantees the rest of the stack now provides — the
-locked process-wide compile cache (concurrent ``prepare()`` is safe and
-shares one compile per design fingerprint) and the thread-safe ``Session``
-layer (concurrent ``run()`` on one session serializes instead of racing).
+"""The batched simulation serving front end: a queue over the prepared
+session's batch calls (``run`` / ``run_many`` / ``rerun``).
 
 Request lifecycle::
 
-    client -> submit() -> bounded queue -> dispatcher thread
-                                              |  drains + groups by
-                                              |  compiled-design fingerprint
-                                              v
-                                   worker pool: one task per group,
-                                   each group runs on ONE prepared Session
-                                              |
-                                              v
-                              Future resolves to ServeResponse
+    client -> submit() -> pending requests of its session key
+                               |  idle key: one drain task goes
+                               v  straight to the worker pool
+                 drain: all pending requests of the key, as one batch,
+                 on the key's ONE prepared Session; resubmitted when
+                 more arrived meanwhile
+                               |
+                               v
+                 Future resolves to ServeResponse
 
-* **Bounded admission.**  ``submit`` enqueues into a bounded queue and
-  returns a :class:`concurrent.futures.Future` immediately (``asyncio``
-  callers can ``asyncio.wrap_future`` it).  The dispatcher only pulls a
-  request out of the queue when an in-flight permit is free (at most
-  ``2 * max_workers`` requests dispatched-but-incomplete), so saturated
-  workers back the queue up instead of growing an unbounded executor
-  backlog.  When the queue is full the next ``submit`` blocks — or, with
-  ``block=False`` / a timeout, fails fast with
-  :class:`ServiceOverloadedError` — so a burst of clients degrades into
-  back-pressure, not unbounded memory growth.
-* **Micro-batching.**  The dispatcher drains whatever is queued and
-  groups it by *session key*: the content fingerprints of the request's
-  netlist and annotation (the same fingerprints the compile cache is
-  keyed by) plus the backend spec and config.  Each group is executed as
-  one worker task against one prepared session, so a burst of requests
-  for the same design costs one ``prepare()`` and runs back to back on a
-  warm session, while requests for different designs spread across the
-  pool.  A group with more than one distinct full request executes as
-  one :meth:`~repro.api.session.Session.run_many` call.  Requests are
-  columns: on ``gatspi`` sessions the batch is one level loop over every
-  request's own windows, paying the engine's per-level fixed costs once
-  per batch, with results bit-identical to one run each; other backends
-  run the batch one request after another.  Each request's inputs are
-  checked first, so a bad request fails alone; an engine failure inside
-  the batch falls back to per-request runs, counted in
-  ``stats()["fused_fallbacks"]``.
-* **Session reuse.**  Prepared sessions live in a bounded LRU keyed by
-  session key.  Batches for one key are serialized (per-key active
-  bookkeeping), so a new design is prepared exactly once — outside the
-  cache lock, so one slow compile never stalls other designs; evicted
-  sessions fall back to the compile cache, which still makes the next
-  ``prepare()`` cheap.
-* **Failure isolation.**  A failing request (bad stimulus, unknown
-  backend, engine error) resolves only its own future with the exception;
-  the queue, the dispatcher, and the other requests keep flowing.
+One condition lock guards the pending requests per key, the keys with a
+drain queued or running, the session LRU, the quotas and the counters; no
+engine work runs under it.
+
+* **Bounded admission.**  ``submit`` returns a
+  :class:`concurrent.futures.Future` at once (``asyncio.wrap_future``
+  works on it).  ``queue_size`` bounds the requests admitted but not yet
+  taken by a drain; at the bound ``submit`` blocks — or, with
+  ``block=False`` / a timeout, raises :class:`ServiceOverloadedError`.
+* **Micro-batching.**  Requests group by *session key*: the netlist and
+  annotation fingerprints the compile cache uses, plus backend spec and
+  config.  Requests arriving while a key's drain runs form its next
+  batch, so a burst for one design costs one ``prepare()``.  Identical
+  full requests coalesce onto one run; two or more distinct ones run as
+  one :meth:`~repro.api.session.Session.run_many` (columns of one level
+  loop on ``gatspi``).  Inputs are checked per request first, so a bad
+  request fails alone; a batch that raises falls back to per-request
+  runs, counted in ``stats()["fused_fallbacks"]``.
+* **Session reuse.**  Prepared sessions live in a bounded LRU; keys with
+  work admitted or running are never evicted, and an evicted design
+  re-prepares cheaply from the compile cache.
+* **Failure isolation.**  A failing request resolves only its own future
+  (and its coalesced followers'); the other requests keep flowing.
 """
 
 from __future__ import annotations
 
 import hashlib
-import queue
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..analysis import analyze_design
 from ..api import RunSpec, resolve_backend
@@ -103,21 +85,14 @@ class QuotaExceededError(ServiceOverloadedError):
 class UnknownBaseDesignError(ServiceError):
     """Raised when a delta request's ``base_key`` names no live session.
 
-    Delta requests can only run against a prepared session still in the
-    service's session cache; after eviction (or against a key that never
-    existed) the client must re-submit the full design once to re-establish
-    the base.
+    After eviction (or for a key that never existed) the client must
+    re-submit the full design once to re-establish the base.
     """
 
 
 class DesignRejectedError(ServiceError):
-    """Raised when design-rule analysis finds error-severity problems.
-
-    Carries the structured :class:`~repro.analysis.AnalysisReport` on
-    ``report`` so the client can see exactly which rules fired and on which
-    nets/instances — the serving front door rejects un-simulatable designs
-    eagerly at ``submit`` time instead of failing the future later inside a
-    worker's ``prepare()``.
+    """Raised at ``submit`` when design-rule analysis finds error-severity
+    problems; the :class:`~repro.analysis.AnalysisReport` is on ``report``.
     """
 
     def __init__(self, message: str, report: Any):
@@ -201,16 +176,6 @@ class _QueueItem:
     analysis_report: Optional[Any] = None
 
 
-@dataclass
-class _Outcome:
-    """What one executed leader produced, for coalesced fan-out."""
-
-    result: Optional[SimulationResult] = None
-    error: Optional[BaseException] = None
-    run_seconds: float = 0.0
-    fused: bool = False
-
-
 def stimulus_fingerprint(stimulus: Mapping[str, Waveform]) -> str:
     """Content hash of a stimulus set (net names + waveform arrays).
 
@@ -222,14 +187,8 @@ def stimulus_fingerprint(stimulus: Mapping[str, Waveform]) -> str:
     """
     digest = hashlib.sha256()
     for net in sorted(stimulus):
-        wave = stimulus[net]
-        digest.update(net.encode())
-        digest.update(b"\x00")
-        digest.update(wave.data.tobytes())
+        digest.update(net.encode() + b"\x00" + stimulus[net].data.tobytes())
     return digest.hexdigest()
-
-
-_SHUTDOWN = object()
 
 
 def session_key(
@@ -268,17 +227,18 @@ class SimulationService:
     Parameters
     ----------
     max_workers:
-        Worker threads executing micro-batches (distinct designs run in
-        parallel up to this bound).
+        Worker threads running drains (distinct designs run in parallel
+        up to this bound).
     queue_size:
-        Admission bound: at most this many requests may be queued and not
-        yet dispatched; further ``submit`` calls block or fail fast.
+        Admission bound: at most this many requests may be admitted and
+        not yet taken by a drain; further ``submit`` calls block or fail
+        fast.
     session_cache_size:
         Prepared sessions kept warm (LRU).  Eviction only drops the
         session object — compiled artifacts stay in the compile cache.
-        Keys with dispatched-but-unfinished or pending work are pinned
-        and never evicted, so a delta stream's base session cannot vanish
-        mid-stream under eviction pressure.
+        Keys with admitted or running work are pinned and never evicted,
+        so a delta stream's base session cannot vanish mid-stream under
+        eviction pressure.
     per_client_quota:
         When set, at most this many requests per ``ServeRequest.client``
         may be in flight (submitted, not yet resolved) at once; the next
@@ -301,88 +261,56 @@ class SimulationService:
             raise ValueError("session_cache_size must be at least 1")
         if per_client_quota is not None and per_client_quota < 1:
             raise ValueError("per_client_quota must be at least 1")
-        self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=queue_size)
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
-        # Caps requests that are dispatched but not yet finished, so the
-        # bounded queue — not the executor's unbounded internal queue — is
-        # where overload accumulates.  One permit per in-flight request,
-        # released on completion/failure/cancellation.
-        self._inflight = threading.Semaphore(2 * max_workers)
-        # Per-key accumulation: while a batch for a session key executes,
-        # later arrivals for that key collect in ``_pending_groups`` and
-        # dispatch as ONE batch when the key frees up — this is what lets
-        # steady concurrent traffic fuse instead of convoying one by one
-        # on the session lock.
-        self._group_lock = threading.Lock()
-        self._pending_groups: Dict[str, List[_QueueItem]] = {}
-        self._active_keys: set = set()
-        # key -> prepared Session.  At most one batch per key executes at
-        # a time (_run_group's active-key bookkeeping), so a key is never
-        # prepared twice concurrently.
-        self._sessions: "OrderedDict[str, Any]" = OrderedDict()
+        self._queue_size = queue_size
         self._session_cache_size = session_cache_size
-        self._session_lock = threading.RLock()
-        # Per-client in-flight accounting for admission quotas; a leaf
-        # lock (never held while any other lock is taken).
-        self._quota_lock = threading.Lock()
         self._per_client_quota = per_client_quota
+        # The one lock guards every field below.  Its waiters: submits
+        # blocked on a full queue, and close() waiting for idle keys.
+        self._service_lock = threading.Condition()
+        # key -> requests admitted, not yet taken by a drain (the key is
+        # then also active).
+        self._pending: Dict[str, List[_QueueItem]] = {}
+        self._pending_count = 0
+        # Keys with their one drain queued or running.
+        self._active_keys: Set[str] = set()
+        self._sessions: "OrderedDict[str, Any]" = OrderedDict()
         self._client_inflight: Dict[str, int] = {}
-        self._stats_lock = threading.Lock()
-        self._stats: Dict[str, float] = {
-            "submitted": 0,
-            "completed": 0,
-            "failed": 0,
-            "rejected": 0,
-            "quota_rejected": 0,
-            "batches": 0,
-            "max_batch_size": 0,
-            "coalesced": 0,
-            "fused_fallbacks": 0,
-            "session_hits": 0,
-            "session_misses": 0,
-            "max_queue_depth": 0,
-            # Per-phase latency accumulators (seconds); divide by
-            # ``completed`` for the mean, the wire protocol's ``stats``
-            # op surfaces them as-is.
-            "queue_seconds_total": 0.0,
-            "run_seconds_total": 0.0,
-        }
-        self._closed = False
-        self._closed_lock = threading.Lock()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-serve-dispatch", daemon=True
+        counters = (
+            "submitted", "completed", "failed", "rejected", "quota_rejected",
+            "batches", "max_batch_size", "coalesced", "fused_fallbacks",
+            "session_hits", "session_misses", "max_queue_depth",
         )
-        self._dispatcher.start()
+        self._stats: Dict[str, float] = {name: 0 for name in counters}
+        # Per-phase latency accumulators (seconds); divide by
+        # ``completed`` for the mean.
+        self._stats.update(queue_seconds_total=0.0, run_seconds_total=0.0)
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Client surface
     # ------------------------------------------------------------------
     def submit(
-        self,
-        request: ServeRequest,
-        *,
-        block: bool = True,
+        self, request: ServeRequest, *, block: bool = True,
         timeout: Optional[float] = None,
     ) -> "Future[ServeResponse]":
-        """Enqueue a request; returns a future resolving to a response.
+        """Admit a request; returns a future resolving to a response.
 
-        Blocks while the bounded queue is full (back-pressure) unless
-        ``block=False`` or ``timeout`` is given, in which case a full
-        queue raises :class:`ServiceOverloadedError`.  The returned
-        future may be ``cancel()``-ed while the request is still queued.
+        Blocks while the queue is full (back-pressure); a full queue
+        raises :class:`ServiceOverloadedError` at once with
+        ``block=False``, or after ``timeout`` seconds.  The future may be
+        ``cancel()``-ed until a drain picks it up.
 
-        Admission runs design-rule analysis eagerly (unless the request's
-        config says ``analysis="off"``): under ``analysis="strict"`` a
-        design with error-severity findings is rejected here with
-        :class:`DesignRejectedError` — before it consumes a queue slot or
-        a worker — while the default ``"warn"`` attaches the report to
-        the response and proceeds, matching ``prepare()`` semantics.
-        Reports are fingerprint-cached (the netlist is hashed once per
-        submit, shared between the analysis key and the session key), so
-        repeat submissions of a known design pay a dictionary lookup and
-        evaluate zero rules.
+        Design-rule analysis runs here, eagerly and fingerprint-cached
+        (the netlist hash is shared with the session key): under
+        ``analysis="strict"`` an error finding raises
+        :class:`DesignRejectedError` before the request takes a queue
+        slot; the default ``"warn"`` attaches the report to the response.
+        The client's quota permit is taken in the locked step that
+        enqueues, after every step that can raise, so a failed submit
+        holds none.
         """
         if self._closed:
             raise ServiceClosedError("service is closed")
@@ -391,18 +319,15 @@ class SimulationService:
                 "exactly one of netlist (full request) or base_key "
                 "(delta request) must be provided"
             )
-        if request.base_key is None:
-            # Delta requests may omit the horizon (and stimulus): they
-            # default to the base session's previous run.
-            if request.cycles is None and request.duration is None:
-                raise ValueError("one of cycles/duration must be provided")
-        netlist_fp = (
-            fingerprint_netlist(request.netlist)
-            if request.netlist is not None
-            else None
-        )
+        # Delta requests may omit the horizon (and stimulus): they default
+        # to the base session's previous run.
+        horizon = (request.cycles, request.duration)
+        if request.base_key is None and horizon == (None, None):
+            raise ValueError("one of cycles/duration must be provided")
+        netlist_fp = None
+        if request.netlist is not None:
+            netlist_fp = fingerprint_netlist(request.netlist)
         report = self._check_admission(request, netlist_fp)
-        quota_client = self._reserve_quota(request)
         item = _QueueItem(
             request=request,
             future=Future(),
@@ -410,33 +335,43 @@ class SimulationService:
             enqueued_at=time.perf_counter(),
             analysis_report=report,
         )
-        if quota_client is not None:
-            client_id = quota_client
-            item.future.add_done_callback(
-                lambda _future: self._release_quota(client_id)
-            )
-        try:
-            self._queue.put(item, block=block, timeout=timeout)
-        except queue.Full:
-            if quota_client is not None:
-                # The done callback never fires for an item that was
-                # never enqueued; undo the reservation here.
-                item.future.cancel()
-            self._bump("rejected")
-            raise ServiceOverloadedError(
-                f"request queue is full ({self._queue.maxsize} pending)"
-            ) from None
-        if self._closed and item.future.cancel():
-            # close() raced past between the closed-check and the put; the
-            # dispatcher may already be gone, so reclaim the item (a failed
-            # cancel means some consumer owns it and will resolve it).
-            self._bump("rejected")
-            raise ServiceClosedError("service is closed")
-        self._bump("submitted")
-        with self._stats_lock:
+        quota, client = self._per_client_quota, None
+        if quota is not None:
+            client = "<anonymous>" if request.client is None else request.client
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._service_lock:
+            while True:
+                if self._closed:
+                    raise ServiceClosedError("service is closed")
+                inflight = 0 if client is None else self._client_inflight.get(client, 0)
+                if quota is not None and inflight >= quota:
+                    self._stats["quota_rejected"] += 1
+                    raise QuotaExceededError(
+                        f"client {client!r} has {inflight} request(s) in flight "
+                        f"(quota {quota})"
+                    )
+                if self._pending_count < self._queue_size:
+                    break
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if not block or (remaining is not None and remaining <= 0):
+                    self._stats["rejected"] += 1
+                    raise ServiceOverloadedError(
+                        f"request queue is full ({self._queue_size} pending)"
+                    )
+                self._service_lock.wait(remaining)
+            if client is not None:
+                self._client_inflight[client] = inflight + 1
+                item.future.add_done_callback(partial(self._release_quota, client))
+            self._pending.setdefault(item.key, []).append(item)
+            self._pending_count += 1
+            self._stats["submitted"] += 1
             self._stats["max_queue_depth"] = max(
-                self._stats["max_queue_depth"], self._queue.qsize()
+                self._stats["max_queue_depth"], self._pending_count
             )
+            idle = item.key not in self._active_keys
+            self._active_keys.add(item.key)
+        if idle:
+            self._executor.submit(self._drain, item.key)
         return item.future
 
     def _check_admission(
@@ -444,15 +379,10 @@ class SimulationService:
     ) -> Optional[Any]:
         """Analyze a full request at the front door; maybe reject it.
 
-        Routes through the fingerprint-keyed analysis report cache
-        (reusing the netlist hash ``submit`` computes for the session
-        key), so the per-submit cost for an already-seen design is one
-        cache lookup with zero rule evaluations.  Only the effective
-        ``analysis="strict"`` mode rejects on error findings; ``"warn"``
-        (the default) returns the report so it can be attached to the
-        response, and the design proceeds — the same contract
-        ``prepare()`` honors.  Returns the report (``None`` for delta
-        requests and ``analysis="off"``).
+        Only ``analysis="strict"`` rejects on error findings; ``"warn"``
+        (the default) returns the report for the response and proceeds —
+        the contract ``prepare()`` honors.  Returns ``None`` for delta
+        requests and ``analysis="off"``.
         """
         if request.netlist is None:
             # Delta request: there is no netlist to analyze here; the
@@ -468,7 +398,8 @@ class SimulationService:
             netlist_fingerprint=netlist_fingerprint,
         )
         if config.analysis == "strict" and report.has_errors:
-            self._bump("rejected")
+            with self._service_lock:
+                self._stats["rejected"] += 1
             rule_ids = sorted({f.rule_id for f in report.errors})
             raise DesignRejectedError(
                 f"design {request.netlist.name!r} rejected by analysis: "
@@ -478,84 +409,41 @@ class SimulationService:
             )
         return report
 
-    def _reserve_quota(self, request: ServeRequest) -> Optional[str]:
-        """Claim one in-flight slot for the request's client (or raise).
-
-        Returns the client id whose reservation must be released when the
-        request's future resolves, or ``None`` when quotas are disabled.
-        """
-        if self._per_client_quota is None:
-            return None
-        client_id = request.client if request.client is not None else "<anonymous>"
-        with self._quota_lock:
-            inflight = self._client_inflight.get(client_id, 0)
-            if inflight >= self._per_client_quota:
-                over = True
-            else:
-                over = False
-                self._client_inflight[client_id] = inflight + 1
-        if over:
-            self._bump("quota_rejected")
-            raise QuotaExceededError(
-                f"client {client_id!r} has {inflight} request(s) in flight "
-                f"(quota {self._per_client_quota})"
-            )
-        return client_id
-
-    def _release_quota(self, client_id: str) -> None:
-        with self._quota_lock:
-            remaining = self._client_inflight.get(client_id, 0) - 1
+    def _release_quota(self, client: str, _future: object) -> None:
+        with self._service_lock:
+            remaining = self._client_inflight[client] - 1
             if remaining > 0:
-                self._client_inflight[client_id] = remaining
+                self._client_inflight[client] = remaining
             else:
-                self._client_inflight.pop(client_id, None)
+                del self._client_inflight[client]
 
     def run(self, request: ServeRequest, timeout: Optional[float] = None) -> ServeResponse:
         """Synchronous convenience: ``submit`` and wait for the response."""
         return self.submit(request).result(timeout=timeout)
 
     def stats(self) -> Dict[str, float]:
-        """Snapshot of the service counters (plus current queue depth).
-
-        Integer counters plus the per-phase latency accumulators
-        (``queue_seconds_total`` / ``run_seconds_total``) and the
-        coalesce/fusion counters; the wire protocol's ``stats`` op
-        returns exactly this mapping.
-        """
-        with self._stats_lock:
+        """Snapshot of the counters and per-phase latency accumulators
+        (``queue_seconds_total`` / ``run_seconds_total``), plus
+        ``queue_depth`` (admitted, not yet taken by a drain) and
+        ``cached_sessions``; the wire ``stats`` op returns exactly this."""
+        with self._service_lock:
             snapshot = dict(self._stats)
-        snapshot["queue_depth"] = self._queue.qsize()
-        with self._session_lock:
+            snapshot["queue_depth"] = self._pending_count
             snapshot["cached_sessions"] = len(self._sessions)
         return snapshot
 
     def close(self) -> None:
-        """Drain the queue, finish in-flight work, and stop the service.
+        """Finish admitted work, then stop the service.
 
-        Already-queued requests are still executed; new ``submit`` calls
-        fail with :class:`ServiceClosedError`.  Idempotent.
+        Already-admitted requests are still executed; new (and blocked)
+        ``submit`` calls fail with :class:`ServiceClosedError`.  Returns
+        once every worker thread has exited.  Idempotent.
         """
-        with self._closed_lock:
-            if self._closed:
-                return
+        with self._service_lock:
             self._closed = True
-        self._queue.put(_SHUTDOWN)
-        self._dispatcher.join()
-        # A submit that raced past the closed-check may have enqueued
-        # behind the shutdown sentinel; the dispatcher is gone, so fail
-        # those futures here instead of leaving them to hang forever.
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                continue
-            if item.future.set_running_or_notify_cancel():
-                item.future.set_exception(
-                    ServiceClosedError("service is closed")
-                )
-            self._bump("rejected")
+            self._service_lock.notify_all()
+            while self._active_keys:
+                self._service_lock.wait()
         self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "SimulationService":
@@ -565,99 +453,46 @@ class SimulationService:
         self.close()
 
     # ------------------------------------------------------------------
-    # Dispatcher
+    # Execution
     # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        """Pull queued requests, micro-batch by session key, dispatch.
-
-        Each pulled request holds one in-flight permit (acquired before
-        the queue ``get``, released when the request finishes), so with
-        saturated workers the loop stalls here and overload surfaces as
-        a full queue at ``submit`` time.
-        """
-        shutting_down = False
-        while not shutting_down:
-            self._inflight.acquire()
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                self._inflight.release()
-                break
-            batch: List[_QueueItem] = [item]
-            # Opportunistically widen the micro-batch with whatever is
-            # both queued and admissible right now.
-            while self._inflight.acquire(blocking=False):
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    self._inflight.release()
-                    break
-                if extra is _SHUTDOWN:
-                    self._inflight.release()
-                    shutting_down = True
-                    break
-                batch.append(extra)
-            ready: "OrderedDict[str, List[_QueueItem]]" = OrderedDict()
-            with self._group_lock:
-                for queued in batch:
-                    self._pending_groups.setdefault(queued.key, []).append(
-                        queued
-                    )
-                for key in list(self._pending_groups):
-                    if key not in self._active_keys:
-                        self._active_keys.add(key)
-                        ready[key] = self._pending_groups.pop(key)
-            for key, items in ready.items():
-                self._executor.submit(self._run_group, key, items)
-
-    def _run_group(self, key: str, items: List[_QueueItem]) -> None:
-        """Execute one batch for ``key``, then chain any accumulated work.
-
-        The key stays marked active until its pending list is empty, so
-        requests arriving during execution coalesce into the *next* batch
-        instead of queueing individually behind the session lock.
-        """
-        for queued in items:
-            queued.batch_size = len(items)
-        with self._stats_lock:
+    def _drain(self, key: str) -> None:
+        """Run every pending request of ``key`` as one batch; requests
+        arriving meanwhile go to the next drain, resubmitted to the pool
+        behind other keys' drains so keys take turns."""
+        with self._service_lock:
+            items = self._pending.pop(key)
+            self._pending_count -= len(items)
             self._stats["batches"] += 1
             self._stats["max_batch_size"] = max(
                 self._stats["max_batch_size"], len(items)
             )
+            self._service_lock.notify_all()
         try:
             self._execute_batch(key, items)
         finally:
-            with self._group_lock:
-                more = self._pending_groups.pop(key, None)
-                if more is None:
+            with self._service_lock:
+                more = key in self._pending
+                if not more:
                     self._active_keys.discard(key)
-            if more is not None:
-                try:
-                    self._executor.submit(self._run_group, key, more)
-                except RuntimeError:
-                    # Executor already shutting down (close() drains):
-                    # run the chained batch inline on this worker.
-                    self._run_group(key, more)
+                    self._service_lock.notify_all()
+            if more:
+                self._executor.submit(self._drain, key)
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
     def _session_for(self, key: str, request: ServeRequest) -> Tuple[Any, bool]:
         """The one prepared session for ``key`` (preparing it on a miss).
 
-        Batches for one key are serialized by ``_run_group``'s active-key
-        bookkeeping, so at most one thread ever prepares a given key; the
-        ``prepare()`` itself runs outside the session lock, so a slow
-        compile of one design never stalls lookups for the others.  A
-        failed prepare caches nothing — the next request for the key
-        retries.  Returns ``(session, reused)``.
+        Only the key's own drain calls this, so no key is prepared twice
+        at once; ``prepare()`` runs outside the lock, so one slow compile
+        never stalls other designs.  A failed prepare caches nothing.
+        Returns ``(session, reused)``.
         """
-        with self._session_lock:
+        with self._service_lock:
             session = self._sessions.get(key)
             if session is not None:
                 self._sessions.move_to_end(key)
-                self._bump("session_hits")
+                self._stats["session_hits"] += 1
                 return session, True
-            self._bump("session_misses")
+            self._stats["session_misses"] += 1
         if request.netlist is None:
             raise UnknownBaseDesignError(
                 f"base_key {key!r} names no live prepared session "
@@ -670,261 +505,192 @@ class SimulationService:
             config=request.config,
             **options,
         )
-        # Keys with dispatched-but-unfinished batches or pending groups
-        # are pinned: evicting them would turn the queued work (delta
-        # requests especially, which cannot re-prepare) into spurious
-        # UnknownBaseDesignError.  Snapshot under the group lock *before*
-        # taking the session lock — same-rank locks are never nested.
-        with self._group_lock:
-            pinned = set(self._active_keys)
-            pinned.update(self._pending_groups)
-        with self._session_lock:
+        with self._service_lock:
             self._sessions[key] = session
-            self._sessions.move_to_end(key)
-            if len(self._sessions) > self._session_cache_size:
-                for stale in list(self._sessions):
-                    if len(self._sessions) <= self._session_cache_size:
-                        break
-                    if stale == key or stale in pinned:
-                        continue
-                    del self._sessions[stale]
-            # With every resident key pinned the cache may transiently
-            # exceed its bound; the next unpinned insert re-trims it.
+            # Active keys (this one included) are pinned: evicting them
+            # would turn their admitted work — delta requests especially,
+            # which cannot re-prepare — into UnknownBaseDesignError.  With
+            # every resident key pinned the cache may transiently exceed
+            # its bound; the next insert re-trims it.
+            for stale in [k for k in self._sessions if k not in self._active_keys]:
+                if len(self._sessions) <= self._session_cache_size:
+                    break
+                del self._sessions[stale]
         return session, False
 
     def _execute_batch(self, key: str, items: List[_QueueItem]) -> None:
-        """Run one micro-batch on its shared prepared session.
+        """Run one drained batch on the key's prepared session.
 
-        Every item releases its in-flight permit exactly once, whatever
-        its outcome (completed, failed, cancelled, prepare error).
+        Cancelled requests are dropped.  Identical full requests (equal
+        stimulus fingerprint and horizon; the key pins the rest) coalesce
+        onto one run.  A single distinct full request runs with
+        ``session.run``, which keeps the rerun base that delta requests
+        read; two or more run as one ``run_many``.  Deltas run last.
         """
+        live = [q for q in items if q.future.set_running_or_notify_cancel()]
+        for queued in live:
+            queued.batch_size = len(items)
+        if not live:
+            return
         # Prepare (or fetch) the session from a full request when the batch
         # has one; an all-delta batch can only hit the cache.
         probe = next(
-            (q.request for q in items if q.request.netlist is not None),
-            items[0].request,
+            (q.request for q in live if q.request.netlist is not None),
+            live[0].request,
         )
         try:
             session, reused = self._session_for(key, probe)
         except BaseException as exc:
-            for queued in items:
-                if queued.future.set_running_or_notify_cancel():
-                    queued.future.set_exception(exc)
-                self._bump("failed")
-                self._inflight.release()
+            self._fail(live, exc)
             return
-        live: List[_QueueItem] = []
-        for queued in items:
-            if queued.future.set_running_or_notify_cancel():
-                live.append(queued)
-            else:  # cancelled while queued
-                self._inflight.release()
-        if not live:
-            return
-        # Coalesce in-flight identical full requests: the session key
-        # already pins the design fingerprints, backend spec, and config,
-        # so equal stimulus fingerprints and horizons guarantee
-        # bit-identical results — one leader runs the engine, followers
-        # fan its result out.  Delta requests are never coalesced (each
-        # mutates the session apply -> rerun -> undo).
-        followers: List[Tuple[_QueueItem, _QueueItem]] = []
-        leaders_by_fp: Dict[Tuple[str, Optional[int], Optional[int]], _QueueItem] = {}
-        runnable: List[_QueueItem] = []
+        # Identity -> [leader, *coalesced followers].
+        groups: Dict[Tuple[str, Optional[int], Optional[int]], List[_QueueItem]] = {}
+        deltas: List[List[_QueueItem]] = []
         for queued in live:
-            if queued.request.netlist is None:
-                runnable.append(queued)
+            request = queued.request
+            if request.netlist is None:
+                deltas.append([queued])
                 continue
             identity = (
-                stimulus_fingerprint(queued.request.stimulus),
-                queued.request.cycles,
-                queued.request.duration,
+                stimulus_fingerprint(request.stimulus),
+                request.cycles,
+                request.duration,
             )
-            leader = leaders_by_fp.get(identity)
-            if leader is None:
-                leaders_by_fp[identity] = queued
-                runnable.append(queued)
-            else:
-                followers.append((queued, leader))
-        outcomes: Dict[int, _Outcome] = {}
-        # Distinct full requests run as one batch; delta requests never
-        # join it (each mutates the session apply -> rerun -> undo).
-        full_items = [q for q in runnable if q.request.netlist is not None]
-        if len(full_items) > 1:
-            if self._execute_many(key, session, full_items, reused, outcomes):
-                reused = True
-            runnable = [q for q in runnable if id(q) not in outcomes]
-        for queued in runnable:
-            try:
-                picked_up = time.perf_counter()
-                request = queued.request
-                try:
-                    if request.netlist is None:
-                        result = self._run_delta(session, request)
-                    else:
-                        result = session.run(
-                            request.stimulus,
-                            cycles=request.cycles,
-                            duration=request.duration,
-                        )
-                except BaseException as exc:
-                    outcomes[id(queued)] = self._fail(queued, exc)
-                    continue
-                outcomes[id(queued)] = self._complete(
-                    key, queued, result, picked_up,
-                    time.perf_counter() - picked_up, reused,
-                )
-                # Later requests of the batch ran on a session the batch
-                # itself warmed up.
-                reused = True
-            finally:
-                self._inflight.release()
-        for queued, leader in followers:
-            try:
-                outcome = outcomes.get(id(leader))
-                if outcome is not None and outcome.error is not None:
-                    self._fail(queued, outcome.error)
-                elif outcome is None or outcome.result is None:
-                    # The leader never produced an outcome (defensive; it
-                    # always should) — fail the follower loudly rather
-                    # than hanging its future.
-                    self._fail(
-                        queued, ServiceError("coalesced leader produced no outcome")
-                    )
-                else:
-                    self._complete(
-                        key, queued, outcome.result, time.perf_counter(),
-                        outcome.run_seconds, True, fused=outcome.fused,
-                        coalesced=True,
-                    )
-            finally:
-                self._inflight.release()
+            groups.setdefault(identity, []).append(queued)
 
-    def _run_delta(self, session: Any, request: ServeRequest) -> SimulationResult:
-        """Evaluate one what-if edit batch against the base session.
+        def run_full(request: ServeRequest) -> SimulationResult:
+            return session.run(
+                request.stimulus, cycles=request.cycles, duration=request.duration
+            )
 
-        At most one batch per key executes at a time (the dispatcher's
-        active-key bookkeeping), so apply -> rerun -> undo is race-free.
-        The undo restores the shared session to the base design before
-        the next request touches it; the journal-chained compile cache
-        makes repeat evaluations of a seen batch (and every undo) cache
-        hits instead of rebuilds.
+        def run_delta(request: ServeRequest) -> SimulationResult:
+            # Apply -> rerun -> undo: the shared session always returns to
+            # the base design, and the journal-chained compile cache makes
+            # a repeated batch (and every undo) a cache hit, not a rebuild.
+            result = session.rerun(
+                list(request.edits),
+                stimulus=request.stimulus or None,
+                cycles=request.cycles,
+                duration=request.duration,
+            )
+            receipt = session.last_edit_receipt
+            if receipt is not None and receipt.edits:
+                session.apply_edits(receipt.undo_edits)
+            return result
+
+        singles = list(groups.values())
+        if len(singles) > 1:
+            singles, reused = self._run_many(key, session, singles, reused)
+        reused = self._run_each(key, singles, reused, run_full)
+        self._run_each(key, deltas, reused, run_delta)
+
+    def _run_many(
+        self, key: str, session: Any, groups: List[List[_QueueItem]], reused: bool
+    ) -> Tuple[List[List[_QueueItem]], bool]:
+        """Run distinct full requests as one ``session.run_many`` call.
+
+        A request whose horizon or stimulus is invalid fails alone before
+        the batch runs.  Returns the groups left to run one by one — a
+        lone valid request, or every valid one when the batch itself
+        raised, so an engine failure resolves only the request that
+        causes it — and whether the session is warm now.
         """
-        result = session.rerun(
-            list(request.edits),
-            stimulus=request.stimulus or None,
-            cycles=request.cycles,
-            duration=request.duration,
-        )
-        receipt = getattr(session, "last_edit_receipt", None)
-        if receipt is not None and receipt.edits:
-            session.apply_edits(receipt.undo_edits)
-        return result
-
-    def _execute_many(
-        self,
-        key: str,
-        session: Any,
-        items: List[_QueueItem],
-        reused: bool,
-        outcomes: Dict[int, _Outcome],
-    ) -> bool:
-        """Execute distinct full requests as one ``session.run_many`` call.
-
-        Every item given an outcome here is resolved (future set, permit
-        released).  A request whose horizon or stimulus is invalid fails
-        alone before the batch runs.  When the batched run itself raises,
-        the valid items get no outcome and the caller runs them one by
-        one, so an engine failure resolves only the request that causes
-        it.  Returns whether the batch ran.
-        """
-        batch: List[_QueueItem] = []
-        for queued in items:
-            request = queued.request
+        batch: List[List[_QueueItem]] = []
+        for group in groups:
+            request = group[0].request
             try:
                 normalize_horizon(
                     request.cycles, request.duration, session.clock_period
                 )
                 validate_stimulus(session.netlist, request.stimulus)
             except Exception as exc:
-                outcomes[id(queued)] = self._fail(queued, exc)
-                self._inflight.release()
+                self._fail(group, exc)
                 continue
-            batch.append(queued)
-        if not batch:
-            return False
+            batch.append(group)
+        if len(batch) < 2:
+            return batch, reused
         picked_up = time.perf_counter()
         try:
-            results = session.run_many(
-                [
-                    RunSpec(
-                        stimulus=queued.request.stimulus,
-                        cycles=queued.request.cycles,
-                        duration=queued.request.duration,
-                    )
-                    for queued in batch
-                ]
-            )
+            results = session.run_many([
+                RunSpec(request.stimulus, request.cycles, request.duration)
+                for request in (group[0].request for group in batch)
+            ])
         except Exception:
             # Counted so a systematically failing batch path is observable
             # in stats instead of degrading silently.
-            self._bump("fused_fallbacks")
-            return False
+            with self._service_lock:
+                self._stats["fused_fallbacks"] += 1
+            return batch, reused
         # The batch executed jointly; attribute the wall time evenly,
         # matching the engine's stats attribution.
         run_seconds = (time.perf_counter() - picked_up) / len(batch)
-        for queued, result in zip(batch, results):
-            outcomes[id(queued)] = self._complete(
-                key, queued, result, picked_up, run_seconds, reused,
+        for group, result in zip(batch, results):
+            self._complete(
+                key, group, result, picked_up, run_seconds, reused,
                 fused=result.stats.fused_requests > 1,
             )
-            self._inflight.release()
-        return True
+        return [], True
+
+    def _run_each(
+        self, key: str, groups: List[List[_QueueItem]], reused: bool,
+        call: Callable[[ServeRequest], SimulationResult],
+    ) -> bool:
+        """Run each group's leader alone; returns whether the session is
+        warm afterwards (a request that ran warmed it for the next)."""
+        for group in groups:
+            picked_up = time.perf_counter()
+            try:
+                result = call(group[0].request)
+            except BaseException as exc:
+                self._fail(group, exc)
+                continue
+            self._complete(
+                key, group, result, picked_up,
+                time.perf_counter() - picked_up, reused,
+            )
+            reused = True
+        return reused
 
     def _complete(
-        self,
-        key: str,
-        queued: _QueueItem,
-        result: SimulationResult,
-        picked_up: float,
-        run_seconds: float,
-        reused: bool,
-        fused: bool = False,
-        coalesced: bool = False,
-    ) -> _Outcome:
-        """Resolve ``queued`` with ``result`` (a coalesced follower's
-        latency records no run time of its own)."""
-        queue_seconds = picked_up - queued.enqueued_at
-        queued.future.set_result(
+        self, key: str, group: List[_QueueItem], result: SimulationResult,
+        picked_up: float, run_seconds: float, reused: bool, fused: bool = False,
+    ) -> None:
+        """Resolve a leader and its coalesced followers with ``result``.
+
+        The leader records ``run_seconds``; a follower records no run time
+        of its own, and its queue wait lasts until the leader finished.
+        """
+        finished = time.perf_counter()
+        responses = [
             ServeResponse(
                 result=result,
                 backend=queued.request.backend,
                 session_key=key,
-                queue_seconds=queue_seconds,
+                queue_seconds=(finished if index else picked_up) - queued.enqueued_at,
                 run_seconds=run_seconds,
                 batch_size=queued.batch_size,
-                session_reused=reused,
+                session_reused=reused or index > 0,
                 fused=fused,
-                coalesced=coalesced,
+                coalesced=index > 0,
                 analysis_report=queued.analysis_report,
                 tag=queued.request.tag,
             )
-        )
-        self._record_latency(queue_seconds, 0.0 if coalesced else run_seconds)
-        self._bump("completed")
-        if coalesced:
-            self._bump("coalesced")
-        return _Outcome(result=result, run_seconds=run_seconds, fused=fused)
-
-    def _fail(self, queued: _QueueItem, error: BaseException) -> _Outcome:
-        queued.future.set_exception(error)
-        self._bump("failed")
-        return _Outcome(error=error)
-
-    def _bump(self, counter: str) -> None:
-        with self._stats_lock:
-            self._stats[counter] += 1
-
-    def _record_latency(self, queue_seconds: float, run_seconds: float) -> None:
-        with self._stats_lock:
-            self._stats["queue_seconds_total"] += queue_seconds
+            for index, queued in enumerate(group)
+        ]
+        # Counters first, so a client that sees its response also sees it
+        # counted; futures resolve outside the lock (done callbacks take it).
+        with self._service_lock:
+            self._stats["completed"] += len(group)
+            self._stats["coalesced"] += len(group) - 1
+            self._stats["queue_seconds_total"] += sum(
+                response.queue_seconds for response in responses
+            )
             self._stats["run_seconds_total"] += run_seconds
+        for queued, response in zip(group, responses):
+            queued.future.set_result(response)
+
+    def _fail(self, group: List[_QueueItem], error: BaseException) -> None:
+        with self._service_lock:
+            self._stats["failed"] += len(group)
+        for queued in group:
+            queued.future.set_exception(error)

@@ -233,7 +233,7 @@ class TestSessionContract:
             assert not hasattr(core, name), name
         assert not hasattr(restructure, "slice_stimulus")
         fields = {field.name for field in dataclasses.fields(SimConfig)}
-        assert "max_segment_retries" not in fields and len(fields) == 15
+        assert "max_segment_retries" not in fields and len(fields) == 14
         assert "config" not in inspect.signature(GatspiSession).parameters
 
     def test_time_axis_fusion_helpers_are_gone(self):

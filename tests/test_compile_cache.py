@@ -140,13 +140,20 @@ class TestCacheInvalidation:
             set_compile_cache_capacity(COMPILE_CACHE_CAPACITY)
 
     def test_disabled_cache_never_stores(self):
+        from repro.core import set_compile_cache_capacity
+        from repro.core.compile_cache import COMPILE_CACHE_CAPACITY
+
         netlist, annotation = _design()
-        config = SimConfig(compile_cache=False)
-        GatspiEngine(netlist, annotation=annotation, config=config).compile()
-        engine = GatspiEngine(netlist, annotation=annotation, config=config)
-        engine.compile()
-        assert not engine.compile_cache_hit
-        assert cache_info()["size"] == 0
+        try:
+            set_compile_cache_capacity(0)
+            GatspiEngine(netlist, annotation=annotation).compile()
+            engine = GatspiEngine(netlist, annotation=annotation)
+            engine.compile()
+            assert not engine.compile_cache_hit
+            assert cache_info()["size"] == 0
+            assert cache_info()["hits"] == 0
+        finally:
+            set_compile_cache_capacity(COMPILE_CACHE_CAPACITY)
 
     def test_store_respects_capacity_after_concurrent_shrink(self):
         from repro.core import set_compile_cache_capacity

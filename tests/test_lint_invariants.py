@@ -69,9 +69,10 @@ class TestLockOrderRule:
         violations = linter.lint_file(FIXTURES / "lock_violation.py")
         lk = [v for v in violations if v.rule == "LK001"]
         assert len(lk) == 2
-        assert "'_stats_lock' (rank 20)" in lk[0].message
+        assert "'_service_lock' (rank 10)" in lk[0].message
         assert "'_LOCK' (rank 30)" in lk[0].message
-        assert "'_session_lock' (rank 10)" in lk[1].message
+        assert "'_run_lock' (rank 0)" in lk[1].message
+        assert "'_service_lock' (rank 10)" in lk[1].message
 
     def test_sanctioned_order_and_nested_defs_clean(self, linter):
         violations = linter.lint_file(FIXTURES / "lock_violation.py")
@@ -80,14 +81,14 @@ class TestLockOrderRule:
         assert len(violations) == 2
 
     def test_serving_leaf_locks_admit_no_nesting(self, linter, tmp_path):
-        """The ISSUE-8 leaf locks (quota/conn/shm-registry) share the max
-        rank, so acquiring anything — even each other — inside them fires."""
+        """The serving leaf locks (conn/shm-registry) share the max rank,
+        so acquiring anything — even each other — inside them fires."""
         bad = tmp_path / "leaf.py"
         bad.write_text(
             "class S:\n"
             "    def f(self):\n"
-            "        with self._quota_lock:\n"
-            "            with self._stats_lock:\n"
+            "        with self._registry_lock:\n"
+            "            with self._service_lock:\n"
             "                pass\n"
             "    def g(self):\n"
             "        with self._conn_lock:\n"
@@ -96,8 +97,8 @@ class TestLockOrderRule:
         )
         violations = linter.lint_file(bad)
         assert [v.rule for v in violations] == ["LK001", "LK001"]
-        assert "'_quota_lock' (rank 30)" in violations[0].message
-        assert "'_stats_lock' (rank 20)" in violations[0].message
+        assert "'_registry_lock' (rank 30)" in violations[0].message
+        assert "'_service_lock' (rank 10)" in violations[0].message
         assert "'_conn_lock' (rank 30)" in violations[1].message
         assert "'_registry_lock' (rank 30)" in violations[1].message
 

@@ -9,6 +9,7 @@ results, through both plain ``gatspi`` and ``gatspi:workers=process:2``
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -314,6 +315,46 @@ class TestAdmissionControl:
             blocking_backend.release.set()
             service.close()
 
+    def test_full_queue_blocks_submit_until_a_drain_takes_its_batch(
+        self, blocking_backend
+    ):
+        """``queue_size`` bounds requests not yet taken by a drain.
+
+        The running request does not count; the one waiting behind it
+        fills a queue of one, so a blocking submit waits until the key's
+        next drain takes that request, then is admitted.
+        """
+        netlist, annotation, stimulus = _design(19)
+
+        def blocked_request():
+            return ServeRequest(
+                netlist=netlist, stimulus=stimulus, backend="blocking-test",
+                annotation=annotation, duration=DURATION,
+            )
+
+        service = SimulationService(max_workers=1, queue_size=1)
+        try:
+            running = service.submit(blocked_request())
+            assert blocking_backend.entered.wait(timeout=10)
+            waiting = service.submit(blocked_request(), block=False)
+            admitted = []
+            blocked = threading.Thread(
+                target=lambda: admitted.append(
+                    service.submit(blocked_request(), timeout=30)
+                )
+            )
+            blocked.start()
+            blocked.join(timeout=0.2)
+            assert blocked.is_alive(), "submit did not wait on the full queue"
+            blocking_backend.release.set()
+            blocked.join(timeout=30)
+            assert not blocked.is_alive() and len(admitted) == 1
+            for future in [running, waiting] + admitted:
+                assert future.result(timeout=30) is not None
+        finally:
+            blocking_backend.release.set()
+            service.close()
+
     def test_per_client_quota_bounds_in_flight_requests(self, blocking_backend):
         """A client at its quota is rejected; other clients stay admitted.
 
@@ -353,6 +394,37 @@ class TestAdmissionControl:
         finally:
             blocking_backend.release.set()
             service.close()
+
+    def test_failed_submit_returns_its_quota_permit(self):
+        """A submit that raises after analysis holds no quota permit.
+
+        The annotation belongs to another design, so the session key's
+        annotation fingerprint raises inside ``submit``; the client's next
+        submit must still be admitted, not refused for a leaked permit.
+        """
+        netlist, _, stimulus = _design(1)
+        other = build_random_netlist(num_inputs=5, num_gates=24, seed=2)
+        foreign = annotation_from_design_delays(
+            other, SyntheticDelayModel(seed=2).build(other)
+        )
+        off = SimConfig(analysis="off")
+        with SimulationService(per_client_quota=1) as service:
+            with pytest.raises(KeyError):
+                service.submit(
+                    ServeRequest(
+                        netlist=netlist, stimulus=stimulus, annotation=foreign,
+                        config=off, duration=DURATION, client="alice",
+                    )
+                )
+            response = service.run(
+                ServeRequest(
+                    netlist=netlist, stimulus=stimulus, config=off,
+                    duration=DURATION, client="alice",
+                ),
+                timeout=60,
+            )
+        assert response.result.total_toggles() > 0
+        assert service.stats()["quota_rejected"] == 0
 
     def test_queued_request_can_be_cancelled(self, blocking_backend):
         netlist, annotation, stimulus = _design(14)
@@ -494,6 +566,53 @@ class TestServiceConcurrency:
         # Each backend spec needs one prepared session per design.
         assert stats["session_misses"] == len(seeds) * 2
 
+    def test_close_racing_submit_leaves_no_request_or_thread_behind(self):
+        """Clients keep submitting while ``close()`` runs.
+
+        Every submit either raises ``ServiceClosedError`` or returns a
+        future that resolves, and ``close()`` returns with no service
+        worker thread left alive.
+        """
+        request = _request(24, backend="event")
+        before = {t.ident for t in threading.enumerate()}
+        service = SimulationService(max_workers=2, queue_size=4)
+        outcomes = []
+        started = threading.Barrier(5)
+
+        def client():
+            started.wait(timeout=30)
+            while True:
+                try:
+                    future = service.submit(request)
+                except ServiceClosedError:
+                    return
+                outcomes.append(future)
+
+        clients = [threading.Thread(target=client) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in clients:
+                thread.start()
+            started.wait(timeout=30)
+            time.sleep(0.05)
+            service.close()
+            for thread in clients:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), "a client stayed blocked in submit"
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes, "no submit won the race"
+        for future in outcomes:
+            assert future.result(timeout=30).result.total_toggles() > 0
+        leftover = [
+            t for t in threading.enumerate()
+            if t.ident not in before and t.name.startswith("repro-serve")
+        ]
+        assert leftover == []
+        stats = service.stats()
+        assert stats["completed"] == stats["submitted"] == len(outcomes)
+
     def test_counters_conserve_under_concurrent_submit(self):
         request = _request(23)
         with SimulationService(max_workers=4, queue_size=64) as service:
@@ -593,26 +712,26 @@ class TestAdmissionSemantics:
 
 class TestSessionEvictionPinning:
     def test_base_session_with_queued_delta_work_survives_eviction(self):
-        # Regression (pre-fix: the session-LRU eviction loop ignored
-        # _active_keys/_pending_groups, so eviction pressure while a
-        # delta batch was dispatched-but-unfinished dropped the base
-        # session and turned the delta into UnknownBaseDesignError).
+        # Regression (pre-fix: the session-LRU eviction loop ignored the
+        # keys with work in flight, so eviction pressure while a delta
+        # batch was admitted-but-unfinished dropped the base session and
+        # turned the delta into UnknownBaseDesignError).
         from repro.core.edits import SetPinDelay
 
         base_request = _request(41)
         with SimulationService(max_workers=1, session_cache_size=1) as service:
             base = service.run(base_request)
             base_key = base.session_key
-            # Simulate a dispatched-but-unfinished delta batch holding the
-            # base key, exactly what _run_group's bookkeeping does while a
-            # batch for the key executes.
-            with service._group_lock:
+            # Simulate an admitted-but-unfinished delta batch holding the
+            # base key, exactly what the service's state under its one lock
+            # records while a drain for the key is queued or running.
+            with service._service_lock:
                 service._active_keys.add(base_key)
             try:
                 service.run(_request(42))  # eviction pressure (cache size 1)
                 service.run(_request(43))
             finally:
-                with service._group_lock:
+                with service._service_lock:
                     service._active_keys.discard(base_key)
             gate = next(
                 inst

@@ -16,7 +16,7 @@ cheaply observe:
 
 ``LK001`` — lock acquisition order
     The stack takes its locks in a fixed order: session run locks
-    (outermost), then serve bookkeeping locks, then serve stats, then the
+    (outermost), then the serving service's one lock, then the
     process-wide compile/analysis cache ``_LOCK`` (innermost leaf).
     Acquiring an outer-ranked lock while lexically holding an inner-ranked
     one is the deadlock shape PR 5 fixed; this rule keeps it from coming
@@ -83,16 +83,12 @@ XP_ROUTED_MODULES = (
 #: Attribute / module-global lock names -> rank.  A ``with`` on a lock may
 #: only nest locks of strictly higher rank inside it.
 LOCK_RANKS: Dict[str, int] = {
-    "_run_lock": 0,       # Session.run serialization (api/session.py)
-    "_session_lock": 10,  # serve session LRU (serve/service.py)
-    "_group_lock": 10,    # serve batch grouping
-    "_closed_lock": 10,   # serve close() latch
-    "_stats_lock": 20,    # serve counters
-    "_LOCK": 30,          # compile/analysis cache leaf lock (no callbacks)
-    # Leaf locks of the wire/process serving layer (ISSUE 8): nothing may
-    # be acquired while any of them is held, so they share the maximum
+    "_run_lock": 0,        # Session.run serialization (api/session.py)
+    "_service_lock": 10,   # serve state: pending, keys, LRU, quotas, counters
+    "_LOCK": 30,           # compile/analysis cache leaf lock (no callbacks)
+    # Leaf locks of the wire/process serving layer: nothing may be
+    # acquired while any of them is held, so they share the maximum
     # rank — equal ranks forbid nesting in either direction.
-    "_quota_lock": 30,     # serve per-client admission quotas (service.py)
     "_conn_lock": 30,      # wire server connection registry (server.py)
     "_registry_lock": 30,  # shm live-segment registry (core/shm.py)
 }
