@@ -7,12 +7,16 @@ value; empty value fields ``()`` are preserved as ``None`` so conditional and
 edge-specific statements like the paper's Fig. 4 example round-trip exactly::
 
     (COND A2===1'b1&&A1===1'b0 (IOPATH (posedge B) Y () (5)))
+
+Both the tree building and the delay walk are single loops with an explicit
+stack, so the cost is linear in the file size and any nesting depth parses.
+Every malformed input raises :class:`SdfError`.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .types import SdfCell, SdfFile, SdfInterconnect, SdfIoPath
 
@@ -27,37 +31,71 @@ _TOKEN = re.compile(r"\(|\)|\"[^\"]*\"|[^\s()\"]+")
 
 
 def _tokenize(text: str) -> List[str]:
+    # Quoted strings hold no quotes, so quotes pair up in order and an odd
+    # count means one never closes; ``_TOKEN`` would silently skip it.
+    if text.count('"') % 2:
+        raise SdfError("unterminated quoted string in SDF file")
     return _TOKEN.findall(text)
 
 
-def _parse_sexpr(tokens: Sequence[str]) -> Tuple[SExpr, int]:
-    """Parse one S-expression starting at tokens[0]; return (expr, consumed)."""
+def _parse_all(text: str) -> SExpr:
+    """Build the S-expression tree in one pass over the tokens.
+
+    ``stack`` holds the open lists; its bottom entry collects the single
+    top-level expression.
+    """
+    tokens = _tokenize(text)
     if not tokens:
         raise SdfError("unexpected end of file")
-    token = tokens[0]
-    if token == "(":
-        items: List[SExpr] = []
-        index = 1
-        while index < len(tokens) and tokens[index] != ")":
-            expr, consumed = _parse_sexpr(tokens[index:])
-            items.append(expr)
-            index += consumed
-        if index >= len(tokens):
-            raise SdfError("unbalanced parenthesis in SDF file")
-        return items, index + 1
-    if token == ")":
-        raise SdfError("unexpected ')' in SDF file")
-    return token, 1
+    top: List[SExpr] = []
+    stack = [top]
+    for index, token in enumerate(tokens):
+        if token == "(":
+            items: List[SExpr] = []
+            stack[-1].append(items)
+            stack.append(items)
+        elif token == ")":
+            if len(stack) == 1:
+                raise SdfError("unexpected ')' in SDF file")
+            stack.pop()
+        else:
+            stack[-1].append(token)
+        if len(stack) == 1:
+            if index + 1 != len(tokens):
+                raise SdfError("trailing tokens after DELAYFILE expression")
+            return top[0]
+    raise SdfError("unbalanced parenthesis in SDF file")
 
 
-def _parse_all(text: str) -> SExpr:
-    tokens = _tokenize(text)
-    expr, consumed = _parse_sexpr(tokens)
-    if consumed != len(tokens):
-        remaining = tokens[consumed:]
-        if any(token not in ("",) for token in remaining):
-            raise SdfError("trailing tokens after DELAYFILE expression")
-    return expr
+_CLOSE = object()
+
+
+def _excerpt(expr: SExpr, limit: int = 80) -> str:
+    """``expr`` written back as SDF text, cut after ``limit`` characters.
+
+    Iterative, unlike ``repr`` of nested lists, so an error message about an
+    arbitrarily deep subtree cannot itself hit the recursion limit.
+    """
+    out: List[str] = []
+    length = 0
+    previous = "("
+    pending: List[object] = [expr]
+    while pending and length <= limit:
+        item = pending.pop()
+        if item is _CLOSE:
+            token = ")"
+        elif isinstance(item, list):
+            pending.append(_CLOSE)
+            pending.extend(reversed(item))
+            token = "("
+        else:
+            token = str(item)
+        piece = token if token == ")" or previous == "(" else " " + token
+        previous = token
+        out.append(piece)
+        length += len(piece)
+    text = "".join(out)
+    return text if not pending else text[:limit] + " ..."
 
 
 def _unquote(token: str) -> str:
@@ -81,7 +119,7 @@ def _parse_delay_value(expr: SExpr) -> Optional[float]:
     else:
         token = expr
     if not isinstance(token, str):
-        raise SdfError(f"malformed delay value: {expr!r}")
+        raise SdfError(f"malformed delay value: {_excerpt(expr)}")
     if ":" in token:
         parts = token.split(":")
         candidates = [p for p in parts if p != ""]
@@ -132,18 +170,18 @@ def _parse_port_spec(expr: SExpr) -> Tuple[str, Optional[str]]:
         if edge not in ("posedge", "negedge"):
             raise SdfError(f"unsupported port edge qualifier: {expr[0]!r}")
         if not isinstance(expr[1], str):
-            raise SdfError(f"malformed port specification: {expr!r}")
+            raise SdfError(f"malformed port specification: {_excerpt(expr)}")
         return expr[1], edge
-    raise SdfError(f"malformed port specification: {expr!r}")
+    raise SdfError(f"malformed port specification: {_excerpt(expr)}")
 
 
 def _parse_iopath(expr: List[SExpr], condition: Dict[str, int]) -> SdfIoPath:
     if len(expr) < 3:
-        raise SdfError(f"malformed IOPATH: {expr!r}")
+        raise SdfError(f"malformed IOPATH: {_excerpt(expr)}")
     input_pin, edge = _parse_port_spec(expr[1])
     output_pin = expr[2]
     if not isinstance(output_pin, str):
-        raise SdfError(f"malformed IOPATH output: {expr!r}")
+        raise SdfError(f"malformed IOPATH output: {_excerpt(expr)}")
     values = expr[3:]
     rise = _parse_delay_value(values[0]) if len(values) >= 1 else None
     fall = _parse_delay_value(values[1]) if len(values) >= 2 else rise
@@ -161,10 +199,10 @@ def _parse_iopath(expr: List[SExpr], condition: Dict[str, int]) -> SdfIoPath:
 
 def _parse_interconnect(expr: List[SExpr]) -> SdfInterconnect:
     if len(expr) < 4:
-        raise SdfError(f"malformed INTERCONNECT: {expr!r}")
+        raise SdfError(f"malformed INTERCONNECT: {_excerpt(expr)}")
     source, destination = expr[1], expr[2]
     if not isinstance(source, str) or not isinstance(destination, str):
-        raise SdfError(f"malformed INTERCONNECT ports: {expr!r}")
+        raise SdfError(f"malformed INTERCONNECT ports: {_excerpt(expr)}")
     rise = _parse_delay_value(expr[3])
     fall = _parse_delay_value(expr[4]) if len(expr) > 4 else rise
     return SdfInterconnect(
@@ -175,38 +213,46 @@ def _parse_interconnect(expr: List[SExpr]) -> SdfInterconnect:
     )
 
 
+def _parse_cond(expr: List[SExpr]) -> SdfIoPath:
+    """``(COND <expr tokens...> (IOPATH ...))``."""
+    iopath_expr = None
+    condition_tokens: List[str] = []
+    for item in expr[1:]:
+        if isinstance(item, list) and _keyword(item) == "IOPATH":
+            iopath_expr = item
+        elif isinstance(item, str):
+            condition_tokens.append(item)
+        elif isinstance(item, list):
+            # Parenthesised condition expression.
+            condition_tokens.extend(token for token in item if isinstance(token, str))
+    if iopath_expr is None:
+        raise SdfError(f"COND without IOPATH: {_excerpt(expr)}")
+    condition = parse_condition("".join(condition_tokens))
+    return _parse_iopath(iopath_expr, condition)
+
+
 def _collect_delay_entries(expr: SExpr, cell: SdfCell) -> None:
-    """Recursively collect IOPATH/COND/INTERCONNECT under DELAY/ABSOLUTE."""
-    if not isinstance(expr, list):
-        return
-    keyword = _keyword(expr)
-    if keyword == "IOPATH":
-        cell.iopaths.append(_parse_iopath(expr, {}))
-        return
-    if keyword == "COND":
-        # (COND <expr tokens...> (IOPATH ...))
-        iopath_expr = None
-        condition_tokens: List[str] = []
-        for item in expr[1:]:
-            if isinstance(item, list) and _keyword(item) == "IOPATH":
-                iopath_expr = item
-            elif isinstance(item, str):
-                condition_tokens.append(item)
-            elif isinstance(item, list):
-                # Parenthesised condition expression.
-                condition_tokens.extend(
-                    token for token in item if isinstance(token, str)
-                )
-        if iopath_expr is None:
-            raise SdfError(f"COND without IOPATH: {expr!r}")
-        condition = parse_condition("".join(condition_tokens))
-        cell.iopaths.append(_parse_iopath(iopath_expr, condition))
-        return
-    if keyword == "INTERCONNECT":
-        cell.interconnects.append(_parse_interconnect(expr))
-        return
-    for item in expr:
-        _collect_delay_entries(item, cell)
+    """Collect IOPATH/COND/INTERCONNECT under DELAY/ABSOLUTE in document order.
+
+    A depth-first walk with an explicit stack: children are pushed in reverse
+    so they pop in file order, which is the order ``GateDelayTable.add_arcs``
+    applies overriding arcs in.  Groups that are none of the three are
+    descended into, so unknown wrappers are skipped at any depth.
+    """
+    pending: List[SExpr] = [expr]
+    while pending:
+        item = pending.pop()
+        if not isinstance(item, list):
+            continue
+        keyword = _keyword(item)
+        if keyword == "IOPATH":
+            cell.iopaths.append(_parse_iopath(item, {}))
+        elif keyword == "COND":
+            cell.iopaths.append(_parse_cond(item))
+        elif keyword == "INTERCONNECT":
+            cell.interconnects.append(_parse_interconnect(item))
+        else:
+            pending.extend(reversed(item))
 
 
 def parse_sdf(text: str) -> SdfFile:
@@ -228,6 +274,8 @@ def parse_sdf(text: str) -> SdfFile:
             for entry in item[1:]:
                 entry_keyword = _keyword(entry)
                 if entry_keyword == "CELLTYPE" and len(entry) > 1:
+                    if not isinstance(entry[1], str):
+                        raise SdfError(f"malformed CELLTYPE: {_excerpt(entry)}")
                     cell_type = _unquote(entry[1])
                 elif entry_keyword == "INSTANCE":
                     instance = entry[1] if len(entry) > 1 else ""

@@ -19,7 +19,8 @@ def _format_value(value: Optional[float]) -> str:
         return "()"
     if float(value).is_integer():
         return f"({int(value)})"
-    return f"({value:.3f})"
+    # Shortest text that reads back as the same float: the round trip is exact.
+    return f"({float(value)!r})"
 
 
 def _format_condition(condition: Dict[str, int]) -> str:

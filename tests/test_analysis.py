@@ -562,3 +562,35 @@ class TestCli:
         assert self._main("--demo", "--rules", "no-such-rule") == 2
         assert self._main("/no/such/netlist.v") == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "sdf_text, message",
+        [
+            ("(DELAYFILE (CELL (CELLTYPE (x)) (INSTANCE u1)))", "CELLTYPE"),
+            ("(DELAYFILE (CELL (DELAY " + "(" * 3000, "unbalanced parenthesis"),
+        ],
+    )
+    def test_bad_sdf_is_reported_not_raised(self, tmp_path, capsys, sdf_text, message):
+        from repro.netlist import write_verilog
+
+        netlist_path = tmp_path / "clean.v"
+        netlist_path.write_text(write_verilog(clean_design()))
+        sdf_path = tmp_path / "bad.sdf"
+        sdf_path.write_text(sdf_text)
+        assert self._main(str(netlist_path), str(sdf_path)) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot read SDF" in err and message in err
+
+    def test_deeply_nested_sdf_is_read(self, tmp_path, capsys):
+        from repro.netlist import write_verilog
+
+        netlist_path = tmp_path / "clean.v"
+        netlist_path.write_text(write_verilog(clean_design()))
+        sdf_path = tmp_path / "deep.sdf"
+        sdf_path.write_text(
+            '(DELAYFILE (CELL (CELLTYPE "INV") (INSTANCE u1) (DELAY '
+            + "(" * 3000 + ")" * 3000
+            + " (ABSOLUTE (IOPATH A Y (3) (3))))))"
+        )
+        assert self._main(str(netlist_path), str(sdf_path)) == 0
+        assert "clean:" in capsys.readouterr().out
