@@ -6,8 +6,10 @@ system in pure Python: the array waveform format, truth-table and conditional
 delay-table lookups, the per-gate/per-window simulation kernel, the levelized
 count → allocate → store engine with a device-memory pool model, SDF and
 structural-Verilog front ends, SAIF/VCD back ends, an event-driven reference
-simulator standing in for the commercial baseline, analytic GPU performance
-models, and the glitch-power optimization flow.
+simulator standing in for the commercial baseline, one batched zero-delay
+evaluator (the ``zero-delay`` backend and the clocked driver's capture
+settle), analytic GPU performance models, and the glitch-power optimization
+flow.
 
 All simulation engines are served through one unified entry point, the
 :mod:`repro.api` backend registry::

@@ -14,8 +14,9 @@ Name               Engine
                    differential suites' reference for ``gatspi``
 ``event``          :class:`~repro.reference.event_sim.EventDrivenSimulator`
                    — the commercial-simulator stand-in / oracle
-``zero-delay``     :class:`~repro.reference.zero_delay.ZeroDelaySimulator`
-                   — purely functional, used to isolate glitch activity
+``zero-delay``     :class:`~repro.core.settle.ZeroDelaySettle` — purely
+                   functional: every source-change time is one row of a
+                   batched settle; used to isolate glitch activity
 =================  ==================================================
 
 The concrete classes stay importable for backwards compatibility, but flows
@@ -32,6 +33,7 @@ from ..core.config import SimConfig
 from ..core.edits import Edit, EditReceipt
 from ..core.engine import GatspiEngine
 from ..core.restructure import StreamingSourceEvents
+from ..core.settle import ZeroDelaySettle
 from ..core.results import (
     PhaseTimings,
     SimulationResult,
@@ -39,10 +41,10 @@ from ..core.results import (
     StreamBatch,
 )
 from ..core.waveform import Waveform
+from ..core.xp import HOST
 from ..netlist import Netlist
 from ..reference.event_sim import EventDrivenSimulator
 from ..reference.oracle_engine import OracleEngine
-from ..reference.zero_delay import ZeroDelaySimulator
 from ..sdf.annotate import DelayAnnotation
 from .backend import BackendCapabilities, SimBackend
 from .registry import register_backend
@@ -321,11 +323,24 @@ class EventBackend(SimBackend):
 # zero-delay
 # ----------------------------------------------------------------------
 class ZeroDelaySession(Session):
-    """Session over a levelized :class:`ZeroDelaySimulator`."""
+    """Session over a packed :class:`ZeroDelaySettle`.
 
-    def __init__(self, simulator: ZeroDelaySimulator, config: SimConfig):
-        super().__init__("zero-delay", simulator.netlist, config)
-        self.simulator = simulator
+    A run evaluates the logic at time 0 and at every source toggle strictly
+    inside ``(0, duration)``: each such time is one row of source values,
+    all rows settle in one :meth:`~ZeroDelaySettle.settle_many` batch, and
+    each net's waveform is its column's changes.  Every source and gate
+    output net gets a waveform, at most one transition per change time.
+    """
+
+    def __init__(self, netlist: Netlist, config: SimConfig):
+        super().__init__("zero-delay", netlist, config)
+        self.settle = ZeroDelaySettle(netlist)
+        self._nets = tuple(self.settle.source_nets) + tuple(
+            inst.output_net() for inst in netlist.combinational_instances()
+        )
+        self._net_ids = HOST.asarray(
+            [self.settle.net_ids[net] for net in self._nets], dtype=HOST.int64
+        )
 
     def _run(
         self,
@@ -333,9 +348,41 @@ class ZeroDelaySession(Session):
         cycles: int,
         duration: int,
     ) -> SimulationResult:
-        return self.simulator.simulate(
-            stimulus, duration=duration, clock_period=self.clock_period
+        hnp = HOST
+        settle = self.settle
+        waves = [stimulus[net] for net in settle.source_nets]
+        stamps = [wave.timestamps for wave in waves]
+        times = hnp.unique(
+            hnp.concatenate(
+                [hnp.zeros(1, dtype=hnp.int64)]
+                + [s[(s > 0) & (s < duration)] for s in stamps]
+            )
         )
+        # Source value at each change time: the parity of the last entry at
+        # or before it (the initial value before the first entry).
+        sources = hnp.empty((times.size, len(waves)), dtype=hnp.int8)
+        for column, (wave, wave_stamps) in enumerate(zip(waves, stamps)):
+            last = hnp.searchsorted(wave_stamps, times, side="right") - 1
+            sources[:, column] = (wave.start_index + hnp.maximum(last, 0)) & 1
+        settled = settle.settle_many(sources)[:, self._net_ids]
+        changed = settled[1:] != settled[:-1]
+        counts = hnp.sum(changed, axis=0)
+        # Rows of the transposed mask come out net by net, in time order.
+        _, rows = hnp.nonzero(changed.T)
+        toggle_times = hnp.split(times[1:][rows], hnp.cumsum(counts)[:-1])
+        result = SimulationResult(duration=duration)
+        for net, initial, toggles in zip(self._nets, settled[0], toggle_times):
+            result.waveforms[net] = Waveform.from_toggle_array(int(initial), toggles)
+            result.toggle_counts[net] = int(toggles.size)
+        result.stats = SimulationStats(
+            gate_count=self.netlist.gate_count,
+            levels=len(settle.level_sizes),
+            widest_level=max(settle.level_sizes, default=0),
+            windows=1,
+            cycles=cycles,
+            output_transitions=int(hnp.sum(counts[len(settle.source_nets) :])),
+        )
+        return result
 
 
 @register_backend("zero-delay")
@@ -359,4 +406,4 @@ class ZeroDelayBackend(SimBackend):
         # ``annotation`` is accepted for interface uniformity and ignored:
         # a zero-delay simulation has no delays to annotate.
         _reject_unknown_options(self.name, options)
-        return ZeroDelaySession(ZeroDelaySimulator(netlist), config or SimConfig())
+        return ZeroDelaySession(netlist, config or SimConfig())

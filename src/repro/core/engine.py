@@ -58,7 +58,9 @@ from .edits import AppliedEdit, Edit, EditJournal, EditReceipt
 from .incremental import (
     ExecutionPlan,
     build_dirty_plan,
+    build_gate_input,
     derive_compile_key,
+    estimated_path_delay,
     full_plan,
     rebuild_artifacts,
 )
@@ -365,7 +367,6 @@ class GatspiEngine:
         instead of re-packing — the rest of the compile is unchanged, so
         the artifacts flow through the normal compile cache and backends.
         """
-        gate_inputs: Dict[str, GateKernelInputs] = {}
         if netlist_fingerprint is not None:
             # prepare() analyzes before compiling; the analysis engine
             # levelizes through the same fingerprint-keyed memo, so this is
@@ -379,32 +380,10 @@ class GatspiEngine:
         annotation = self.annotation
         if not self.config.full_sdf:
             annotation = annotation.with_averaged_sdf()
-        library = self.netlist.library
-        for gate in compiled.gates.values():
-            cell = self.netlist.instances[gate.name].cell
-            truth_table = library.truth_table(gate.cell_name).table
-            if cell.num_inputs == 0:
-                gate_inputs[gate.name] = GateKernelInputs(
-                    truth_table=truth_table,
-                    delay_arrays=(),
-                    wire_rise=(),
-                    wire_fall=(),
-                )
-                continue
-            table = annotation.table_for(gate.name)
-            delay_arrays = tuple(table.table_for(pin) for pin in cell.inputs)
-            wire_rise = []
-            wire_fall = []
-            for pin in cell.inputs:
-                wire = annotation.wire_delay(gate.name, pin)
-                wire_rise.append(float(wire.rise))
-                wire_fall.append(float(wire.fall))
-            gate_inputs[gate.name] = GateKernelInputs(
-                truth_table=truth_table,
-                delay_arrays=delay_arrays,
-                wire_rise=tuple(wire_rise),
-                wire_fall=tuple(wire_fall),
-            )
+        gate_inputs: Dict[str, GateKernelInputs] = {
+            name: build_gate_input(self.netlist, annotation, name)
+            for name in compiled.gates
+        }
         if packed is None:
             packed = pack_design(
                 compiled.gates_by_level,
@@ -423,22 +402,13 @@ class GatspiEngine:
             [packed.net_index[net] for net in self.netlist.source_nets()],
             dtype=self._xp.int64,
         )
-        # Estimate the critical path delay; it bounds how far an event can
-        # still propagate past a cycle-parallel window boundary and therefore
-        # sizes the default settle margin (window overlap).
-        max_wire = 0.0
-        for wire in annotation.interconnect.values():
-            max_wire = max(max_wire, wire.rise, wire.fall)
-        estimated_path_delay = int(
-            compiled.depth * (annotation.max_gate_delay() + max_wire)
-        )
         return compile_cache.CompiledArtifacts(
             compiled=compiled,
             gate_inputs=gate_inputs,
             packed=packed,
             readback_net_ids=readback_net_ids,
             source_net_ids=source_net_ids,
-            estimated_path_delay=estimated_path_delay,
+            estimated_path_delay=estimated_path_delay(annotation, compiled.depth),
         )
 
     @property

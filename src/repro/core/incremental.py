@@ -107,10 +107,11 @@ class ExecutionPlan:
         return self.dirty_gates / self.total_gates
 
 
-def _build_gate_input(
+def build_gate_input(
     netlist: "Netlist", annotation: "DelayAnnotation", gate_name: str
 ) -> GateKernelInputs:
-    """Per-gate kernel inputs, exactly as a cold compile builds them."""
+    """Per-gate kernel inputs: truth table, per-pin delay tables and wire
+    delays (the cold compile and the incremental rebuild both call this)."""
     cell = netlist.instances[gate_name].cell
     truth_table = netlist.library.truth_table(cell.name).table
     if cell.num_inputs == 0:
@@ -136,8 +137,10 @@ def _build_gate_input(
     )
 
 
-def _estimated_path_delay(annotation: "DelayAnnotation", depth: int) -> int:
-    """Critical-path estimate sizing the settle margin (matches compile)."""
+def estimated_path_delay(annotation: "DelayAnnotation", depth: int) -> int:
+    """Critical-path estimate: it bounds how far an event can still
+    propagate past a cycle-parallel window boundary, so it sizes the
+    default settle margin (window overlap)."""
     max_wire = 0.0
     for wire in annotation.interconnect.values():
         max_wire = max(max_wire, wire.rise, wire.fall)
@@ -213,7 +216,7 @@ def rebuild_artifacts(
         gate_inputs: Dict[str, GateKernelInputs] = dict(previous.gate_inputs)
         dirty = [name for name in seeds if name in gate_inputs]
         for name in dirty:
-            gate_inputs[name] = _build_gate_input(netlist, ann, name)
+            gate_inputs[name] = build_gate_input(netlist, ann, name)
         dirty_set = set(dirty)
         packed = previous.packed
         tt_cursor = int(xp.size(packed.tt_flat))
@@ -268,7 +271,7 @@ def rebuild_artifacts(
             packed=new_packed,
             readback_net_ids=previous.readback_net_ids,
             source_net_ids=previous.source_net_ids,
-            estimated_path_delay=_estimated_path_delay(ann, compiled.depth),
+            estimated_path_delay=estimated_path_delay(ann, compiled.depth),
         )
 
     # Structural: the level structure (and possibly the net population)
@@ -284,7 +287,7 @@ def rebuild_artifacts(
         reused = (
             None if gate.name in seed_set else previous.gate_inputs.get(gate.name)
         )
-        gate_inputs[gate.name] = reused or _build_gate_input(
+        gate_inputs[gate.name] = reused or build_gate_input(
             netlist, ann, gate.name
         )
     packed = pack_design(
@@ -306,7 +309,7 @@ def rebuild_artifacts(
         packed=packed,
         readback_net_ids=readback_net_ids,
         source_net_ids=source_net_ids,
-        estimated_path_delay=_estimated_path_delay(ann, compiled.depth),
+        estimated_path_delay=estimated_path_delay(ann, compiled.depth),
     )
 
 

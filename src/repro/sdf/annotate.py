@@ -131,11 +131,15 @@ def annotation_from_sdf(
             continue
         inst = netlist.instances[instance_name]
         arcs = design_delays.gate_arcs.setdefault(instance_name, [])
+        pins = set(inst.cell.inputs)
         for path in cell_entry.iopaths:
-            if path.input_pin not in inst.cell.inputs:
+            if path.input_pin not in pins or not pins.issuperset(path.condition):
                 if strict:
+                    clause, pin = "IOPATH", path.input_pin
+                    if pin in pins:
+                        clause, pin = "COND", min(set(path.condition) - pins)
                     raise AnnotationError(
-                        f"SDF IOPATH references unknown pin {path.input_pin!r} "
+                        f"SDF {clause} references unknown pin {pin!r} "
                         f"on instance {instance_name!r} ({inst.cell_name})"
                     )
                 continue

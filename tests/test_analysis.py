@@ -581,6 +581,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: cannot read SDF" in err and message in err
 
+    def test_sdf_cond_on_an_unknown_pin_is_skipped(self, tmp_path, capsys):
+        from repro.netlist import write_verilog
+
+        netlist_path = tmp_path / "clean.v"
+        netlist_path.write_text(write_verilog(clean_design()))
+        sdf_path = tmp_path / "cond.sdf"
+        sdf_path.write_text(
+            '(DELAYFILE (CELL (CELLTYPE "INV") (INSTANCE u1)'
+            " (DELAY (ABSOLUTE (COND Z===1'b1 (IOPATH A Y (1)))))))"
+        )
+        assert self._main(str(netlist_path), str(sdf_path)) == 0
+        captured = capsys.readouterr()
+        assert "clean:" in captured.out and "Traceback" not in captured.err
+
     def test_deeply_nested_sdf_is_read(self, tmp_path, capsys):
         from repro.netlist import write_verilog
 

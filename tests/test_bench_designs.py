@@ -11,10 +11,10 @@ from repro.bench import (
     table2_cases,
 )
 from repro.analysis import analyze_design
+from repro.api import get_backend
 from repro.core import SimConfig
 from repro.netlist import levelize
 from repro.core import Waveform
-from repro.reference import ZeroDelaySimulator
 
 
 #: The structural rules every generated design must pass to be simulatable.
@@ -41,14 +41,14 @@ class TestAdder:
     def test_adder_is_functionally_correct(self):
         bits = 6
         netlist = designs.ripple_carry_adder(bits=bits)
-        simulator = ZeroDelaySimulator(netlist)
+        session = get_backend("zero-delay").prepare(netlist)
         for a_value, b_value, cin in [(5, 9, 0), (63, 1, 0), (21, 42, 1), (0, 0, 1)]:
             stimulus = {}
             for bit in range(bits):
                 stimulus[f"a[{bit}]"] = Waveform.constant((a_value >> bit) & 1)
                 stimulus[f"b[{bit}]"] = Waveform.constant((b_value >> bit) & 1)
             stimulus["cin"] = Waveform.constant(cin)
-            result = simulator.simulate(stimulus, duration=10)
+            result = session.run(stimulus, duration=10)
             total = 0
             for bit in range(bits):
                 total |= result.waveforms[f"sum[{bit}]"].value_at(5) << bit

@@ -4,7 +4,7 @@ The clocked driver derives each block's register captures from a
 zero-delay settle of the frames' final sources, then simulates the block's
 frames as one ``run_many`` batch.  These tests pin the pieces of that:
 
-* the array settle equals the reference zero-delay simulator's final
+* the array settle equals the brute-force zero-delay reference's final
   values, on generated and fixture designs;
 * ``gatspi`` ``run_cycles``/``run_cycles_stream`` equal the ``event``
   oracle at ``cycle_parallelism=4`` across block counts, including a
@@ -21,6 +21,7 @@ import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from zero_delay_reference import zero_delay_reference
 
 from repro.api import RunSpec, get_backend, resolve_backend
 from repro.core import SimConfig
@@ -33,7 +34,6 @@ from repro.core.edits import SetPinDelay
 from repro.core.settle import ZeroDelaySettle
 from repro.core.waveform import Waveform
 from repro.netlist import load_fixture
-from repro.reference.zero_delay import ZeroDelaySimulator
 from repro.sdf.annotate import default_annotation
 from repro.testing import (
     build_counter,
@@ -53,7 +53,7 @@ def _session(spec, netlist, **config_kw):
 
 
 # ---------------------------------------------------------------------------
-# The array settle equals the reference zero-delay simulator
+# The array settle equals the brute-force zero-delay reference
 # ---------------------------------------------------------------------------
 _FIXTURES = {name: load_fixture(name) for name in ("counter", "lfsr", "alu")}
 
@@ -81,10 +81,10 @@ def test_settle_equals_reference_zero_delay(design, data):
         net: Waveform.constant(value)
         for net, value in zip(settle.source_nets, values)
     }
-    reference = ZeroDelaySimulator(design).simulate(stimulus, duration=10)
+    reference = zero_delay_reference(design, stimulus, duration=10)
     settled = settle.settle(values)
     for net, net_id in settle.net_ids.items():
-        assert int(settled[net_id]) == reference.waveforms[net].final_value, net
+        assert int(settled[net_id]) == reference[net].final_value, net
     assert int(settled[settle.null_id]) == 0
 
 

@@ -11,8 +11,9 @@ ablation variants.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import get_backend
 from repro.core import GatspiEngine, SimConfig, Waveform
-from repro.reference import EventDrivenSimulator, ZeroDelaySimulator
+from repro.reference import EventDrivenSimulator
 from repro.sdf import SyntheticDelayModel, annotation_from_design_delays
 
 from repro.testing import build_random_netlist, build_random_stimulus
@@ -112,7 +113,9 @@ def test_delay_aware_toggles_at_least_functional():
     gatspi = GatspiEngine(netlist, annotation=annotation, config=CONFIG).simulate(
         stimulus, duration=DURATION
     )
-    functional = ZeroDelaySimulator(netlist).simulate(stimulus, duration=DURATION)
+    functional = get_backend("zero-delay").prepare(netlist).run(
+        stimulus, duration=DURATION
+    )
     sources = set(netlist.source_nets())
     # With stimulus gaps much larger than the critical path, every functional
     # transition propagates; glitches can only add toggles on top.

@@ -17,11 +17,17 @@ from repro.power import (
     static_probabilities,
     summarize_activity,
 )
-from repro.reference import EventDrivenSimulator, ZeroDelaySimulator, functional_toggle_counts
+from repro.api import get_backend
+from repro.reference import EventDrivenSimulator
 from repro.sdf import SyntheticDelayModel, annotation_from_design_delays
 from repro.waveforms import TestbenchSpec, stimulus_for_netlist
 
 CONFIG = SimConfig(clock_period=1000, cycle_parallelism=4)
+
+
+def functional_run(netlist, stimulus, duration):
+    """The zero-delay (glitch-free) run of ``stimulus``."""
+    return get_backend("zero-delay").prepare(netlist).run(stimulus, duration=duration)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +102,7 @@ class TestActivity:
 class TestGlitchAnalysis:
     def test_adder_has_glitch_activity(self, adder_setup):
         netlist, _, stimulus, result, _ = adder_setup
-        functional = functional_toggle_counts(netlist, stimulus, result.duration)
+        functional = functional_run(netlist, stimulus, result.duration).toggle_counts
         report = analyze_glitches(netlist, result, functional)
         assert report.total_glitch_toggles >= 0
         assert 0.0 <= report.glitch_toggle_fraction <= 1.0
@@ -104,15 +110,13 @@ class TestGlitchAnalysis:
 
     def test_zero_delay_has_no_glitches(self, adder_setup):
         netlist, _, stimulus, result, _ = adder_setup
-        functional = ZeroDelaySimulator(netlist).simulate(
-            stimulus, duration=result.duration
-        )
+        functional = functional_run(netlist, stimulus, result.duration)
         report = analyze_glitches(netlist, functional, functional.toggle_counts)
         assert report.total_glitch_toggles == 0
 
     def test_worst_nets_are_glitchy(self, adder_setup):
         netlist, _, stimulus, result, _ = adder_setup
-        functional = functional_toggle_counts(netlist, stimulus, result.duration)
+        functional = functional_run(netlist, stimulus, result.duration).toggle_counts
         report = analyze_glitches(netlist, result, functional)
         for info in report.worst_nets(5):
             assert info.glitch_toggles > 0

@@ -200,6 +200,37 @@ class TestAnnotation:
         annotation = annotation_from_sdf(netlist, sdf, strict=False)
         assert "nope" not in annotation.gate_tables
 
+    @pytest.mark.parametrize(
+        "condition, pin",
+        [("Z===1'b1", "Z"), ("A1===1'b0&&Q===1'b1", "Q")],
+    )
+    def test_unknown_cond_pin_is_an_annotation_error_or_skipped(
+        self, condition, pin
+    ):
+        netlist = build_mini_netlist()
+        sdf = parse_sdf(
+            '(DELAYFILE (CELL (CELLTYPE "AOI21") (INSTANCE u_aoi) (DELAY'
+            f" (ABSOLUTE (COND {condition} (IOPATH B Y (9)))"
+            " (IOPATH A1 Y (4))))))"
+        )
+        with pytest.raises(AnnotationError) as info:
+            annotation_from_sdf(netlist, sdf, strict=True)
+        message = str(info.value)
+        assert "COND" in message and repr(pin) in message
+        assert "u_aoi" in message and "AOI21" in message
+        # Lenient annotation skips the conditional arc and keeps the rest.
+        table = annotation_from_sdf(netlist, sdf, strict=False).table_for("u_aoi")
+        without = annotation_from_sdf(
+            netlist,
+            parse_sdf(
+                '(DELAYFILE (CELL (CELLTYPE "AOI21") (INSTANCE u_aoi) (DELAY'
+                " (ABSOLUTE (IOPATH A1 Y (4))))))"
+            ),
+        ).table_for("u_aoi")
+        for pin in ("A1", "A2", "B"):
+            assert np.array_equal(table.table_for(pin), without.table_for(pin))
+        assert table.lookup("A1", RISE, RISE, 0) == 4
+
     def test_ablation_variants(self):
         netlist = build_mini_netlist()
         delays = SyntheticDelayModel(seed=3).build(netlist)

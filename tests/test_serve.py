@@ -9,6 +9,7 @@ results, through both plain ``gatspi`` and ``gatspi:workers=process:2``
 
 from __future__ import annotations
 
+import queue
 import sys
 import threading
 import time
@@ -279,6 +280,45 @@ def blocking_backend():
         unregister_backend("blocking-test")
 
 
+@pytest.fixture
+def turnstile_backend():
+    """A registered backend whose every run waits for its own permit.
+
+    Yields ``(started, permits)``: ``started`` gets one entry as each run
+    begins, and each ``permits.release()`` lets one run finish.
+    """
+    started: "queue.Queue[int]" = queue.Queue()
+    permits = threading.Semaphore(0)
+
+    class TurnstileSession:
+        backend_name = "turnstile-test"
+
+        def attach_analysis(self, report):
+            pass
+
+        def run(self, stimulus, cycles=None, duration=None):
+            started.put(duration)
+            if not permits.acquire(timeout=30):
+                raise TimeoutError("test run never got its permit")
+            from repro.core.results import SimulationResult
+
+            return SimulationResult(duration=duration or 0)
+
+    class TurnstileBackend(SimBackend):
+        name = "turnstile-test"
+        capabilities = BackendCapabilities(description="test rig")
+
+        def _prepare(self, netlist, annotation=None, config=None, **options):
+            return TurnstileSession()
+
+    register_backend("turnstile-test", TurnstileBackend)
+    try:
+        yield started, permits
+    finally:
+        permits.release(16)
+        unregister_backend("turnstile-test")
+
+
 class TestAdmissionControl:
     def test_overload_fails_fast_when_queue_is_full(self, blocking_backend):
         netlist, annotation, stimulus = _design(13)
@@ -353,6 +393,49 @@ class TestAdmissionControl:
                 assert future.result(timeout=30) is not None
         finally:
             blocking_backend.release.set()
+            service.close()
+
+    @pytest.mark.concurrency
+    def test_taking_a_batch_wakes_a_blocked_submit_while_it_runs(
+        self, turnstile_backend
+    ):
+        """A drain that takes the queued request frees its queue slot at
+        once: the submit blocked on the full queue returns while that
+        request is still running, not after it finishes."""
+        started, permits = turnstile_backend
+        netlist, annotation, stimulus = _design(23)
+
+        def request():
+            return ServeRequest(
+                netlist=netlist, stimulus=stimulus, backend="turnstile-test",
+                annotation=annotation, duration=DURATION,
+            )
+
+        service = SimulationService(max_workers=1, queue_size=1)
+        try:
+            first = service.submit(request())
+            started.get(timeout=10)
+            second = service.submit(request(), block=False)
+            admitted = []
+            blocked = threading.Thread(
+                target=lambda: admitted.append(service.submit(request(), timeout=20))
+            )
+            blocked.start()
+            blocked.join(timeout=0.2)
+            assert blocked.is_alive(), "submit did not wait on the full queue"
+            permits.release()  # the first run finishes; a drain takes the second
+            assert first.result(timeout=10) is not None
+            started.get(timeout=10)
+            blocked.join(timeout=10)
+            assert not blocked.is_alive() and len(admitted) == 1, (
+                "taking the queued request did not wake the blocked submit"
+            )
+            assert not second.done(), "the second request should still be running"
+            permits.release(2)
+            for future in [second] + admitted:
+                assert future.result(timeout=10) is not None
+        finally:
+            permits.release(16)
             service.close()
 
     def test_per_client_quota_bounds_in_flight_requests(self, blocking_backend):
