@@ -29,6 +29,7 @@ from ..core.compile_cache import (
     fingerprint_netlist,
     levelize_cached,
 )
+from ..core.incremental import estimated_path_delay
 from ..core.xp import HOST
 from ..netlist import Levelization, Netlist, NetlistError, levelize
 from .report import AnalysisReport, Finding
@@ -308,17 +309,14 @@ class AnalysisContext:
     # ------------------------------------------------------------------
     @cached_property
     def estimated_path_delay(self) -> int:
-        """Upper bound on the critical-path delay, mirroring the engine's
-        settle-margin estimate; intrinsic cell delays when unannotated."""
+        """Upper bound on the critical-path delay: the engine's settle
+        margin when annotated, intrinsic cell delays when not."""
         levelization = self.levelization
         if levelization is None:
             return 0
         depth = levelization.depth
         if self.annotation is not None:
-            max_wire = 0.0
-            for wire in self.annotation.interconnect.values():
-                max_wire = max(max_wire, wire.rise, wire.fall)
-            return int(depth * (self.annotation.max_gate_delay() + max_wire))
+            return estimated_path_delay(self.annotation, depth)
         max_intrinsic = 0.0
         for inst in self.netlist.combinational_instances():
             cell = inst.cell

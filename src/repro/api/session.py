@@ -203,9 +203,6 @@ class Session(abc.ABC):
         self,
         stimulus: StreamStimulus,
         cycles: int,
-        *,
-        clock: Optional[str] = None,
-        reset: Optional[str] = None,
     ) -> SimulationResult:
         """Clock-step the design for ``cycles`` capture edges.
 
@@ -219,22 +216,19 @@ class Session(abc.ABC):
 
         ``stimulus`` covers the primary inputs *except* the clock (the
         driver generates it, one rising edge per ``clock_period``) and the
-        register outputs (they are simulated state).  ``clock``/``reset``
-        override ``SimConfig.clock``/``SimConfig.reset``.  The result
-        carries full stitched waveforms plus ``register_state``, the
-        committed value of every register after the final capture edge.
+        register outputs (they are simulated state); the clock is the one
+        net every register is clocked by.  The result carries full
+        stitched waveforms plus ``register_state``, the committed value
+        of every register after the final capture edge.
         """
         from ..core.clocked import run_clocked
 
-        return self._clocked(run_clocked, stimulus, cycles, clock, reset)
+        return self._clocked(run_clocked, stimulus, cycles)
 
     def run_cycles_stream(
         self,
         stimulus: StreamStimulus,
         cycles: int,
-        *,
-        clock: Optional[str] = None,
-        reset: Optional[str] = None,
     ) -> "StreamResult":
         """Clock-step ``cycles`` edges at constant memory.
 
@@ -249,15 +243,13 @@ class Session(abc.ABC):
         """
         from ..core.clocked import run_clocked_stream
 
-        return self._clocked(run_clocked_stream, stimulus, cycles, clock, reset)
+        return self._clocked(run_clocked_stream, stimulus, cycles)
 
     def _clocked(
         self,
         driver: Callable[..., _ClockedResult],
         stimulus: StreamStimulus,
         cycles: int,
-        clock: Optional[str],
-        reset: Optional[str],
     ) -> _ClockedResult:
         """Plan a clocked run and drive it (``run_clocked`` or
         ``run_clocked_stream``) under the session lock."""
@@ -269,12 +261,7 @@ class Session(abc.ABC):
                 "waveforms; prepare the session with "
                 "SimConfig(store_waveforms=True)"
             )
-        plan = plan_clocked_run(
-            self._netlist,
-            self.clock_period,
-            clock=clock if clock is not None else self._config.clock,
-            reset=reset if reset is not None else self._config.reset,
-        )
+        plan = plan_clocked_run(self._netlist, self.clock_period)
         with self._run_lock:
             result = driver(
                 plan, stimulus, cycles, self._run_many,

@@ -60,7 +60,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
     Union,
@@ -112,19 +111,12 @@ class ClockedPlan:
     settle: ZeroDelaySettle
 
 
-def plan_clocked_run(
-    netlist: Netlist,
-    clock_period: int,
-    clock: Optional[str] = None,
-    reset: Optional[str] = None,
-) -> ClockedPlan:
+def plan_clocked_run(netlist: Netlist, clock_period: int) -> ClockedPlan:
     """Validate a design for clock-stepping; pack its register file and
     its combinational logic (the capture settle).
 
-    ``clock`` (e.g. ``SimConfig.clock``) pins the clock net; when omitted
-    it is inferred from the register clock pins, which must agree on a
-    single net.  ``reset`` optionally asserts that every resettable
-    register uses that net.  Raises :class:`ClockedSimulationError` for
+    The clock is inferred: every register clock pin must be on the same
+    primary-input net.  Raises :class:`ClockedSimulationError` for
     designs the driver cannot step: no registers, latches, multiple
     clock domains, gated (non-primary-input) clocks, non-primary-input
     async resets, clk-to-q delays reaching the clock period, or register
@@ -142,42 +134,18 @@ def plan_clocked_run(
             f"waveform, got {clock_period}"
         )
     clock_nets = sorted(set(register_file.clock_nets))
-    if clock is None:
-        if len(clock_nets) > 1:
-            raise ClockedSimulationError(
-                f"design {netlist.name!r} has registers on multiple clock "
-                f"nets {clock_nets}; run_cycles supports a single clock "
-                f"domain (pass SimConfig(clock=...) to pick one explicitly "
-                f"only when the others are tied)"
-            )
-        clock = clock_nets[0]
-    else:
-        rogue = [c for c in clock_nets if c != clock]
-        if rogue:
-            raise ClockedSimulationError(
-                f"registers are clocked by {rogue} but the configured clock "
-                f"is {clock!r}"
-            )
+    if len(clock_nets) > 1:
+        raise ClockedSimulationError(
+            f"design {netlist.name!r} has registers on multiple clock "
+            f"nets {clock_nets}; run_cycles supports a single clock "
+            f"domain: drive every register from one primary-input clock"
+        )
+    clock = clock_nets[0]
     if clock not in netlist.inputs:
         raise ClockedSimulationError(
             f"clock net {clock!r} is not a primary input; gated or "
             f"internally generated clocks cannot be stepped by run_cycles"
         )
-    if reset is not None:
-        mismatched = sorted(
-            {
-                net
-                for net, has in zip(
-                    register_file.reset_nets, register_file.has_reset
-                )
-                if bool(has) and net != reset
-            }
-        )
-        if mismatched:
-            raise ClockedSimulationError(
-                f"registers reset by {mismatched} but the configured reset "
-                f"is {reset!r}"
-            )
     hnp = HOST
     async_mask = register_file.reset_async & register_file.has_reset
     for index in range(len(register_file)):

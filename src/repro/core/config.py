@@ -25,6 +25,12 @@ from .xp import available_array_backends, default_device
 class SimConfig:
     """Configuration of one GATSPI simulation run.
 
+    No field sets the settle margin of a cycle-parallel window: the
+    engine derives it from the annotated delays (the critical-path
+    estimate, :attr:`GatspiEngine.window_overlap`), so no calibration
+    run is needed.  Clocked runs likewise infer their clock and reset
+    nets from the design's registers.
+
     Parameters
     ----------
     cycle_parallelism:
@@ -36,12 +42,6 @@ class SimConfig:
     pathpulse_percent:
         Minimum output pulse width as a percentage of the gate delay
         (``100`` = classic inertial rejection, the paper's constraint).
-    window_overlap:
-        Settle margin (in time units) prepended to every cycle-parallel
-        window during waveform restructuring so that events still
-        propagating across a window boundary are reproduced exactly.
-        ``None`` (default) derives the margin from the design's critical
-        path; ``0`` disables the overlap.
     enable_net_delay_filtering:
         When false, interconnect inertial filtering (Algorithm 1 lines 11-12)
         is skipped — the paper's "No Net Delay" ablation in Table 7.
@@ -77,7 +77,6 @@ class SimConfig:
     analysis: str = "warn"
     store_waveforms: bool = True
     clock_period: int = 1000
-    window_overlap: Optional[int] = None
     #: Cycles simulated per streaming chunk by :meth:`Session.run_stream`.
     #: Each chunk is split into ``cycle_parallelism`` windows, simulated,
     #: read back, and its pool columns recycled before the next chunk is
@@ -85,14 +84,6 @@ class SimConfig:
     #: uses ``32 * cycle_parallelism`` cycles per chunk.  Ignored by the
     #: whole-run ``Session.run`` path.
     stream_chunk_cycles: Optional[int] = None
-    #: Clock net driven by :meth:`Session.run_cycles` (sequential runs).
-    #: ``None`` (default) infers the clock from the design's register clock
-    #: pins, which must agree on a single primary-input net.
-    clock: Optional[str] = None
-    #: Expected reset net of sequential runs.  Purely an assertion: when
-    #: set, ``run_cycles`` rejects designs whose resettable registers use a
-    #: different net.  ``None`` (default) accepts whatever the design uses.
-    reset: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.cycle_parallelism < 1:
@@ -103,8 +94,6 @@ class SimConfig:
             raise ValueError("pathpulse_percent must be within [0, 100]")
         if self.clock_period <= 0:
             raise ValueError("clock_period must be positive")
-        if self.window_overlap is not None and self.window_overlap < 0:
-            raise ValueError("window_overlap must be non-negative")
         if self.stream_chunk_cycles is not None and self.stream_chunk_cycles < 1:
             raise ValueError("stream_chunk_cycles must be at least 1")
         if self.analysis not in ("strict", "warn", "off"):

@@ -44,7 +44,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..netlist import CompiledGraph, Netlist, compile_netlist, levelize
+from ..netlist import CompiledGraph, Netlist, levelize
 from ..sdf.annotate import DelayAnnotation, default_annotation
 from . import compile_cache
 from .config import SimConfig
@@ -57,10 +57,9 @@ from .contract import (
 from .edits import AppliedEdit, Edit, EditJournal, EditReceipt
 from .incremental import (
     ExecutionPlan,
+    build_artifacts,
     build_dirty_plan,
-    build_gate_input,
     derive_compile_key,
-    estimated_path_delay,
     full_plan,
     rebuild_artifacts,
 )
@@ -78,7 +77,7 @@ from .restructure import (
     trim_readback,
 )
 from .results import PhaseTimings, SimulationResult, SimulationStats, StreamBatch
-from .vector_kernel import PackedDesign, pack_design, simulate_level, tile_level
+from .vector_kernel import PackedDesign, simulate_level, tile_level
 from .waveform import EOW, INITIAL_ONE_MARKER, Waveform
 from .xp import HOST, ArrayBackend, get_array_backend
 
@@ -376,46 +375,17 @@ class GatspiEngine:
             )
         else:
             levelization = levelize(self.netlist)
-        compiled = compile_netlist(self.netlist, levelization)
         annotation = self.annotation
         if not self.config.full_sdf:
             annotation = annotation.with_averaged_sdf()
-        gate_inputs: Dict[str, GateKernelInputs] = {
-            name: build_gate_input(self.netlist, annotation, name)
-            for name in compiled.gates
-        }
-        if packed is None:
-            packed = pack_design(
-                compiled.gates_by_level,
-                gate_inputs,
-                extra_nets=tuple(self.netlist.source_nets()),
-            ).to_device(self._xp)
-        # Net-id tensors of the two bulk registration paths — gate outputs
-        # in readback order and stimulus sources in lowering order — cached
-        # alongside the packed tensors so a cache hit skips the O(design)
-        # rebuild and device upload.
-        readback_net_ids = self._xp.asarray(
-            [packed.net_index[gate.output_net] for gate in compiled.gates.values()],
-            dtype=self._xp.int64,
-        )
-        source_net_ids = self._xp.asarray(
-            [packed.net_index[net] for net in self.netlist.source_nets()],
-            dtype=self._xp.int64,
-        )
-        return compile_cache.CompiledArtifacts(
-            compiled=compiled,
-            gate_inputs=gate_inputs,
-            packed=packed,
-            readback_net_ids=readback_net_ids,
-            source_net_ids=source_net_ids,
-            estimated_path_delay=estimated_path_delay(annotation, compiled.depth),
+        return build_artifacts(
+            self.netlist, annotation, levelization, self._xp, packed=packed
         )
 
     @property
     def window_overlap(self) -> int:
-        """Settle margin prepended to every cycle-parallel window."""
-        if self.config.window_overlap is not None:
-            return self.config.window_overlap
+        """Settle margin prepended to every cycle-parallel window: the
+        critical-path estimate of the annotated delays."""
         return self._estimated_path_delay
 
     # ------------------------------------------------------------------
@@ -533,8 +503,8 @@ class GatspiEngine:
         from the exact boundary waveforms, and the merged result is
         bit-identical to a cold full run of the edited design.  Falls back
         to :meth:`simulate` whenever partial execution cannot be exact:
-        no usable previous run, a user-pinned ``window_overlap``, disabled
-        waveform storage, or a changed stimulus/horizon.
+        no usable previous run, disabled waveform storage, or a changed
+        stimulus/horizon.
         """
         retained = self._retained.get(receipt.parent_journal)
         if retained is not None:
@@ -614,11 +584,6 @@ class GatspiEngine:
         if previous is None or not previous.waveforms:
             return False
         if not self.config.store_waveforms:
-            return False
-        if self.config.window_overlap is not None:
-            # Partial execution relies on the settle-margin invariance
-            # argument, which needs the margin to cover the (post-edit)
-            # critical path; a user-pinned overlap voids that guarantee.
             return False
         if previous.duration != duration:
             return False
@@ -806,9 +771,7 @@ class GatspiEngine:
         Bit-identity with :meth:`simulate` comes from the settle margin:
         every window is extended backwards across the chunk boundary by the
         derived critical-path margin, making the partition invisible in the
-        results.  That argument needs the margin to cover the critical
-        path, which is why a pinned ``config.window_overlap`` is refused
-        here rather than silently risking seam-visible answers.
+        results.
         """
         if timings is None:
             timings = PhaseTimings()
@@ -845,7 +808,6 @@ class GatspiEngine:
         pipeline; every yielded tuple is one :meth:`run_stream_chunk` call.
         Spans come back in the design's source-net order.
         """
-        self._check_streamable()
         perm = self._source_permutation(source, self._full_plan())
         config = self.config
         if chunk_cycles is None:
@@ -889,16 +851,15 @@ class GatspiEngine:
         """Execute one pre-pulled chunk span and assemble its host batch.
 
         ``span`` must cover ``(max(0, chunk_start - max(window_overlap, 1)),
-        chunk_end)`` with nets in the design's source order (what
-        :meth:`pull_spans` yields).  With process workers the parent owns
-        the stimulus stream and ships each chunk's span to a worker, which
-        calls this.  Each engine keeps one private stream
-        pool recycled across calls — every chunk releases the previous
-        chunk's window columns and reuses the same words — so RSS stays
-        flat no matter how many chunks it executes.
+        chunk_end)`` — the derived settle margin back — with nets in the
+        design's source order (what :meth:`pull_spans` yields).  With
+        process workers the parent owns the stimulus stream and ships each
+        chunk's span to a worker, which calls this.  Each engine keeps one
+        private stream pool recycled across calls — every chunk releases
+        the previous chunk's window columns and reuses the same words — so
+        RSS stays flat no matter how many chunks it executes.
         """
         plan = self._full_plan()
-        self._check_streamable()
         if tuple(span.nets) != tuple(plan.source_nets):
             raise StimulusError(
                 "stream chunk span nets do not match the design's source "
@@ -945,15 +906,6 @@ class GatspiEngine:
         )
         timings.readback += time.perf_counter() - start
         return batch
-
-    def _check_streamable(self) -> None:
-        if self.config.window_overlap is not None:
-            raise ValueError(
-                "streaming execution derives its settle margin from the "
-                "design's critical path; a pinned window_overlap below it "
-                "would make chunk boundaries visible in the results — "
-                "leave SimConfig.window_overlap unset for run_stream"
-            )
 
     def _check_stream_headroom(self, window_length: int) -> None:
         """Streaming counterpart of :meth:`_check_sentinel_headroom`.

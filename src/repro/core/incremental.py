@@ -54,6 +54,7 @@ from .vector_kernel import LevelTensors, PackedDesign, pack_design
 from .xp import HOST, ArrayBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..netlist.levelize import Levelization
     from ..netlist.netlist import Netlist
     from ..sdf.annotate import DelayAnnotation
     from .config import SimConfig
@@ -145,6 +146,53 @@ def estimated_path_delay(annotation: "DelayAnnotation", depth: int) -> int:
     for wire in annotation.interconnect.values():
         max_wire = max(max_wire, wire.rise, wire.fall)
     return int(depth * (annotation.max_gate_delay() + max_wire))
+
+
+def build_artifacts(
+    netlist: "Netlist",
+    annotation: "DelayAnnotation",
+    levelization: "Levelization",
+    xp: ArrayBackend,
+    reuse: Optional[Mapping[str, GateKernelInputs]] = None,
+    packed: Optional[PackedDesign] = None,
+) -> CompiledArtifacts:
+    """Compile a levelized design into the artifacts an engine installs.
+
+    Each gate's kernel inputs are taken from ``reuse`` when present there
+    and built otherwise; ``packed`` injects pre-built design tensors
+    instead of packing them onto ``xp``.  Beside the packed tensors go the
+    net-id tensors of the two bulk registration paths — gate outputs in
+    readback order and stimulus sources in lowering order — so a compile
+    cache hit skips their O(design) rebuild and device upload too.
+    """
+    from ..netlist import compile_netlist
+
+    compiled = compile_netlist(netlist, levelization)
+    reuse = reuse or {}
+    gate_inputs = {
+        name: reuse.get(name) or build_gate_input(netlist, annotation, name)
+        for name in compiled.gates
+    }
+    if packed is None:
+        packed = pack_design(
+            compiled.gates_by_level,
+            gate_inputs,
+            extra_nets=tuple(netlist.source_nets()),
+        ).to_device(xp)
+    return CompiledArtifacts(
+        compiled=compiled,
+        gate_inputs=gate_inputs,
+        packed=packed,
+        readback_net_ids=xp.asarray(
+            [packed.net_index[gate.output_net] for gate in compiled.gates.values()],
+            dtype=xp.int64,
+        ),
+        source_net_ids=xp.asarray(
+            [packed.net_index[net] for net in netlist.source_nets()],
+            dtype=xp.int64,
+        ),
+        estimated_path_delay=estimated_path_delay(annotation, compiled.depth),
+    )
 
 
 def _patch_level(
@@ -278,39 +326,15 @@ def rebuild_artifacts(
     # changed, so re-levelize — but reuse every clean gate's kernel inputs,
     # which keeps the expensive per-gate table assembly proportional to the
     # edit, and lets pack_design's id()-keyed delay dedup keep sharing rows.
-    from ..netlist import compile_netlist, levelize
+    from ..netlist import levelize
 
-    compiled = compile_netlist(netlist, levelize(netlist))
     seed_set = set(seeds)
-    gate_inputs = {}
-    for gate in compiled.gates.values():
-        reused = (
-            None if gate.name in seed_set else previous.gate_inputs.get(gate.name)
-        )
-        gate_inputs[gate.name] = reused or build_gate_input(
-            netlist, ann, gate.name
-        )
-    packed = pack_design(
-        compiled.gates_by_level,
-        gate_inputs,
-        extra_nets=tuple(netlist.source_nets()),
-    ).to_device(xp)
-    readback_net_ids = xp.asarray(
-        [packed.net_index[gate.output_net] for gate in compiled.gates.values()],
-        dtype=xp.int64,
-    )
-    source_net_ids = xp.asarray(
-        [packed.net_index[net] for net in netlist.source_nets()],
-        dtype=xp.int64,
-    )
-    return CompiledArtifacts(
-        compiled=compiled,
-        gate_inputs=gate_inputs,
-        packed=packed,
-        readback_net_ids=readback_net_ids,
-        source_net_ids=source_net_ids,
-        estimated_path_delay=estimated_path_delay(ann, compiled.depth),
-    )
+    reuse = {
+        name: inputs
+        for name, inputs in previous.gate_inputs.items()
+        if name not in seed_set
+    }
+    return build_artifacts(netlist, ann, levelize(netlist), xp, reuse=reuse)
 
 
 def build_dirty_plan(

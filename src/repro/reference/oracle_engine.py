@@ -20,7 +20,7 @@ per-window waveform objects, which is what streaming exists to avoid).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
 from ..core.config import SimConfig
 from ..core.engine import GatspiEngine, _Request, _WindowRange
@@ -48,12 +48,16 @@ class OracleEngine(GatspiEngine):
         config = (config or SimConfig()).with_updates(device="numpy")
         super().__init__(netlist, annotation=annotation, config=config)
 
-    def _check_streamable(self) -> None:
+    def pull_spans(self, *args: Any, **kwargs: Any) -> NoReturn:
+        """Refused: streaming exists to avoid the per-window Waveform
+        objects this engine materializes."""
         raise ValueError(
             "streaming execution requires the array pipeline (backend "
             "'gatspi'); the reference oracle materializes per-window "
             "Waveform objects"
         )
+
+    run_stream_chunk = pull_spans
 
     def _execute(
         self,

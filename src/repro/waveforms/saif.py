@@ -43,20 +43,24 @@ def activity_from_result(
 ) -> Dict[str, NetActivity]:
     """Derive per-net SAIF activity from a simulation result.
 
-    When full waveforms are stored, T0/T1 come from measured durations;
-    otherwise the toggle counts are reported with a 50/50 duty estimate.
+    T0/T1 are measured from the stored waveforms, so every counted net
+    needs one: a counts-only result (``store_waveforms=False``) raises
+    ``ValueError`` naming the first net without a waveform rather than
+    reporting invented times.  Streamed runs measure T0/T1 online
+    (``StreamResult.activities``).
     """
     duration = duration or result.duration
     activities: Dict[str, NetActivity] = {}
     for net, count in result.toggle_counts.items():
         wave = result.waveforms.get(net)
-        if wave is not None:
-            t1 = wave.duration_at(1, 0, duration)
-            t0 = duration - t1
-        else:
-            t0 = duration // 2
-            t1 = duration - t0
-        activities[net] = NetActivity(t0=t0, t1=t1, tc=count)
+        if wave is None:
+            raise ValueError(
+                f"net {net!r} has no stored waveform, so its T0/T1 are "
+                f"unknown; run with SimConfig(store_waveforms=True) or "
+                f"stream the run (run_stream) for measured activity"
+            )
+        t1 = wave.duration_at(1, 0, duration)
+        activities[net] = NetActivity(t0=duration - t1, t1=t1, tc=count)
     return activities
 
 

@@ -218,7 +218,6 @@ class TestSessionContract:
     def test_horizon_sharding_is_gone(self):
         """Shares are window groups: the horizon planner, its slicer and
         trim/merge, the retry cap and the derived-config hook left."""
-        import dataclasses
         import importlib
         import inspect
 
@@ -232,9 +231,27 @@ class TestSessionContract:
                      "merge_shard_waveforms", "slice_stimulus"):
             assert not hasattr(core, name), name
         assert not hasattr(restructure, "slice_stimulus")
-        fields = {field.name for field in dataclasses.fields(SimConfig)}
-        assert "max_segment_retries" not in fields and len(fields) == 14
         assert "config" not in inspect.signature(GatspiSession).parameters
+
+    def test_config_fields_are_an_explicit_list(self):
+        """``SimConfig`` is exactly these knobs: the settle margin is
+        derived from the delays and the clock inferred from the
+        registers, so no field or run argument pins either."""
+        import dataclasses
+        import inspect
+
+        from repro.core.clocked import plan_clocked_run
+
+        assert {field.name for field in dataclasses.fields(SimConfig)} == {
+            "cycle_parallelism", "threads_per_block", "registers_per_thread",
+            "pathpulse_percent", "enable_net_delay_filtering", "full_sdf",
+            "device", "analysis", "store_waveforms", "clock_period",
+            "stream_chunk_cycles",
+        }
+        for entry in (Session.run_cycles, Session.run_cycles_stream,
+                      plan_clocked_run):
+            parameters = inspect.signature(entry).parameters
+            assert "clock" not in parameters and "reset" not in parameters
 
     def test_time_axis_fusion_helpers_are_gone(self):
         """Requests are columns: the fusion layout, its split and the

@@ -45,6 +45,7 @@ from repro.testing import (
     build_random_stimulus,
     build_sparse_stimulus,
 )
+from settle_margin import pinned_session
 
 DURATION = 24_000
 
@@ -74,13 +75,19 @@ def _run(
     config=None,
     duration=DURATION,
     device=None,
+    overlap=None,
 ):
+    """One run of ``spec``; a ``gatspi`` engine pinned to settle margin
+    ``overlap`` when it is given."""
     backend, options = resolve_backend(spec)
     if device is not None and spec.startswith("gatspi"):
         config = (config or SimConfig()).with_updates(device=device)
-    session = backend.prepare(
-        netlist, annotation=annotation, config=config, **options
-    )
+    if overlap is not None:
+        session = pinned_session(spec, netlist, annotation, config, overlap)
+    else:
+        session = backend.prepare(
+            netlist, annotation=annotation, config=config, **options
+        )
     return session.run(stimulus, duration=duration)
 
 
@@ -111,7 +118,8 @@ def _variant_results(netlist, annotation, stimulus, device, config=None):
 
 
 def _oracle_pair(
-    netlist, annotation, stimulus, device, config=None, duration=DURATION
+    netlist, annotation, stimulus, device, config=None, duration=DURATION,
+    overlap=None,
 ):
     """(reference, vector-candidate) for pairwise pipeline comparisons.
 
@@ -121,12 +129,12 @@ def _oracle_pair(
     """
     candidate = _run(
         "gatspi", netlist, annotation, stimulus, config=config,
-        duration=duration, device=device,
+        duration=duration, device=device, overlap=overlap,
     )
     reference_spec = "gatspi-oracle" if device == "numpy" else "gatspi"
     reference = _run(
         reference_spec, netlist, annotation, stimulus, config=config,
-        duration=duration, device="numpy",
+        duration=duration, device="numpy", overlap=overlap,
     )
     return reference, candidate
 
@@ -234,8 +242,10 @@ def test_settle_overlap_edge_cases(overlap, device):
     """
     netlist, annotation = _prepare_design(3)
     stimulus = build_random_stimulus(netlist, DURATION, seed=17)
-    config = SimConfig(cycle_parallelism=8, window_overlap=overlap)
-    reference, vector = _oracle_pair(netlist, annotation, stimulus, device, config=config)
+    config = SimConfig(cycle_parallelism=8)
+    reference, vector = _oracle_pair(
+        netlist, annotation, stimulus, device, config=config, overlap=overlap
+    )
     _assert_bit_identical(reference, vector, f"overlap={overlap}")
 
 
@@ -343,19 +353,18 @@ def test_differential_without_stored_waveforms(device):
 SHARD_COUNTS = (1, 2, 4)
 
 
-def _grouped_session(netlist, annotation, groups, config=None):
+def _grouped_session(netlist, annotation, groups, config=None, overlap=None):
     """A ``gatspi`` session whose runs split their window list into
     ``groups`` contiguous groups, each run by :func:`run_window_group` and
-    appended in order by :func:`append_groups`.
+    appended in order by :func:`append_groups` (both engines pinned to
+    settle margin ``overlap`` when it is given).
 
     That is the step process workers run (``gatspi:workers=process:N``)
     and the paper-table benches time, executed here in this process so
     the append contract is checked deterministically on any machine.
     """
     session, worker = (
-        resolve_backend("gatspi")[0].prepare(
-            netlist, annotation=annotation, config=config
-        )
+        pinned_session("gatspi", netlist, annotation, config, overlap)
         for _ in range(2)
     )
 
@@ -376,15 +385,15 @@ def _grouped_session(netlist, annotation, groups, config=None):
 
 
 def _grouped_pair(netlist, annotation, stimulus, groups, config=None,
-                  duration=DURATION):
+                  duration=DURATION, overlap=None):
     """(one-group ``gatspi`` run, the same run in ``groups`` groups)."""
     reference = _run(
         "gatspi", netlist, annotation, stimulus, config=config,
-        duration=duration,
+        duration=duration, overlap=overlap,
     )
-    candidate = _grouped_session(netlist, annotation, groups, config).run(
-        stimulus, duration=duration
-    )
+    candidate = _grouped_session(
+        netlist, annotation, groups, config, overlap
+    ).run(stimulus, duration=duration)
     return reference, candidate
 
 
@@ -476,7 +485,8 @@ def test_window_groups_tile_the_window_list_in_order(windows, shards):
     assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
 
-def _generated_case(seed, kind, unit_delays, duration, **config_kw):
+def _generated_case(seed, kind, unit_delays, duration, overlap=None,
+                    **config_kw):
     """One generated design × stimulus: (netlist, annotation, config,
     stimulus, plain ``gatspi`` result).
 
@@ -495,23 +505,24 @@ def _generated_case(seed, kind, unit_delays, duration, **config_kw):
         )
     else:
         stimulus = build_sparse_stimulus(netlist, duration, seed=seed)
-    reference = resolve_backend("gatspi")[0].prepare(
-        netlist, annotation=annotation, config=config
-    ).run(stimulus, duration=duration)
+    reference = _run(
+        "gatspi", netlist, annotation, stimulus, config=config,
+        duration=duration, overlap=overlap,
+    )
     return netlist, annotation, config, stimulus, reference
 
 
 def _assert_groups_equal_gatspi(seed, shards, kind, unit_delays, duration,
-                                **config_kw):
+                                overlap=None, **config_kw):
     """Groups are gatspi's own windows, so the grouped run must equal
     gatspi whatever the windowing itself gets wrong: any duration, any
     stimulus, any settle margin."""
     netlist, annotation, config, stimulus, reference = _generated_case(
-        seed, kind, unit_delays, duration, **config_kw
+        seed, kind, unit_delays, duration, overlap, **config_kw
     )
-    candidate = _grouped_session(netlist, annotation, shards, config).run(
-        stimulus, duration=duration
-    )
+    candidate = _grouped_session(
+        netlist, annotation, shards, config, overlap
+    ).run(stimulus, duration=duration)
     assert candidate.stats.shards == min(shards, candidate.stats.windows)
     assert candidate.stats.windows == reference.stats.windows
     _assert_bit_identical(
@@ -537,8 +548,8 @@ def test_sharded_backend_equals_gatspi_on_generated_designs(
     """Generated: any design, duration and margin, 1–5 window groups."""
     _assert_groups_equal_gatspi(
         seed, shards, kind, unit_delays, duration,
+        overlap=window_overlap,
         cycle_parallelism=cycle_parallelism,
-        window_overlap=window_overlap,
         store_waveforms=store_waveforms,
     )
 
@@ -649,7 +660,7 @@ def test_run_many_fusion_clips_stimuli_longer_than_their_horizon():
 
 @pytest.mark.parametrize("overlap", [0, 7])
 def test_sharded_backend_degrades_to_passthrough_with_pinned_overlap(overlap):
-    """A user-pinned settle margin groups like any other config.
+    """A pinned settle margin (:mod:`settle_margin`) groups like any other.
 
     (The name is historical: horizon shares re-cut the run, so a margin
     below the critical path made them diverge and the session fell back
@@ -658,16 +669,17 @@ def test_sharded_backend_degrades_to_passthrough_with_pinned_overlap(overlap):
     """
     netlist, annotation = _prepare_design(8, num_gates=24)
     stimulus = build_random_stimulus(netlist, 12_000, seed=9)
-    config = SimConfig(window_overlap=overlap, cycle_parallelism=8)
+    config = SimConfig(cycle_parallelism=8)
     reference, candidate = _grouped_pair(
-        netlist, annotation, stimulus, 4, config=config, duration=12_000
+        netlist, annotation, stimulus, 4, config=config, duration=12_000,
+        overlap=overlap,
     )
     assert candidate.stats.shards == 4
     _assert_bit_identical(reference, candidate, f"pinned overlap={overlap}")
 
 
 def test_run_many_batches_with_pinned_overlap():
-    """A user-pinned settle margin batches like any other config.
+    """A pinned settle margin (:mod:`settle_margin`) batches like any other.
 
     Each request keeps its standalone windows, so the margin's size does
     not matter to exactness (time-axis fusion used to fall back to serial
@@ -679,10 +691,8 @@ def test_run_many_batches_with_pinned_overlap():
     stimuli = [
         build_random_stimulus(netlist, 12_000, seed=seed) for seed in (5, 6)
     ]
-    config = SimConfig(window_overlap=64, cycle_parallelism=4)
-    session = resolve_backend("gatspi")[0].prepare(
-        netlist, annotation=annotation, config=config
-    )
+    config = SimConfig(cycle_parallelism=4)
+    session = pinned_session("gatspi", netlist, annotation, config, 64)
     results = session.run_many(
         [RunSpec(stimulus=stimulus, duration=12_000) for stimulus in stimuli]
     )
@@ -690,7 +700,7 @@ def test_run_many_batches_with_pinned_overlap():
     for stimulus, result in zip(stimuli, results):
         reference = _run(
             "gatspi", netlist, annotation, stimulus, config=config,
-            duration=12_000,
+            duration=12_000, overlap=64,
         )
         _assert_bit_identical(reference, result, "pinned overlap batch")
 
@@ -749,7 +759,6 @@ def test_run_many_equals_serial_runs(spec, case):
     config = SimConfig(
         cycle_parallelism=case["cycle_parallelism"],
         store_waveforms=case["store_waveforms"],
-        window_overlap=case["window_overlap"],
     )
     batch = [
         (
@@ -761,8 +770,11 @@ def test_run_many_equals_serial_runs(spec, case):
         )
         for kind, duration, stimulus_seed in case["requests"]
     ]
+    overlap = case["window_overlap"]
     if spec == "gatspi, 2 window groups":
-        session = _grouped_session(netlist, annotation, 2, config)
+        session = _grouped_session(netlist, annotation, 2, config, overlap)
+    elif spec == "gatspi":
+        session = pinned_session("gatspi", netlist, annotation, config, overlap)
     else:
         session = resolve_backend(spec)[0].prepare(
             netlist, annotation=annotation, config=config

@@ -31,6 +31,7 @@ from repro.core.restructure import (
 from repro.core.xp import available_array_backends, get_array_backend
 from repro.reference.oracle_engine import OracleEngine, _stitch
 from repro.sdf import UnitDelayModel, annotation_from_design_delays
+from settle_margin import pinned_overlap
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "restructure_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -170,6 +171,8 @@ def test_engine_waveforms_match_golden(case, restructure, device):
     artifacts the stitch rules must resolve exactly as frozen.  The
     vector pipeline runs on every available array backend (the python
     reference pipeline, ``OracleEngine``, pins numpy at construction).
+    A case's ``window_overlap`` pins the margin through an engine
+    subclass (:mod:`settle_margin`); without one it is derived.
     """
     netlist = _golden_netlist()
     annotation = annotation_from_design_delays(
@@ -178,8 +181,12 @@ def test_engine_waveforms_match_golden(case, restructure, device):
     stimulus = {
         net: Waveform.from_array(arr) for net, arr in case["stimulus"].items()
     }
-    config = SimConfig(device=device, **case["config"])
-    engine_class = {"python": OracleEngine, "vector": GatspiEngine}[restructure]
+    fields = dict(case["config"])
+    overlap = fields.pop("window_overlap", None)
+    config = SimConfig(device=device, **fields)
+    engine_class = pinned_overlap(
+        {"python": OracleEngine, "vector": GatspiEngine}[restructure], overlap
+    )
     engine = engine_class(netlist, annotation=annotation, config=config)
     result = engine.simulate(stimulus, duration=case["duration"])
     assert result.stats.restructure_mode == restructure
@@ -200,7 +207,7 @@ def test_sharded_backend_matches_engine_golden(shards):
     Covers the ``default_overlap`` fixture only: its settle margin is
     derived from the critical path, which is the invariant that makes
     the merged result partition-independent.  The other engine fixtures
-    deliberately use insufficient margins (``window_overlap`` 0 / 5), so
+    deliberately pin insufficient margins (``window_overlap`` 0 / 5), so
     their frozen bytes encode *single-partition* seam artifacts and are
     not shard-invariant by construction.
     """

@@ -209,12 +209,6 @@ class TestStreamedVsWhole:
     def test_refusals(self):
         netlist, annotation = _design(0)
         stimulus = build_random_stimulus(netlist, DURATION, seed=1)
-        pinned = SimConfig(cycle_parallelism=4, window_overlap=5)
-        session = get_backend("gatspi").prepare(
-            netlist, annotation=annotation, config=pinned
-        )
-        with pytest.raises(ValueError):
-            session.run_stream(stimulus, duration=DURATION)
         event = get_backend("event").prepare(netlist, annotation=annotation)
         with pytest.raises(NotImplementedError):
             event.run_stream(stimulus, duration=DURATION)

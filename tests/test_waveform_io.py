@@ -170,7 +170,7 @@ class TestVcd:
 
 
 class TestSaif:
-    def build_result(self):
+    def build_result(self, store_waveforms=True):
         builder = NetlistBuilder("saif_test")
         a = builder.input("a")
         builder.output("y")
@@ -180,8 +180,8 @@ class TestSaif:
             netlist, UnitDelayModel(delay=5).build(netlist)
         )
         stimulus = {"a": Waveform.from_initial_and_toggles(0, [100, 300, 500])}
-        engine = GatspiEngine(netlist, annotation=annotation,
-                              config=SimConfig(clock_period=100))
+        config = SimConfig(clock_period=100, store_waveforms=store_waveforms)
+        engine = GatspiEngine(netlist, annotation=annotation, config=config)
         return engine.simulate(stimulus, cycles=10)
 
     def test_activity_from_result(self):
@@ -190,6 +190,17 @@ class TestSaif:
         assert activities["a"].tc == 3
         assert activities["y"].tc == 3
         assert activities["a"].t0 + activities["a"].t1 == result.duration
+
+    def test_counts_only_result_has_no_activity(self):
+        """Without waveforms T0/T1 are unknown: no invented 50/50 duty
+        reaches the SAIF file."""
+        result = self.build_result(store_waveforms=False)
+        assert result.toggle_counts["y"] == 3 and not result.waveforms
+        first = next(iter(result.toggle_counts))
+        with pytest.raises(ValueError, match=f"net '{first}' has no stored waveform"):
+            activity_from_result(result)
+        with pytest.raises(ValueError, match="store_waveforms=True"):
+            saif_from_result(result)
 
     def test_saif_round_trip_and_match(self):
         result = self.build_result()
